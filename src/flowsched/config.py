@@ -77,14 +77,10 @@ class ExperimentConfig:
         data = dict(data)
         data["targets"] = [TargetSpec.from_dict(t) for t in data.get("targets", [])]
         if "schedule" in data:
-            data["schedule"] = ScheduleConfig(**data["schedule"])
+            data["schedule"] = _from_fields(ScheduleConfig, data["schedule"], " in 'schedule'")
         if "rl" in data:
-            data["rl"] = RLConfig(**data["rl"])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+            data["rl"] = _from_fields(RLConfig, data["rl"], " in 'rl'")
+        return _from_fields(cls, data, "")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -99,6 +95,14 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_json(Path(path).read_text())
+
+
+def _from_fields(cls, data: dict, where: str):
+    """cls(**data), naming any key cls has no field for."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys{where}: {sorted(unknown)}")
+    return cls(**data)
 
 
 def preset_config(preset: str) -> ExperimentConfig:

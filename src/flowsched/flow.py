@@ -285,18 +285,6 @@ def eval_fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
     return float(np.mean(np.sum(resid * resid, axis=1)))
 
 
-@dataclass(frozen=True)
-class FlowTrainConfig:
-    hidden: tuple[int, ...] = (64, 64)
-    steps: int = 5000
-    batch_size: int = 256
-    lr: float = 1e-3
-
-    def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("steps, batch_size, lr must be positive")
-
-
 def train_flow(field: VelocityField, target: TargetSpec, steps: int,
                rng: RngStream, batch_size: int = 256,
                lr: float = 1e-3) -> tuple[VelocityField, np.ndarray]:

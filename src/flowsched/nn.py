@@ -9,6 +9,7 @@ policy need, so there is no general autodiff graph.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,33 +214,52 @@ def save_checkpoint(net: DenseNet, path: str | Path, extra_header: bytes = b"") 
     for w, b in zip(net.weights, net.biases):
         buf.write(w.astype("<f8").tobytes(order="C"))
         buf.write(b.astype("<f8").tobytes(order="C"))
-    Path(path).write_bytes(buf.getvalue())
+    # write beside the target, then rename over it: a killed run leaves the
+    # previous checkpoint, never a truncated one
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[DenseNet, bytes]:
-    """Read a checkpoint; returns (net, extra_header)."""
+    """Read a checkpoint; returns (net, extra_header).
+
+    A file that is not exactly one checkpoint (bad magic or version,
+    truncated anywhere, trailing bytes) raises ValueError naming the path.
+    """
     raw = Path(path).read_bytes()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a flowsched checkpoint")
     off = len(CHECKPOINT_MAGIC)
-    version, = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
+        off += n
+        return raw[off - n : off]
+
+    version, = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    hlen, = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = raw[off : off + hlen]
-    off += hlen
-    n_layers, = struct.unpack_from("<I", raw, off)
-    off += 4
-    sizes = list(struct.unpack_from(f"<{n_layers}I", raw, off))
-    off += 4 * n_layers
-    net = DenseNet(sizes)
+    hlen, = struct.unpack("<I", take(4))
+    header = take(hlen)
+    n_layers, = struct.unpack("<I", take(4))
+    sizes = list(struct.unpack(f"<{n_layers}I", take(4 * n_layers)))
+    try:
+        net = DenseNet(sizes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for k, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        w = np.frombuffer(raw, dtype="<f8", count=fan_in * fan_out, offset=off)
-        off += 8 * fan_in * fan_out
-        b = np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off)
-        off += 8 * fan_out
+        w = np.frombuffer(take(8 * fan_in * fan_out), dtype="<f8")
+        b = np.frombuffer(take(8 * fan_out), dtype="<f8")
         net.weights[k] = w.reshape(fan_out, fan_in).astype(float)
         net.biases[k] = b.astype(float)
+    if off != len(raw):
+        raise ValueError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
     return net, header

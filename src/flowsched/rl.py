@@ -18,11 +18,11 @@ import numpy as np
 
 from .flow import TargetSpec, VelocityField, ref_log_density
 from .nn import OptimizerState, adamw_step, clip_global_norm, global_norm
-from .policy import (RAW_PARAM_CLAMP, TimePolicy, save_policy, step_features,
+from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
 from .sampler import ScheduleConfig, Trajectory, sample_adaptive
-from .special_math import digamma, log_beta_fn
+from .special_math import beta_terms
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +73,9 @@ class RolloutGroup:
     trajectories: list[Trajectory]
     old_log_probs: np.ndarray
     rewards: list[RewardRecord] = dataclass_field(default_factory=list)
+    # built by the first ppo_loss call on the group; see _group_terms
+    _terms: Optional["_GroupTerms"] = dataclass_field(default=None, init=False,
+                                                      repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.trajectories) < 2:
@@ -116,17 +119,57 @@ def rloo_advantages(rewards: Sequence[float]) -> np.ndarray:
     return (k * r - total) / (k - 1)
 
 
-def _log_pdf_vec(r: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return ((alpha - 1.0) * np.log(r) + (beta - 1.0) * np.log1p(-r)
-            - log_beta_fn(alpha, beta))
+@dataclass
+class _GroupTerms:
+    """What ppo_loss needs of a group besides the current policy: the stacked
+    per-step features and rates, and the reference policy's terms there."""
+
+    feats: np.ndarray
+    log_r: np.ndarray
+    log_1mr: np.ndarray
+    seg: np.ndarray            # trajectory index of each step
+    steps: np.ndarray          # predictions per trajectory, at least 1
+    ref_params: list[np.ndarray] = dataclass_field(default_factory=list)
+    # (alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta)) of the
+    # policy whose parameter arrays are ref_params
+    ref: tuple = ()
 
 
-def _kl_vec(a_p: np.ndarray, b_p: np.ndarray, a_q: np.ndarray,
-            b_q: np.ndarray) -> np.ndarray:
-    """KL(Beta(a_p,b_p) || Beta(a_q,b_q)), elementwise."""
-    return (log_beta_fn(a_q, b_q) - log_beta_fn(a_p, b_p)
-            + (a_p - a_q) * digamma(a_p) + (b_p - b_q) * digamma(b_p)
-            + (a_q - a_p + b_q - b_p) * digamma(a_p + b_p))
+def _policy_terms(policy: TimePolicy, feats: np.ndarray) -> tuple:
+    """(raw, alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta))."""
+    raw, alpha, beta = tpm_params_batch(policy, feats)
+    return (raw, alpha, beta, *beta_terms(alpha, beta))
+
+
+def _log_pdf(log_r: np.ndarray, log_1mr: np.ndarray, alpha: np.ndarray,
+             beta: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """Beta(alpha, beta) log-density from log r, log(1 - r) and ln B."""
+    return (alpha - 1.0) * log_r + (beta - 1.0) * log_1mr - log_b
+
+
+def _group_terms(group: RolloutGroup, ref_policy: TimePolicy) -> _GroupTerms:
+    """The group's cached terms. The reference terms are recomputed only when
+    ref_policy's parameter arrays are not the ones they were built from, so a
+    frozen reference (as in train_tpm) is evaluated once per group. Editing a
+    reference's arrays in place is not detected."""
+    terms = group._terms
+    if terms is None:
+        trajs = group.trajectories
+        counts = [len(t.decay_rates) for t in trajs]
+        if any(counts):
+            feats = np.concatenate([np.stack(t.features) for t in trajs if t.features])
+            rates = np.concatenate([np.asarray(t.decay_rates) for t in trajs])
+        else:
+            feats, rates = np.zeros((0, ref_policy.net.sizes[0])), np.zeros(0)
+        terms = group._terms = _GroupTerms(
+            feats, np.log(rates), np.log1p(-rates),
+            np.repeat(np.arange(len(trajs)), counts), np.maximum(np.asarray(counts), 1))
+    params = ref_policy.net.parameters()
+    if (len(params) != len(terms.ref_params)
+            or any(a is not b for a, b in zip(params, terms.ref_params))):
+        terms.ref_params = params
+        terms.ref = _policy_terms(ref_policy, terms.feats)[1:]
+    return terms
 
 
 def traj_log_prob(policy: TimePolicy, traj: Trajectory) -> float:
@@ -134,10 +177,9 @@ def traj_log_prob(policy: TimePolicy, traj: Trajectory) -> float:
     per-prediction Beta log-densities (forced jumps contribute nothing)."""
     if not traj.decay_rates:
         return 0.0
-    feats = np.stack(traj.features)
-    _, alpha, beta = tpm_params_batch(policy, feats)
+    _, alpha, beta, log_b, *_ = _policy_terms(policy, np.stack(traj.features))
     r = np.asarray(traj.decay_rates)
-    return float(np.sum(_log_pdf_vec(r, alpha, beta)))
+    return float(np.sum(_log_pdf(np.log(r), np.log1p(-r), alpha, beta, log_b)))
 
 
 @dataclass
@@ -156,26 +198,20 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
     surrogate_i = ratio_i * adv_i (pessimistically clipped when cfg.clip > 0),
     KL_i = mean over the trajectory's steps of KL(ref || policy) at the
     visited features. Gradients flow only through the current policy.
+    The group keeps its stacked steps and ref_policy's terms between calls
+    (_group_terms), so ref_policy must not be edited in place meanwhile.
     """
     trajs = group.trajectories
     advs = np.array([rec.advantage for rec in group.rewards])
     if advs.shape[0] != len(trajs):
         raise ValueError("advantages must be computed before ppo_loss")
 
-    counts = [len(t.decay_rates) for t in trajs]
-    feats = (np.concatenate([np.stack(t.features) for t in trajs if t.features])
-             if any(counts) else np.zeros((0, policy.net.sizes[0])))
-    rates = np.concatenate([np.asarray(t.decay_rates) for t in trajs]) if any(counts) \
-        else np.zeros(0)
-    seg = np.repeat(np.arange(len(trajs)), counts)
+    terms = _group_terms(group, ref_policy)
+    seg, m = terms.seg, terms.steps
+    raw, alpha, beta, log_b, psi_a, psi_b, psi_ab = _policy_terms(policy, terms.feats)
+    ref_alpha, ref_beta, ref_log_b, ref_psi_a, ref_psi_b, ref_psi_ab = terms.ref
 
-    raw, alpha, beta = (tpm_params_batch(policy, feats) if feats.shape[0]
-                        else (np.zeros((0, 2)), np.zeros(0), np.zeros(0)))
-    ref_raw, ref_alpha, ref_beta = (tpm_params_batch(ref_policy, feats)
-                                    if feats.shape[0]
-                                    else (np.zeros((0, 2)), np.zeros(0), np.zeros(0)))
-
-    log_pdf = _log_pdf_vec(rates, alpha, beta) if feats.shape[0] else np.zeros(0)
+    log_pdf = _log_pdf(terms.log_r, terms.log_1mr, alpha, beta, log_b)
     new_lp = np.bincount(seg, weights=log_pdf, minlength=len(trajs))
     ratio = np.exp(new_lp - group.old_log_probs)
 
@@ -187,9 +223,9 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
         # neutralize before any arithmetic: 0 * inf would poison the masked sums
         ratio = np.where(kept, ratio, 0.0)
     n_kept = int(np.count_nonzero(kept))
-    zero_grads = [np.zeros_like(p) for p in policy.net.parameters()]
     if n_kept == 0:
-        return PpoLossResult(0.0, zero_grads, 0.0, n_dropped)
+        return PpoLossResult(0.0, [np.zeros_like(p) for p in policy.net.parameters()],
+                             0.0, n_dropped)
 
     unclipped = ratio * advs
     if cfg.clip > 0.0:
@@ -200,35 +236,31 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
         surrogate = unclipped
         use_unclipped = np.ones_like(ratio, dtype=bool)
 
-    kl_steps = _kl_vec(ref_alpha, ref_beta, alpha, beta) if feats.shape[0] else np.zeros(0)
-    m = np.maximum(np.asarray(counts), 1)
+    # KL(ref || policy) at each step
+    kl_steps = (log_b - ref_log_b + (ref_alpha - alpha) * ref_psi_a
+                + (ref_beta - beta) * ref_psi_b
+                + (alpha - ref_alpha + beta - ref_beta) * ref_psi_ab)
     kl_per_traj = np.bincount(seg, weights=kl_steps, minlength=len(trajs)) / m
 
     keep_f = kept.astype(float)
     loss = float(np.sum(keep_f * (-surrogate + cfg.kl_weight * kl_per_traj)) / n_kept)
     mean_kl = float(np.sum(keep_f * kl_per_traj) / n_kept)
 
-    if feats.shape[0] == 0:
-        return PpoLossResult(loss, zero_grads, mean_kl, n_dropped)
-
     # d loss / d log_pdf_m: the surrogate branch actually taken, per step
     surr_coef = -(keep_f * use_unclipped * advs * ratio / n_kept)[seg]
-    psi_ab = digamma(alpha + beta)
-    dlp_da = np.log(rates) - digamma(alpha) + psi_ab
-    dlp_db = np.log1p(-rates) - digamma(beta) + psi_ab
+    dlp_da = terms.log_r - psi_a + psi_ab
+    dlp_db = terms.log_1mr - psi_b + psi_ab
 
     # d loss / d kl_m, then d kl / d (alpha_q, beta_q)
     kl_coef = (cfg.kl_weight * keep_f / n_kept / m)[seg]
-    dkl_da = digamma(alpha) - psi_ab - digamma(ref_alpha) + digamma(ref_alpha + ref_beta)
-    dkl_db = digamma(beta) - psi_ab - digamma(ref_beta) + digamma(ref_alpha + ref_beta)
+    dkl_da = psi_a - psi_ab - ref_psi_a + ref_psi_ab
+    dkl_db = psi_b - psi_ab - ref_psi_b + ref_psi_ab
 
-    inside = np.abs(raw) < RAW_PARAM_CLAMP
-    shape_jac = np.exp(np.clip(raw, -RAW_PARAM_CLAMP, RAW_PARAM_CLAMP)) * inside
     out_grad = np.stack([
         (surr_coef * dlp_da + kl_coef * dkl_da),
         (surr_coef * dlp_db + kl_coef * dkl_db),
-    ], axis=1) * shape_jac
-    grads, _ = policy.net.backward(feats, out_grad)
+    ], axis=1) * shape_grad_wrt_raw(raw)
+    grads, _ = policy.net.backward(terms.feats, out_grad)
     return PpoLossResult(loss, grads, mean_kl, n_dropped)
 
 
@@ -387,12 +419,10 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
             dl_dt1[i] = (float(g_y[i] @ v0[i]) - float(g_y[i] @ v1[i])
                          - float(t1[i]) * (float(g_jx @ v0[i]) + g_jt))
         denom = (alpha + beta) ** 2
-        inside = np.abs(raw) < RAW_PARAM_CLAMP
-        shape_jac = np.exp(np.clip(raw, -RAW_PARAM_CLAMP, RAW_PARAM_CLAMP)) * inside
         out_grad = np.stack([
             dl_dt1 * beta / denom,
             dl_dt1 * (-alpha) / denom,
-        ], axis=1) * shape_jac
+        ], axis=1) * shape_grad_wrt_raw(raw)
         grads, _ = policy.net.backward(feats, out_grad)
         clipped = clip_global_norm(grads, 1.0)
         params, state = adamw_step(params, clipped, state)

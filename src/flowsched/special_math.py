@@ -62,23 +62,7 @@ def log_gamma(x):
             series += c * term
             term *= inv2
         return (z - 0.5) * math.log(z) - z + _HALF_LOG_2PI + series + shift
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("log_gamma requires finite x > 0")
-    z = x.copy()
-    shift = np.zeros_like(z)
-    # ln Gamma(z) = ln Gamma(z + k) - sum ln(z + i); at most 9 rounds.
-    while np.any(z < _SHIFT_THRESHOLD):
-        mask = z < _SHIFT_THRESHOLD
-        shift = np.where(mask, shift - np.log(z), shift)
-        z = np.where(mask, z + 1.0, z)
-    inv2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    term = 1.0 / z
-    for c in _LGAMMA_COEF:
-        series = series + c * term
-        term = term * inv2
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series + shift
+    out = log_gamma_digamma(x)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -102,31 +86,62 @@ def digamma(x):
             series += c * term
             term *= inv2
         return math.log(z) - 0.5 / z - series + shift
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("digamma requires finite x > 0")
-    z = x.copy()
-    shift = np.zeros_like(z)
-    # psi(z) = psi(z + k) - sum 1/(z + i)
-    while np.any(z < _SHIFT_THRESHOLD):
-        mask = z < _SHIFT_THRESHOLD
-        shift = np.where(mask, shift - 1.0 / z, shift)
-        z = np.where(mask, z + 1.0, z)
-    inv2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    term = inv2
-    for c in _DIGAMMA_COEF:
-        series = series + c * term
-        term = term * inv2
-    out = np.log(z) - 0.5 / z - series + shift
+    out = log_gamma_digamma(x)[1]
     return float(out) if out.ndim == 0 else out
+
+
+def log_gamma_digamma(x) -> tuple[np.ndarray, np.ndarray]:
+    """(ln Gamma(x), psi(x)) for an array x > 0, from one argument-shift loop;
+    the array branches of log_gamma and digamma."""
+    z = np.array(x, dtype=float)
+    if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
+        raise ValueError("log_gamma and digamma require finite x > 0")
+    # ln Gamma(z) = ln Gamma(z + k) - sum ln(z + i) and
+    # psi(z) = psi(z + k) - sum 1/(z + i); at most 9 rounds.
+    lg_shift = np.zeros_like(z)
+    dg_shift = np.zeros_like(z)
+    mask = z < _SHIFT_THRESHOLD
+    while np.any(mask):
+        lg_shift = np.where(mask, lg_shift - np.log(z), lg_shift)
+        dg_shift = np.where(mask, dg_shift - 1.0 / z, dg_shift)
+        z = np.where(mask, z + 1.0, z)
+        mask = z < _SHIFT_THRESHOLD
+    log_z = np.log(z)
+    inv2 = 1.0 / (z * z)
+    lg_series = np.zeros_like(z)
+    dg_series = np.zeros_like(z)
+    lg_term = 1.0 / z
+    dg_term = inv2
+    for lg_c, dg_c in zip(_LGAMMA_COEF, _DIGAMMA_COEF):
+        lg_series = lg_series + lg_c * lg_term
+        lg_term = lg_term * inv2
+        dg_series = dg_series + dg_c * dg_term
+        dg_term = dg_term * inv2
+    return ((z - 0.5) * log_z - z + _HALF_LOG_2PI + lg_series + lg_shift,
+            log_z - 0.5 / z - dg_series + dg_shift)
 
 
 def log_beta_fn(alpha, beta):
     """ln B(alpha, beta)."""
     if isinstance(alpha, (float, int)) and isinstance(beta, (float, int)):
         return log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta)
-    return log_gamma(alpha) + log_gamma(beta) - log_gamma(np.asarray(alpha, float) + beta)
+    return beta_terms(alpha, beta)[0]
+
+
+def beta_terms(alpha, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ln B(alpha, beta), psi(alpha), psi(beta), psi(alpha + beta)) for arrays.
+
+    One log_gamma_digamma call over [alpha, beta, alpha + beta]; elementwise
+    equal to log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta)
+    and to the three digamma calls.
+    """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
+    n = alpha.size
+    lg, dg = log_gamma_digamma(np.concatenate([alpha.ravel(), beta.ravel(),
+                                               (alpha + beta).ravel()]))
+    lb = lg[:n] + lg[n:2 * n] - lg[2 * n:]
+    return tuple(v.reshape(alpha.shape)
+                 for v in (lb, dg[:n], dg[n:2 * n], dg[2 * n:]))
 
 
 @dataclass(frozen=True)

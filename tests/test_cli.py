@@ -346,6 +346,18 @@ def test_config_rejects_bad_documents():
             ExperimentConfig.from_dict(doc)
 
 
+def test_config_names_unknown_section_keys(tmp_path):
+    good = preset_config("desk").to_dict()
+    for section, key in (("schedule", "n_maximum"), ("rl", "learning_rate")):
+        doc = json.loads(json.dumps(good))
+        doc[section][key] = 1
+        with pytest.raises(ValueError, match=f"in '{section}'.*{key}"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / f"{section}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train-tpm", "--config", str(path)]) == 2
+
+
 def test_preset_values():
     desk = preset_config("desk")
     assert (desk.rl.batch_size, desk.rl.outer_steps) == (64, 60)

@@ -268,3 +268,45 @@ def test_checkpoint_documented_layout(tmp_path):
     off += 4 * n_sizes
     data = np.frombuffer(raw, dtype="<f8", offset=off)
     assert np.array_equal(data, [0, 1, 2, 3, 4, 5, 7, 8, 9])
+
+
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
+    net = DenseNet.init_random([3, 4, 2], RngStream(11, 0))
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(net, good, extra_header=b"hd")
+    raw = good.read_bytes()
+    path = tmp_path / "cut.ckpt"
+    # every proper prefix: inside the magic, the header fields, the sizes
+    # and the weights
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match="cut.ckpt"):
+            load_checkpoint(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(ValueError, match="cut.ckpt: 1 trailing bytes"):
+        load_checkpoint(path)
+    raw_sizes = bytearray(raw)
+    raw_sizes[14 + 2 : 14 + 2 + 4] = (10**6).to_bytes(4, "little")  # layer count
+    path.write_bytes(bytes(raw_sizes))
+    with pytest.raises(ValueError, match="cut.ckpt: truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    import flowsched.nn as nn
+
+    path = tmp_path / "net.ckpt"
+    old = DenseNet.init_random([2, 3, 1], RngStream(12, 0))
+    save_checkpoint(old, path)
+    before = path.read_bytes()
+
+    def killed(src, dst):
+        raise KeyboardInterrupt  # the run dies between the write and the rename
+
+    monkeypatch.setattr(nn.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(DenseNet.init_random([2, 3, 1], RngStream(13, 0)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+    loaded, _ = load_checkpoint(path)
+    assert all(np.array_equal(a, b) for a, b in zip(old.parameters(), loaded.parameters()))

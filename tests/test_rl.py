@@ -10,16 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowsched.flow import VelocityField, ref_log_density, standard_normal_target
-from flowsched.policy import (TimePolicy, init_policy, log_pdf_grad_wrt_raw,
-                              tpm_params_batch)
+from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy,
+                              log_pdf_grad_wrt_raw, tpm_params_batch)
 from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig,
                           RolloutGroup, discounted_reward, ppo_loss,
                           rloo_advantages, rollout_group, toy_reward,
                           train_naive_two_step, train_tpm, traj_log_prob,
                           write_metrics_csv)
 from flowsched.rng import RngStream
-from flowsched.sampler import ScheduleConfig, sample_adaptive, sample_fixed
-from flowsched.special_math import BetaParams, beta_kl, beta_log_pdf
+from flowsched.sampler import (ScheduleConfig, Trajectory, sample_adaptive,
+                               sample_fixed)
+from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf, digamma,
+                                    log_gamma)
 
 STD2 = standard_normal_target(2)
 
@@ -340,6 +342,171 @@ def test_ppo_loss_requires_advantages():
                          np.array([sum(t.step_log_probs) for t in traj]))
     with pytest.raises(ValueError, match="advantages"):
         ppo_loss(policy, policy, group, RLConfig())
+
+
+# ------------------------------------- ppo_loss against the separate-call form
+
+
+def _log_beta(a, b):
+    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+
+
+def separate_call_ppo_loss(policy, ref_policy, group, cfg):
+    """ppo_loss with every Beta term from its own log_gamma / digamma call and
+    both policies evaluated afresh; returns (loss, grads, mean_kl, n_dropped)."""
+    trajs = group.trajectories
+    advs = np.array([rec.advantage for rec in group.rewards])
+    counts = [len(t.decay_rates) for t in trajs]
+    feats = np.concatenate([np.stack(t.features) for t in trajs if t.features])
+    rates = np.concatenate([np.asarray(t.decay_rates) for t in trajs])
+    seg = np.repeat(np.arange(len(trajs)), counts)
+    raw, alpha, beta = tpm_params_batch(policy, feats)
+    _, ref_alpha, ref_beta = tpm_params_batch(ref_policy, feats)
+
+    log_pdf = ((alpha - 1.0) * np.log(rates) + (beta - 1.0) * np.log1p(-rates)
+               - _log_beta(alpha, beta))
+    ratio = np.exp(np.bincount(seg, weights=log_pdf, minlength=len(trajs))
+                   - group.old_log_probs)
+    kept = np.isfinite(ratio)
+    n_dropped = int(np.count_nonzero(~kept))
+    ratio = np.where(kept, ratio, 0.0)
+    n_kept = int(np.count_nonzero(kept))
+    unclipped = ratio * advs
+    if cfg.clip > 0.0:
+        clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * advs
+        surrogate = np.minimum(unclipped, clipped)
+        use_unclipped = unclipped <= clipped
+    else:
+        surrogate = unclipped
+        use_unclipped = np.ones_like(ratio, dtype=bool)
+    kl_steps = (_log_beta(alpha, beta) - _log_beta(ref_alpha, ref_beta)
+                + (ref_alpha - alpha) * digamma(ref_alpha)
+                + (ref_beta - beta) * digamma(ref_beta)
+                + (alpha - ref_alpha + beta - ref_beta) * digamma(ref_alpha + ref_beta))
+    m = np.maximum(np.asarray(counts), 1)
+    kl_per_traj = np.bincount(seg, weights=kl_steps, minlength=len(trajs)) / m
+    keep_f = kept.astype(float)
+    loss = float(np.sum(keep_f * (-surrogate + cfg.kl_weight * kl_per_traj)) / n_kept)
+    mean_kl = float(np.sum(keep_f * kl_per_traj) / n_kept)
+
+    surr_coef = -(keep_f * use_unclipped * advs * ratio / n_kept)[seg]
+    psi_ab = digamma(alpha + beta)
+    dlp_da = np.log(rates) - digamma(alpha) + psi_ab
+    dlp_db = np.log1p(-rates) - digamma(beta) + psi_ab
+    kl_coef = (cfg.kl_weight * keep_f / n_kept / m)[seg]
+    dkl_da = digamma(alpha) - psi_ab - digamma(ref_alpha) + digamma(ref_alpha + ref_beta)
+    dkl_db = digamma(beta) - psi_ab - digamma(ref_beta) + digamma(ref_alpha + ref_beta)
+    inside = np.abs(raw) < RAW_PARAM_CLAMP
+    shape_jac = np.exp(np.clip(raw, -RAW_PARAM_CLAMP, RAW_PARAM_CLAMP)) * inside
+    out_grad = np.stack([surr_coef * dlp_da + kl_coef * dkl_da,
+                         surr_coef * dlp_db + kl_coef * dkl_db], axis=1) * shape_jac
+    grads, _ = policy.net.backward(feats, out_grad)
+    return loss, grads, mean_kl, n_dropped
+
+
+def perturbed(policy: TimePolicy, seed: int, scale: float = 0.5) -> TimePolicy:
+    out = policy.copy()
+    out.net.set_parameters([p + scale * RngStream(seed, 7).child(i).standard_normal(p.shape)
+                            for i, p in enumerate(out.net.parameters())])
+    return out
+
+
+def zero_prediction_trajectory(noise: np.ndarray) -> Trajectory:
+    return Trajectory(times=[1.0, 0.0], states=[noise, noise], decay_rates=[],
+                      step_log_probs=[])
+
+
+def assert_matches_separate_calls(policy, ref, group, cfg):
+    # twice: the second call runs on the terms the first one cached
+    for _ in range(2):
+        res = ppo_loss(policy, ref, group, cfg)
+        loss, grads, mean_kl, n_dropped = separate_call_ppo_loss(policy, ref, group, cfg)
+        assert (res.loss, res.mean_kl, res.n_dropped) == (loss, mean_kl, n_dropped)
+        assert len(res.grads) == len(grads)
+        for got, want in zip(res.grads, grads):
+            assert np.array_equal(got, want)
+    return res
+
+
+@pytest.mark.parametrize("clip", [0.0, 0.2])
+def test_ppo_loss_equals_separate_call_form(clip):
+    ref = small_policy(71, jitter=0.3)
+    policy = perturbed(ref, 71)
+    cfg = RLConfig(kl_weight=0.3, clip=clip)
+    for seed in (71, 72, 73):
+        assert_matches_separate_calls(policy, ref, make_group(ref, seed), cfg)
+    group = make_group(ref, 74)
+    assert_matches_separate_calls(ref, ref, group, cfg)
+    assert_matches_separate_calls(policy, ref, group, cfg)
+
+
+@pytest.mark.parametrize("clip", [0.0, 0.2])
+def test_ppo_loss_equals_separate_call_form_with_zero_prediction_trajectory(clip):
+    ref = small_policy(75, jitter=0.3)
+    group = make_group(ref, 75)
+    group.trajectories[2] = zero_prediction_trajectory(group.initial_noise)
+    group.old_log_probs = group.old_log_probs.copy()
+    group.old_log_probs[2] = 0.0
+    assert_matches_separate_calls(perturbed(ref, 75), ref, group, RLConfig(clip=clip))
+
+
+@pytest.mark.parametrize("clip", [0.0, 0.2])
+def test_ppo_loss_equals_separate_call_form_with_non_finite_ratio(clip):
+    ref = small_policy(76, jitter=0.3)
+    group = make_group(ref, 76)
+    group.old_log_probs = group.old_log_probs.copy()
+    group.old_log_probs[1] = -1e9
+    with np.errstate(over="ignore"):
+        res = assert_matches_separate_calls(perturbed(ref, 76), ref, group,
+                                            RLConfig(clip=clip))
+    assert res.n_dropped == 1
+
+
+def test_ppo_loss_without_any_prediction_is_zero():
+    ref = small_policy(77)
+    group = make_group(ref, 77)
+    noise = group.initial_noise
+    group.trajectories = [zero_prediction_trajectory(noise) for _ in group.trajectories]
+    group.old_log_probs = np.zeros(len(group.trajectories))
+    res = ppo_loss(perturbed(ref, 77), ref, group, RLConfig())
+    advs = np.array([rec.advantage for rec in group.rewards])
+    assert res.loss == float(np.sum(-advs) / len(advs))
+    assert (res.mean_kl, res.n_dropped) == (0.0, 0)
+    assert all(np.array_equal(g, np.zeros_like(g)) for g in res.grads)
+
+
+def test_ppo_loss_recomputes_reference_terms_for_new_reference():
+    ref = small_policy(78, jitter=0.3)
+    policy = perturbed(ref, 78)
+    other = perturbed(ref, 79)
+    group = make_group(ref, 78)
+    cfg = RLConfig(kl_weight=1.0)
+    assert_matches_separate_calls(policy, ref, group, cfg)
+    assert_matches_separate_calls(policy, other, group, cfg)
+    # same object, new parameter arrays
+    other.net.set_parameters(perturbed(other, 80).net.parameters())
+    assert_matches_separate_calls(policy, other, group, cfg)
+
+
+def test_train_tpm_evaluates_reference_once_per_group_and_outer_step(monkeypatch):
+    import flowsched.rl as rl
+
+    cfg = RLConfig(gamma=0.95, kl_weight=0.2, clip=0.2, group_size=4,
+                   batch_size=12, inner_epochs=3, lr=3e-3, outer_steps=2)
+    policy = init_policy(2, 0.7, RngStream(81, 0), hidden=(8,))
+    calls = {"live": 0, "other": 0}
+
+    def counting(pol, feats):
+        calls["live" if pol is policy else "other"] += 1
+        return tpm_params_batch(pol, feats)
+
+    monkeypatch.setattr(rl, "tpm_params_batch", counting)
+    _, metrics = train_tpm(policy, oracle_field(), STD2, cfg, ScheduleConfig(),
+                           RngStream(81, 1))
+    n_groups = cfg.batch_size // cfg.group_size
+    assert len(metrics) == cfg.outer_steps
+    assert calls["other"] == cfg.outer_steps * n_groups
+    assert calls["live"] == cfg.outer_steps * n_groups * cfg.inner_epochs
 
 
 # -------------------------------------------------------------- training loop

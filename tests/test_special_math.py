@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from flowsched.rng import RngStream, mix_stream
-from flowsched.special_math import (SAMPLE_EPS, BetaParams, beta_kl,
-                                    beta_log_pdf, beta_sample, digamma,
-                                    log_beta_fn, log_gamma)
+from flowsched.special_math import (_DIGAMMA_COEF, _HALF_LOG_2PI,
+                                    _LGAMMA_COEF, SAMPLE_EPS, BetaParams,
+                                    beta_kl, beta_log_pdf, beta_sample,
+                                    beta_terms, digamma, log_beta_fn,
+                                    log_gamma, log_gamma_digamma)
 
 # ln Gamma(x) to 50 digits, rounded to the nearest float64.
 LOG_GAMMA_REFS = [
@@ -97,6 +99,87 @@ def test_digamma_domain_errors():
 def test_digamma_recurrence_property(x):
     # psi(x + 1) = psi(x) + 1/x
     assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, abs=1e-9)
+
+
+# ------------------------------------------- fused kernel, exact equality
+
+
+def _separate_log_gamma(x):
+    """The array ln Gamma as one standalone loop: shift while z < 9, then Stirling."""
+    z = np.array(x, dtype=float)
+    shift = np.zeros_like(z)
+    while np.any(z < 9.0):
+        mask = z < 9.0
+        shift = np.where(mask, shift - np.log(z), shift)
+        z = np.where(mask, z + 1.0, z)
+    inv2 = 1.0 / (z * z)
+    series = np.zeros_like(z)
+    term = 1.0 / z
+    for c in _LGAMMA_COEF:
+        series = series + c * term
+        term = term * inv2
+    return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series + shift
+
+
+def _separate_digamma(x):
+    """The array digamma as one standalone loop."""
+    z = np.array(x, dtype=float)
+    shift = np.zeros_like(z)
+    while np.any(z < 9.0):
+        mask = z < 9.0
+        shift = np.where(mask, shift - 1.0 / z, shift)
+        z = np.where(mask, z + 1.0, z)
+    inv2 = 1.0 / (z * z)
+    series = np.zeros_like(z)
+    term = inv2
+    for c in _DIGAMMA_COEF:
+        series = series + c * term
+        term = term * inv2
+    return np.log(z) - 0.5 / z - series + shift
+
+
+EDGE_ARGS = np.array([1.0, np.nextafter(9.0, 0.0), 9.0, 1e6])
+
+
+def kernel_inputs():
+    """Log-uniform draws over [1e-3, 1e6] in a spread of shapes, edges included."""
+    rng = np.random.default_rng(7)
+    shapes = [(0,), (1,), (3,), (4,), (7,), (60,), (61,), (180,), (1000,), (5, 12), (2, 3, 4)]
+    out = [EDGE_ARGS]
+    for shape in shapes:
+        out.append(10.0 ** rng.uniform(-3.0, 6.0, size=shape))
+    out.append(np.concatenate([EDGE_ARGS, 1.0 + 30.0 * rng.random(57)]))
+    return out
+
+
+def test_log_gamma_digamma_equals_separate_kernels():
+    for x in kernel_inputs():
+        lg, dg = log_gamma_digamma(x)
+        assert lg.shape == dg.shape == x.shape
+        assert np.array_equal(lg, log_gamma(x)) and np.array_equal(lg, _separate_log_gamma(x))
+        assert np.array_equal(dg, digamma(x)) and np.array_equal(dg, _separate_digamma(x))
+
+
+def test_beta_terms_equal_separate_calls():
+    rng = np.random.default_rng(8)
+    for a in kernel_inputs():
+        b = rng.permutation(a.ravel()).reshape(a.shape)
+        lb, psi_a, psi_b, psi_ab = beta_terms(a, b)
+        want_lb = _separate_log_gamma(a) + _separate_log_gamma(b) - _separate_log_gamma(a + b)
+        assert np.array_equal(lb, want_lb)
+        assert np.array_equal(lb, log_beta_fn(a, b))
+        assert np.array_equal(psi_a, digamma(a))
+        assert np.array_equal(psi_b, digamma(b))
+        assert np.array_equal(psi_ab, digamma(a + b))
+
+
+def test_log_gamma_digamma_domain_errors():
+    for bad in (np.array([1.0, 0.0]), np.array([-1.0]), np.array([2.0, np.nan]),
+                np.array([np.inf])):
+        with pytest.raises(ValueError):
+            log_gamma_digamma(bad)
+        with pytest.raises(ValueError):
+            beta_terms(bad, np.ones_like(bad))
 
 
 def test_beta_params_validation():
