@@ -11,7 +11,7 @@ from .flow import (TargetSpec, VelocityField, interpolate, oracle_velocity,
                    ring_mixture_target, single_gaussian_target,
                    standard_normal_target, train_flow)
 from .nn import DenseNet, OptimizerState, adamw_step, clip_global_norm
-from .policy import TimePolicy, init_policy, next_time, predict_decay, tpm_params
+from .policy import TimePolicy, init_policy, next_time, predict_decay
 from .rl import (RLConfig, RewardRecord, RolloutGroup, discounted_reward,
                  ppo_loss, rloo_advantages, toy_reward, train_tpm, traj_log_prob)
 from .rng import RngStream

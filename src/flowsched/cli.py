@@ -23,9 +23,10 @@ from .flow import (TargetSpec, VelocityField, make_velocity_net,
                    ring_mixture_target, train_flow)
 from .nn import load_checkpoint, save_checkpoint
 from .policy import TimePolicy, init_policy, load_policy, save_policy
-from .rl import discounted_reward, toy_reward, train_tpm, write_metrics_csv
+from .rl import (discounted_reward, step_log_probs, toy_reward, train_tpm,
+                 write_metrics_csv)
 from .rng import RngStream
-from .sampler import (ScheduleConfig, Trajectory, sample_adaptive, sample_fixed,
+from .sampler import (ScheduleConfig, rollout_batch, sample_adaptive, sample_fixed,
                       trajectory_to_csv)
 from .svg import polyline_plot
 
@@ -126,13 +127,28 @@ def _build_fields(cfg: ExperimentConfig, out: Path) -> list[VelocityField]:
     return fields
 
 
+def _init_policy(cfg: ExperimentConfig, d: int) -> TimePolicy:
+    return init_policy(d, cfg.init_r_target, RngStream(cfg.seed, STREAM_POLICY_INIT),
+                       hidden=tuple(cfg.policy_hidden))
+
+
 def _load_or_init_policy(cfg: ExperimentConfig, out: Path) -> TimePolicy:
     path = Path(cfg.policy_checkpoint) if cfg.policy_checkpoint else out / "policy.ckpt"
     if path.exists():
         return load_policy(path)
-    d = cfg.targets[0].d
-    return init_policy(d, cfg.init_r_target, RngStream(cfg.seed, STREAM_POLICY_INIT),
-                       hidden=tuple(cfg.policy_hidden))
+    logger.warning("no policy checkpoint at %s; using an untrained policy", path)
+    return _init_policy(cfg, cfg.targets[0].d)
+
+
+def _pretrain_field(cfg: ExperimentConfig, target: TargetSpec,
+                    stream: int) -> tuple[VelocityField, np.ndarray]:
+    """Flow-match a fresh velocity net on target; stream indexes the child
+    of the flow init and flow training streams it draws from."""
+    net = make_velocity_net(target.d, tuple(cfg.flow_hidden),
+                            RngStream(cfg.seed, STREAM_FLOW_INIT).child(stream))
+    return train_flow(VelocityField("learned", net=net), target, cfg.flow_steps,
+                      RngStream(cfg.seed, STREAM_FLOW_TRAIN).child(stream),
+                      batch_size=cfg.flow_batch, lr=cfg.flow_lr)
 
 
 @dataclasses.dataclass
@@ -151,11 +167,7 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
                     target: TargetSpec, sched: ScheduleConfig, gamma: float,
                     rng: RngStream, n: int, deterministic: bool) -> EvalSummary:
     """n adaptive rollouts -> step-count/reward summary + mean schedule curve."""
-    trajs = [
-        sample_adaptive(policy, velocity_field, sched, rng.child(j),
-                        deterministic=deterministic)
-        for j in range(n)
-    ]
+    trajs = rollout_batch(policy, velocity_field, sched, rng, n, deterministic)
     ns = np.array([t.n_steps for t in trajs])
     irs = np.array([toy_reward(t.final_sample, target) for t in trajs])
     rewards = np.array([
@@ -184,14 +196,7 @@ def _write_curve_csv(summary: EvalSummary, path: Path) -> None:
 def cmd_train_flow(cfg: ExperimentConfig) -> None:
     out = write_run_stamp(cfg, cfg.out_dir)
     for i, target in enumerate(cfg.targets):
-        net = make_velocity_net(target.d, tuple(cfg.flow_hidden),
-                                RngStream(cfg.seed, STREAM_FLOW_INIT).child(i))
-        velocity_field = VelocityField("learned", net=net)
-        velocity_field, losses = train_flow(
-            velocity_field, target, cfg.flow_steps,
-            RngStream(cfg.seed, STREAM_FLOW_TRAIN).child(i),
-            batch_size=cfg.flow_batch, lr=cfg.flow_lr,
-        )
+        velocity_field, losses = _pretrain_field(cfg, target, i)
         save_checkpoint(velocity_field.net, out / f"field_{i}.ckpt")
         with open(out / f"flow_loss_{i}.csv", "w", newline="") as fh:
             fh.write("step,loss\n")
@@ -203,13 +208,9 @@ def cmd_train_flow(cfg: ExperimentConfig) -> None:
 def cmd_train_tpm(cfg: ExperimentConfig) -> None:
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
-    d = cfg.targets[0].d
-    policy = init_policy(d, cfg.init_r_target,
-                         RngStream(cfg.seed, STREAM_POLICY_INIT),
-                         hidden=tuple(cfg.policy_hidden))
     policy, metrics = train_tpm(
-        policy, fields, cfg.targets, cfg.rl, cfg.schedule,
-        RngStream(cfg.seed, STREAM_RL_TRAIN),
+        _init_policy(cfg, cfg.targets[0].d), fields, cfg.targets, cfg.rl,
+        cfg.schedule, RngStream(cfg.seed, STREAM_RL_TRAIN),
         checkpoint_path=out / "policy.ckpt",
     )
     save_policy(policy, out / "policy.ckpt")
@@ -224,11 +225,12 @@ def cmd_sample(cfg: ExperimentConfig, n_trajectories: int,
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     policy = _load_or_init_policy(cfg, out)
-    rng = RngStream(cfg.seed, STREAM_SAMPLE)
-    for j in range(n_trajectories):
-        traj = sample_adaptive(policy, fields[0], cfg.schedule, rng.child(j),
-                               deterministic=deterministic)
-        trajectory_to_csv(traj, out / f"trajectory_{j}.csv")
+    trajs = rollout_batch(policy, fields[0], cfg.schedule,
+                          RngStream(cfg.seed, STREAM_SAMPLE), n_trajectories,
+                          deterministic)
+    for j, traj in enumerate(trajs):
+        trajectory_to_csv(traj, step_log_probs(policy, traj),
+                          out / f"trajectory_{j}.csv")
 
 
 def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
@@ -237,15 +239,12 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
         raise ValueError("gamma values must lie in (0, 1)")
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
-    d = cfg.targets[0].d
     rows = []
     for gamma in gammas:
         rl = dataclasses.replace(cfg.rl, gamma=gamma)
         # identical streams per gamma: only the discount differs
-        policy = init_policy(d, cfg.init_r_target,
-                             RngStream(cfg.seed, STREAM_POLICY_INIT),
-                             hidden=tuple(cfg.policy_hidden))
-        policy, _ = train_tpm(policy, fields, cfg.targets, rl, cfg.schedule,
+        policy, _ = train_tpm(_init_policy(cfg, cfg.targets[0].d), fields,
+                              cfg.targets, rl, cfg.schedule,
                               RngStream(cfg.seed, STREAM_RL_TRAIN))
         save_policy(policy, out / f"policy_gamma_{gamma!r}.ckpt")
         summary = evaluate_policy(policy, fields[0], cfg.targets[0], cfg.schedule,
@@ -314,21 +313,11 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
     targets = [ring_mixture_target(lv) for lv in levels]
     fields = []
     for i, target in enumerate(targets):
-        net = make_velocity_net(target.d, tuple(cfg.flow_hidden),
-                                RngStream(cfg.seed, STREAM_FLOW_INIT).child(100 + i))
-        velocity_field = VelocityField("learned", net=net)
-        velocity_field, _ = train_flow(
-            velocity_field, target, cfg.flow_steps,
-            RngStream(cfg.seed, STREAM_FLOW_TRAIN).child(100 + i),
-            batch_size=cfg.flow_batch, lr=cfg.flow_lr,
-        )
+        velocity_field, _ = _pretrain_field(cfg, target, 100 + i)
         save_checkpoint(velocity_field.net, out / f"field_level_{levels[i]}.ckpt")
         fields.append(velocity_field)
-    d = targets[0].d
-    policy = init_policy(d, cfg.init_r_target,
-                         RngStream(cfg.seed, STREAM_POLICY_INIT),
-                         hidden=tuple(cfg.policy_hidden))
-    policy, metrics = train_tpm(policy, fields, targets, cfg.rl, cfg.schedule,
+    policy, metrics = train_tpm(_init_policy(cfg, targets[0].d), fields, targets,
+                                cfg.rl, cfg.schedule,
                                 RngStream(cfg.seed, STREAM_RL_TRAIN),
                                 checkpoint_path=out / "policy.ckpt")
     write_metrics_csv(metrics, out / "metrics.csv")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .nn import DenseNet, load_checkpoint, save_checkpoint
 from .rng import RngStream
-from .special_math import BetaParams, beta_log_pdf, beta_sample
+from .special_math import BetaParams, beta_sample
 
 RAW_PARAM_CLAMP = 30.0
 FEATURE_LAYOUT = "state,velocity,t,t_squared"
@@ -67,12 +67,6 @@ def shape_grad_wrt_raw(raw: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(np.clip(raw, -RAW_PARAM_CLAMP, RAW_PARAM_CLAMP)), 0.0)
 
 
-def tpm_params(policy: TimePolicy, feats: np.ndarray) -> BetaParams:
-    raw = policy.net.forward(feats)
-    ab = raw_to_shape(raw)
-    return BetaParams(float(ab[0]), float(ab[1]))
-
-
 def tpm_params_batch(policy: TimePolicy, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (raw, alpha, beta) over a feature matrix (n, 2d+2)."""
     raw = policy.net.forward(feats)
@@ -81,15 +75,12 @@ def tpm_params_batch(policy: TimePolicy, feats: np.ndarray) -> tuple[np.ndarray,
 
 
 def predict_decay(policy: TimePolicy, feats: np.ndarray, rng: RngStream,
-                  deterministic: bool = False) -> tuple[float, float, BetaParams]:
-    """Draw (or take the mode of) the decay rate; returns (r, log_prob, params)."""
-    params = tpm_params(policy, feats)
-    if deterministic:
-        r = params.mode
-    else:
-        r = beta_sample(params, rng)
-    log_prob = beta_log_pdf(r, params.alpha, params.beta)
-    return r, log_prob, params
+                  deterministic: bool = False) -> float:
+    """Draw (or take the mode of) the decay rate at one feature vector; rl
+    scores it later from the recorded features."""
+    alpha, beta = raw_to_shape(policy.net.forward(feats))
+    params = BetaParams(float(alpha), float(beta))
+    return params.mode if deterministic else beta_sample(params, rng)
 
 
 def next_time(t_prev: float, r: float) -> float:
@@ -141,6 +132,19 @@ def save_policy(policy: TimePolicy, path: str | Path) -> None:
 
 
 def load_policy(path: str | Path) -> TimePolicy:
+    """Read a policy checkpoint; a header unlike the one save_policy writes
+    raises ValueError naming the path and the field."""
     net, header = load_checkpoint(path)
-    fields = dict(item.split("=", 1) for item in header.decode("ascii").split(";"))
-    return TimePolicy(net, int(fields["d"]), fields["layout"])
+    try:
+        text = header.decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: policy header {header!r} is not ASCII") from None
+    fields = dict(item.partition("=")[::2] for item in text.split(";"))
+    for key in ("layout", "d"):
+        if key not in fields:
+            raise ValueError(f"{path}: policy header {text!r} has no field {key!r}")
+    d = fields["d"]
+    if not d.isdigit() or feature_length(int(d)) != net.sizes[0]:
+        raise ValueError(f"{path}: policy header field d={d!r} does not match the "
+                         f"net's input size {net.sizes[0]} = 2d + 2")
+    return TimePolicy(net, int(d), fields["layout"])

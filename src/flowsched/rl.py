@@ -66,14 +66,15 @@ class RewardRecord:
 
 @dataclass
 class RolloutGroup:
-    """k trajectories sharing one initial state (target + noise draw)."""
+    """k trajectories sharing one initial state (target + noise draw); their
+    steps are stacked once and cached, so they are not edited afterwards."""
 
     target: TargetSpec
     initial_noise: np.ndarray
     trajectories: list[Trajectory]
     old_log_probs: np.ndarray
     rewards: list[RewardRecord] = dataclass_field(default_factory=list)
-    # built by the first ppo_loss call on the group; see _group_terms
+    # stacked steps, set by rollout_group or the first ppo_loss; see _group_terms
     _terms: Optional["_GroupTerms"] = dataclass_field(default=None, init=False,
                                                       repr=False, compare=False)
 
@@ -135,6 +136,16 @@ class _GroupTerms:
     ref: tuple = ()
 
 
+def _stack_steps(trajs: Sequence[Trajectory], n_in: int) -> _GroupTerms:
+    """The kept predictions of trajs stacked in trajectory order."""
+    counts = [len(t.decay_rates) for t in trajs]
+    feats = np.concatenate([np.reshape(t.features, (-1, n_in)) for t in trajs])
+    rates = np.concatenate([np.asarray(t.decay_rates, dtype=float) for t in trajs])
+    return _GroupTerms(feats, np.log(rates), np.log1p(-rates),
+                       np.repeat(np.arange(len(trajs)), counts),
+                       np.maximum(np.asarray(counts), 1))
+
+
 def _policy_terms(policy: TimePolicy, feats: np.ndarray) -> tuple:
     """(raw, alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta))."""
     raw, alpha, beta = tpm_params_batch(policy, feats)
@@ -147,6 +158,12 @@ def _log_pdf(log_r: np.ndarray, log_1mr: np.ndarray, alpha: np.ndarray,
     return (alpha - 1.0) * log_r + (beta - 1.0) * log_1mr - log_b
 
 
+def _step_log_pdf(policy: TimePolicy, terms: _GroupTerms) -> np.ndarray:
+    """Log-density under policy of each stacked step of terms."""
+    _, alpha, beta, log_b, *_ = _policy_terms(policy, terms.feats)
+    return _log_pdf(terms.log_r, terms.log_1mr, alpha, beta, log_b)
+
+
 def _group_terms(group: RolloutGroup, ref_policy: TimePolicy) -> _GroupTerms:
     """The group's cached terms. The reference terms are recomputed only when
     ref_policy's parameter arrays are not the ones they were built from, so a
@@ -154,16 +171,7 @@ def _group_terms(group: RolloutGroup, ref_policy: TimePolicy) -> _GroupTerms:
     reference's arrays in place is not detected."""
     terms = group._terms
     if terms is None:
-        trajs = group.trajectories
-        counts = [len(t.decay_rates) for t in trajs]
-        if any(counts):
-            feats = np.concatenate([np.stack(t.features) for t in trajs if t.features])
-            rates = np.concatenate([np.asarray(t.decay_rates) for t in trajs])
-        else:
-            feats, rates = np.zeros((0, ref_policy.net.sizes[0])), np.zeros(0)
-        terms = group._terms = _GroupTerms(
-            feats, np.log(rates), np.log1p(-rates),
-            np.repeat(np.arange(len(trajs)), counts), np.maximum(np.asarray(counts), 1))
+        terms = group._terms = _stack_steps(group.trajectories, ref_policy.net.sizes[0])
     params = ref_policy.net.parameters()
     if (len(params) != len(terms.ref_params)
             or any(a is not b for a, b in zip(params, terms.ref_params))):
@@ -172,14 +180,15 @@ def _group_terms(group: RolloutGroup, ref_policy: TimePolicy) -> _GroupTerms:
     return terms
 
 
+def step_log_probs(policy: TimePolicy, traj: Trajectory) -> np.ndarray:
+    """Beta log-density under policy of each kept prediction of traj."""
+    return _step_log_pdf(policy, _stack_steps([traj], policy.net.sizes[0]))
+
+
 def traj_log_prob(policy: TimePolicy, traj: Trajectory) -> float:
     """Log-probability of the whole schedule under policy: the sum of
     per-prediction Beta log-densities (forced jumps contribute nothing)."""
-    if not traj.decay_rates:
-        return 0.0
-    _, alpha, beta, log_b, *_ = _policy_terms(policy, np.stack(traj.features))
-    r = np.asarray(traj.decay_rates)
-    return float(np.sum(_log_pdf(np.log(r), np.log1p(-r), alpha, beta, log_b)))
+    return float(np.sum(step_log_probs(policy, traj)))
 
 
 @dataclass
@@ -277,15 +286,21 @@ class MetricsRow:
 def rollout_group(policy: TimePolicy, velocity_field: VelocityField,
                   target: TargetSpec, sched: ScheduleConfig, k: int,
                   rng: RngStream, gamma: float) -> RolloutGroup:
-    """k rollouts from one shared noise draw, with rewards and advantages."""
+    """k rollouts from one shared noise draw, with rewards and advantages.
+
+    Old log-probs are scored over the stack the group keeps for ppo_loss, so
+    the first inner epoch's ratios are exactly 1 (a forward over other
+    batches, one trajectory at a time say, can differ in the last bits)."""
     noise = rng.child(0).standard_normal(velocity_field.d)
     trajs = [
         sample_adaptive(policy, velocity_field, sched, rng.child(1 + j),
                         initial_noise=noise)
         for j in range(k)
     ]
-    old_lp = np.array([sum(t.step_log_probs) for t in trajs])
+    terms = _stack_steps(trajs, policy.net.sizes[0])
+    old_lp = np.bincount(terms.seg, weights=_step_log_pdf(policy, terms), minlength=k)
     group = RolloutGroup(target, noise, trajs, old_lp)
+    group._terms = terms
     irs = [toy_reward(t.final_sample, target) for t in trajs]
     discounted = [discounted_reward(ir, t.n_steps, gamma)
                   for ir, t in zip(irs, trajs)]

@@ -8,23 +8,25 @@ pass per step.
 Termination: the Beta decay never reaches 0 exactly, so once a predicted time
 falls below t_min (or the step budget is hit) the sampler takes a forced final
 jump straight to t=0. The forced jump is a real Euler step counted in N, but
-the prediction that triggered it is discarded and contributes no log-prob, so
-len(step_log_probs) = N - 1 unless the discrete grid terminated exactly at 0.
+the prediction that triggered it is discarded, so len(decay_rates) = N - 1
+unless the discrete grid terminated exactly at 0.
+
+Each kept rate is recorded with its features and scored afterwards by the one
+array log-density path in rl (rollout_group, step_log_probs).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .flow import VelocityField
 from .policy import TimePolicy, next_time, predict_decay, step_features
 from .rng import RngStream
-from .special_math import BetaParams
 
 MODES = ("adaptive", "fixed-uniform", "fixed-shifted", "discrete-adaptive")
 
@@ -62,9 +64,7 @@ class Trajectory:
     times: list[float]
     states: list[np.ndarray]
     decay_rates: list[float]
-    step_log_probs: list[float]
-    features: list[np.ndarray] = field(default_factory=list)
-    beta_params: list[BetaParams] = field(default_factory=list)
+    features: list[np.ndarray]
 
     @property
     def final_sample(self) -> np.ndarray:
@@ -84,8 +84,8 @@ class Trajectory:
         if not all(np.all(np.isfinite(s)) for s in self.states):
             raise ValueError("non-finite state in trajectory")
         n_pred = len(self.decay_rates)
-        if len(self.step_log_probs) != n_pred or len(self.features) != n_pred:
-            raise ValueError("decay_rates, step_log_probs, features must align")
+        if len(self.features) != n_pred:
+            raise ValueError("decay_rates and features must align")
         if n_pred != 0 and n_pred not in (self.n_steps - 1, self.n_steps):
             raise ValueError("prediction count must be N-1 (forced jump) or N")
 
@@ -129,45 +129,29 @@ def sample_adaptive(policy: TimePolicy, velocity_field: VelocityField,
          else rng.standard_normal(d))
     if x.shape != (d,):
         raise ValueError(f"initial noise shape {x.shape} != ({d},)")
-    traj = Trajectory([1.0], [x], [], [], [], [])
+    traj = Trajectory([1.0], [x], [], [])
     t_prev = 1.0
     prev_index = cfg.grid_size
-    while True:
+    while t_prev > 0.0:
         v = velocity_field(x, t_prev)
         if not np.all(np.isfinite(v)):
             raise RuntimeError(
                 f"velocity field produced a non-finite value at t={t_prev}"
             )
-        if traj.n_steps == cfg.n_max - 1:
-            # budget exhausted: jump to 0 without consulting the policy
-            x = x + (0.0 - t_prev) * v
-            _append_state(traj, 0.0, x)
-            break
-        feats = step_features(x, v, t_prev)
-        r, log_prob, params = predict_decay(policy, feats, rng, deterministic)
-        t_next = next_time(t_prev, r)
-        terminal_by_prediction = False
-        if discrete:
-            t_next, index = quantize_time(t_next, cfg.grid_size, prev_index)
-            terminal_by_prediction = index == 0
-            prev_index = index
-        if terminal_by_prediction:
-            traj.decay_rates.append(r)
-            traj.step_log_probs.append(log_prob)
-            traj.features.append(feats)
-            traj.beta_params.append(params)
-            x = x + (0.0 - t_prev) * v
-            _append_state(traj, 0.0, x)
-            break
-        if t_next < cfg.t_min:
-            # discard the triggering prediction and take the forced jump
-            x = x + (0.0 - t_prev) * v
-            _append_state(traj, 0.0, x)
-            break
-        traj.decay_rates.append(r)
-        traj.step_log_probs.append(log_prob)
-        traj.features.append(feats)
-        traj.beta_params.append(params)
+        t_next = 0.0  # the budget's last step jumps to 0 without the policy
+        if traj.n_steps < cfg.n_max - 1:
+            feats = step_features(x, v, t_prev)
+            r = predict_decay(policy, feats, rng, deterministic)
+            t_next = next_time(t_prev, r)
+            if discrete:
+                t_next, prev_index = quantize_time(t_next, cfg.grid_size, prev_index)
+            if 0.0 < t_next < cfg.t_min:
+                # discard the triggering prediction and take the forced jump
+                t_next = 0.0
+            else:
+                # kept, including a grid prediction that lands exactly on 0
+                traj.decay_rates.append(r)
+                traj.features.append(feats)
         x = x + (t_next - t_prev) * v
         _append_state(traj, t_next, x)
         t_prev = t_next
@@ -188,7 +172,7 @@ def sample_fixed(velocity_field: VelocityField, cfg: ScheduleConfig,
     times = [(n - k) / n for k in range(n + 1)]
     if cfg.mode == "fixed-shifted":
         times = [timeshift(t, cfg.shift) for t in times]
-    traj = Trajectory([1.0], [x], [], [], [], [])
+    traj = Trajectory([1.0], [x], [], [])
     for t_from, t_to in zip(times, times[1:]):
         x = x + (t_to - t_from) * velocity_field(x, t_from)
         _append_state(traj, t_to, x)
@@ -233,9 +217,14 @@ def transport_uniform(velocity_field: VelocityField, n_samples: int,
     return x
 
 
-def trajectory_to_csv(traj: Trajectory, path: str | Path) -> None:
+def trajectory_to_csv(traj: Trajectory, log_probs: Sequence[float],
+                      path: str | Path) -> None:
     """One row per visited time; r/log_prob blank where no prediction exists
-    (step 0 and a forced final jump)."""
+    (step 0 and a forced final jump). log_probs holds one score per kept
+    prediction (rl.step_log_probs)."""
+    if len(log_probs) != len(traj.decay_rates):
+        raise ValueError(f"{len(log_probs)} log-probs for "
+                         f"{len(traj.decay_rates)} predictions")
     d = traj.states[0].shape[0]
     header = ["step", "t"] + [f"x{i}" for i in range(d)] + ["r", "log_prob"]
     with open(path, "w", newline="") as fh:
@@ -246,6 +235,6 @@ def trajectory_to_csv(traj: Trajectory, path: str | Path) -> None:
             writer.writerow(
                 [k, repr(t)]
                 + [repr(float(c)) for c in x]
-                + ([repr(traj.decay_rates[k - 1]), repr(traj.step_log_probs[k - 1])]
+                + ([repr(traj.decay_rates[k - 1]), repr(float(log_probs[k - 1]))]
                    if has_pred else ["", ""])
             )

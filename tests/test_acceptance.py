@@ -23,7 +23,7 @@ from flowsched.flow import (VelocityField, fm_loss, make_velocity_net,
                             single_gaussian_target, standard_normal_target)
 from flowsched.nn import DenseNet
 from flowsched.policy import (init_policy, log_pdf_grad_wrt_raw, raw_to_shape,
-                              step_features)
+                              step_features, tpm_params_batch)
 from flowsched.rl import (RLConfig, discounted_reward, ppo_loss,
                           rloo_advantages, rollout_group, train_naive_two_step,
                           train_tpm)
@@ -253,15 +253,15 @@ def _criterion_schedule_invariants():
                             0.05, RngStream(SEED, 42))
     sched = ScheduleConfig(mode="adaptive")
     trajs = rollout_batch(policy, field, sched, RngStream(SEED, 43), 10_000)
-    min_shape = math.inf
     for traj in trajs:
         traj.validate()
         times = np.asarray(traj.times)
         assert times[0] == 1.0 and times[-1] == 0.0
         assert np.all(np.diff(times) < 0.0)
         assert traj.n_steps <= sched.n_max
-        for p in traj.beta_params:
-            min_shape = min(min_shape, p.alpha, p.beta)
+    feats = np.concatenate([np.reshape(t.features, (-1, 6)) for t in trajs])
+    _, alpha, beta = tpm_params_batch(policy, feats)
+    min_shape = min(alpha.min(), beta.min())
     ns = np.array([t.n_steps for t in trajs])
     values = {
         "n_rollouts": len(trajs),

@@ -141,6 +141,17 @@ def test_sample_writes_requested_trajectories(tmp_path):
     assert not (out / "trajectory_3.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "compare-baselines"])
+def test_missing_policy_checkpoint_warns(tmp_path, caplog, command):
+    out = tmp_path / "run"
+    cfg = reduced_config(out, eval_rollouts=4)
+    with caplog.at_level("WARNING", logger="flowsched.cli"):
+        rc = main([command, "--config", save_config(cfg, tmp_path)])
+    assert rc == 0
+    assert f"no policy checkpoint at {out / 'policy.ckpt'}" in caplog.text
+    assert "untrained policy" in caplog.text
+
+
 def test_sample_deterministic_flag_changes_schedules(tmp_path):
     texts = []
     for name, flag in (("s", []), ("d", ["--deterministic-inference"])):

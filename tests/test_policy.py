@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowsched.nn import DenseNet
+from flowsched.nn import DenseNet, save_checkpoint
 from flowsched.policy import (FEATURE_LAYOUT, RAW_PARAM_CLAMP, TimePolicy,
                               feature_length, init_policy, load_policy,
                               log_pdf_grad_wrt_raw, next_time, predict_decay,
                               raw_to_shape, save_policy, shape_grad_wrt_raw,
-                              step_features, tpm_params, tpm_params_batch)
+                              step_features, tpm_params_batch)
 from flowsched.rng import RngStream
-from flowsched.special_math import beta_log_pdf, beta_sample
+from flowsched.special_math import BetaParams, beta_log_pdf, beta_sample
+
+
+def beta_params_at(policy: TimePolicy, feats: np.ndarray) -> BetaParams:
+    """Beta shapes at one feature vector, read from the batched path."""
+    _, alpha, beta = tpm_params_batch(policy, np.asarray(feats)[None, :])
+    return BetaParams(float(alpha[0]), float(beta[0]))
 
 
 def constant_output_policy(d: int, a: float, b: float) -> TimePolicy:
@@ -44,18 +50,18 @@ def test_time_policy_validates_net_shape():
 
 def test_tpm_params_examples():
     pol = constant_output_policy(2, 0.0, 0.0)
-    params = tpm_params(pol, np.zeros(6))
+    params = beta_params_at(pol, np.zeros(6))
     assert params.alpha == pytest.approx(2.0, abs=1e-12)
     assert params.beta == pytest.approx(2.0, abs=1e-12)
 
     pol = constant_output_policy(2, math.log(3.0), 0.0)
-    params = tpm_params(pol, np.zeros(6))
+    params = beta_params_at(pol, np.zeros(6))
     assert params.alpha == pytest.approx(4.0, abs=1e-12)
     assert params.beta == pytest.approx(2.0, abs=1e-12)
     assert params.mean == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     pol = constant_output_policy(2, -30.0, 0.0)
-    params = tpm_params(pol, np.zeros(6))
+    params = beta_params_at(pol, np.zeros(6))
     assert params.alpha > 1.0
     assert params.alpha == pytest.approx(1.0 + math.exp(-30.0), abs=1e-25)
 
@@ -73,41 +79,43 @@ def test_raw_to_shape_clamps_overflow():
 @given(st.floats(min_value=-100, max_value=100),
        st.floats(min_value=-100, max_value=100))
 def test_tpm_params_always_unimodal(a, b):
-    params = tpm_params(constant_output_policy(1, a, b), np.zeros(4))
+    params = beta_params_at(constant_output_policy(1, a, b), np.zeros(4))
     assert params.alpha > 1.0 and params.beta > 1.0
     assert math.isfinite(params.alpha) and math.isfinite(params.beta)
 
 
 def test_tpm_params_batch_matches_single():
+    # rows of the batched path agree with the 1-D forward predict_decay draws from
     pol = init_policy(2, 0.6, RngStream(1, 0))
     pol.net.weights[-1] = RngStream(1, 1).standard_normal((2, 32)) * 0.3
     feats = RngStream(1, 2).uniform(size=(5, 6))
     raw, alpha, beta = tpm_params_batch(pol, feats)
     for i in range(5):
-        single = tpm_params(pol, feats[i])
-        assert alpha[i] == pytest.approx(single.alpha, abs=1e-12)
-        assert beta[i] == pytest.approx(single.beta, abs=1e-12)
-        assert np.allclose(raw[i], pol.net.forward(feats[i]), atol=1e-12)
+        single_raw = pol.net.forward(feats[i])
+        single_alpha, single_beta = raw_to_shape(single_raw)
+        assert alpha[i] == pytest.approx(single_alpha, abs=1e-12)
+        assert beta[i] == pytest.approx(single_beta, abs=1e-12)
+        assert np.allclose(raw[i], single_raw, atol=1e-12)
 
 
 def test_predict_decay_deterministic_mode_is_beta_mode():
     pol = constant_output_policy(2, 0.0, 0.0)  # alpha = beta = 2
-    r, log_prob, params = predict_decay(pol, np.zeros(6), RngStream(2, 0),
-                                        deterministic=True)
+    r = predict_decay(pol, np.zeros(6), RngStream(2, 0), deterministic=True)
     assert r == pytest.approx(0.5, abs=1e-12)
-    assert log_prob == pytest.approx(beta_log_pdf(0.5, 2.0, 2.0), abs=1e-12)
-    assert (params.alpha, params.beta) == (2.0, 2.0)
+    pol = constant_output_policy(2, math.log(3.0), 0.0)  # Beta(4, 2): mode 3/4
+    assert predict_decay(pol, np.zeros(6), RngStream(2, 0),
+                         deterministic=True) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_predict_decay_is_deterministic_given_stream():
     pol = init_policy(2, 0.7, RngStream(3, 0))
     feats = step_features(np.ones(2), -np.ones(2), 0.9)
-    out1 = predict_decay(pol, feats, RngStream(3, 1))
-    out2 = predict_decay(pol, feats, RngStream(3, 1))
-    assert out1[0] == out2[0] and out1[1] == out2[1]
-    assert math.isfinite(out1[1])
-    # the sample comes from the shared Beta sampler
-    assert out1[0] == beta_sample(out1[2], RngStream(3, 1))
+    r1 = predict_decay(pol, feats, RngStream(3, 1))
+    r2 = predict_decay(pol, feats, RngStream(3, 1))
+    assert r1 == r2 and 0.0 < r1 < 1.0
+    # the sample comes from the shared Beta sampler at the 1-D forward's shapes
+    alpha, beta = raw_to_shape(pol.net.forward(feats))
+    assert r1 == beta_sample(BetaParams(float(alpha), float(beta)), RngStream(3, 1))
 
 
 def test_next_time_examples_and_domain():
@@ -128,7 +136,7 @@ def test_next_time_strictly_decreasing(t_prev, r):
 def test_init_policy_half_target_gives_symmetric_beta():
     pol = init_policy(2, 0.5, RngStream(4, 0))
     assert np.allclose(pol.net.biases[-1], [0.0, 0.0], atol=1e-12)
-    params = tpm_params(pol, RngStream(4, 1).standard_normal(6))
+    params = beta_params_at(pol, RngStream(4, 1).standard_normal(6))
     assert params.alpha == pytest.approx(2.0, abs=1e-12)
     assert params.beta == pytest.approx(2.0, abs=1e-12)
 
@@ -138,7 +146,7 @@ def test_init_policy_mean_is_state_independent():
         pol = init_policy(2, r_target, RngStream(5, 0))
         for k in range(8):
             feats = RngStream(5, 1 + k).standard_normal(6) * 3.0
-            params = tpm_params(pol, feats)
+            params = beta_params_at(pol, feats)
             assert params.mean == pytest.approx(r_target, abs=1e-9)
     with pytest.raises(ValueError):
         init_policy(2, 1.0, RngStream(5, 9))
@@ -148,7 +156,7 @@ def test_init_policy_expected_step_count():
     # mean decay 0.75 from t0=1 down to t_min=0.01 needs about
     # ln(0.01)/ln(0.75) + 1 ~ 17 steps
     pol = init_policy(2, 0.75, RngStream(6, 0))
-    params = tpm_params(pol, np.zeros(6))
+    params = beta_params_at(pol, np.zeros(6))
     rng = RngStream(6, 1)
     counts = []
     for _ in range(10**4):
@@ -189,6 +197,22 @@ def test_policy_checkpoint_roundtrip(tmp_path):
     assert loaded.feature_layout == FEATURE_LAYOUT
     for a, b in zip(pol.net.parameters(), loaded.net.parameters()):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"garbage", "no field 'layout'"),
+    (b"layout=x", "no field 'd'"),
+    (b"layout=x;d=two", "field d='two'"),
+    ("layout=x;d=2\u00e9".encode("utf-8"), "not ASCII"),
+    (b"layout=x;d=3", "field d='3' does not match the net's input size 6"),
+], ids=["garbage", "no_d", "d_not_integer", "non_ascii", "d_mismatch"])
+def test_load_policy_rejects_bad_header(tmp_path, header, message):
+    path = tmp_path / "policy.ckpt"
+    save_checkpoint(init_policy(2, 0.66, RngStream(8, 0)).net, path,
+                    extra_header=header)
+    with pytest.raises(ValueError, match="policy header") as err:
+        load_policy(path)
+    assert str(path) in str(err.value) and message in str(err.value)
 
 
 def test_raw_clamp_constant_is_wide_enough():

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from flowsched.flow import VelocityField, ref_log_density, standard_normal_target
 from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy,
-                              log_pdf_grad_wrt_raw, tpm_params_batch)
+                              log_pdf_grad_wrt_raw, raw_to_shape, tpm_params_batch)
 from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig,
                           RolloutGroup, discounted_reward, ppo_loss,
-                          rloo_advantages, rollout_group, toy_reward,
-                          train_naive_two_step, train_tpm, traj_log_prob,
-                          write_metrics_csv)
+                          rloo_advantages, rollout_group, step_log_probs,
+                          toy_reward, train_naive_two_step, train_tpm,
+                          traj_log_prob, write_metrics_csv)
 from flowsched.rng import RngStream
 from flowsched.sampler import (ScheduleConfig, Trajectory, sample_adaptive,
                                sample_fixed)
@@ -137,10 +137,14 @@ def test_rloo_matches_mean_baseline_form(rewards):
 
 
 def test_traj_log_prob_matches_step_sum():
+    # array scores against the scalar Beta log-density at the 1-D forward's shapes
     policy = small_policy(21, jitter=0.05)
     traj = sample_adaptive(policy, oracle_field(), ScheduleConfig(), RngStream(21, 2))
     assert traj.decay_rates
-    assert abs(traj_log_prob(policy, traj) - sum(traj.step_log_probs)) <= 1e-9
+    scalar = [beta_log_pdf(r, *map(float, raw_to_shape(policy.net.forward(f))))
+              for r, f in zip(traj.decay_rates, traj.features)]
+    np.testing.assert_allclose(step_log_probs(policy, traj), scalar, rtol=0, atol=1e-12)
+    assert abs(traj_log_prob(policy, traj) - sum(scalar)) <= 1e-9
 
 
 def test_traj_log_prob_single_prediction_hand_check():
@@ -333,13 +337,29 @@ def test_ppo_loss_drops_non_finite_ratios(caplog):
     assert all(np.all(np.isfinite(g)) for g in res.grads)
 
 
+def test_first_epoch_importance_ratio_is_exactly_one():
+    # no KL, no clipping and a one-hot advantage leave loss = -ratio_i / k
+    # with every operation exact, so -k * loss is trajectory i's ratio
+    policy = small_policy(48, jitter=0.05)
+    cfg = RLConfig(kl_weight=0.0, clip=0.0)
+    ratios = []
+    for g in range(64):
+        group = rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), 4,
+                              RngStream(48, 2).child(g), 0.95)
+        for i in range(4):
+            for j, rec in enumerate(group.rewards):
+                rec.advantage = float(i == j)
+            ratios.append(-4 * ppo_loss(policy, policy, group, cfg).loss)
+    assert len(ratios) == 256 and all(r == 1.0 for r in ratios)
+
+
 def test_ppo_loss_requires_advantages():
     policy = small_policy(47)
     traj = [sample_adaptive(policy, oracle_field(), ScheduleConfig(),
                             RngStream(47, 2), initial_noise=np.ones(2))
             for _ in range(2)]
     group = RolloutGroup(STD2, np.ones(2), traj,
-                         np.array([sum(t.step_log_probs) for t in traj]))
+                         np.array([traj_log_prob(policy, t) for t in traj]))
     with pytest.raises(ValueError, match="advantages"):
         ppo_loss(policy, policy, group, RLConfig())
 
@@ -413,7 +433,15 @@ def perturbed(policy: TimePolicy, seed: int, scale: float = 0.5) -> TimePolicy:
 
 def zero_prediction_trajectory(noise: np.ndarray) -> Trajectory:
     return Trajectory(times=[1.0, 0.0], states=[noise, noise], decay_rates=[],
-                      step_log_probs=[])
+                      features=[])
+
+
+def with_trajectories(group, trajs, old_log_probs) -> RolloutGroup:
+    """A new group over trajs keeping group's rewards; a group caches its
+    stacked steps, so its trajectories are replaced, not edited in place."""
+    out = RolloutGroup(group.target, group.initial_noise, trajs, old_log_probs)
+    out.rewards = group.rewards
+    return out
 
 
 def assert_matches_separate_calls(policy, ref, group, cfg):
@@ -444,9 +472,11 @@ def test_ppo_loss_equals_separate_call_form(clip):
 def test_ppo_loss_equals_separate_call_form_with_zero_prediction_trajectory(clip):
     ref = small_policy(75, jitter=0.3)
     group = make_group(ref, 75)
-    group.trajectories[2] = zero_prediction_trajectory(group.initial_noise)
-    group.old_log_probs = group.old_log_probs.copy()
-    group.old_log_probs[2] = 0.0
+    trajs = list(group.trajectories)
+    trajs[2] = zero_prediction_trajectory(group.initial_noise)
+    old_lp = group.old_log_probs.copy()
+    old_lp[2] = 0.0
+    group = with_trajectories(group, trajs, old_lp)
     assert_matches_separate_calls(perturbed(ref, 75), ref, group, RLConfig(clip=clip))
 
 
@@ -466,8 +496,7 @@ def test_ppo_loss_without_any_prediction_is_zero():
     ref = small_policy(77)
     group = make_group(ref, 77)
     noise = group.initial_noise
-    group.trajectories = [zero_prediction_trajectory(noise) for _ in group.trajectories]
-    group.old_log_probs = np.zeros(len(group.trajectories))
+    group = with_trajectories(group, [zero_prediction_trajectory(noise)] * 4, np.zeros(4))
     res = ppo_loss(perturbed(ref, 77), ref, group, RLConfig())
     advs = np.array([rec.advantage for rec in group.rewards])
     assert res.loss == float(np.sum(-advs) / len(advs))
@@ -506,7 +535,8 @@ def test_train_tpm_evaluates_reference_once_per_group_and_outer_step(monkeypatch
     n_groups = cfg.batch_size // cfg.group_size
     assert len(metrics) == cfg.outer_steps
     assert calls["other"] == cfg.outer_steps * n_groups
-    assert calls["live"] == cfg.outer_steps * n_groups * cfg.inner_epochs
+    # one forward scores each group's old log-probs, then one per inner epoch
+    assert calls["live"] == cfg.outer_steps * n_groups * (cfg.inner_epochs + 1)
 
 
 # -------------------------------------------------------------- training loop

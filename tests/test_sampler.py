@@ -6,12 +6,15 @@ import pytest
 from flowsched.flow import (VelocityField, make_velocity_net,
                             standard_normal_target)
 from flowsched.nn import DenseNet
-from flowsched.policy import TimePolicy, feature_length, init_policy
+from flowsched.policy import (TimePolicy, feature_length, init_policy,
+                              tpm_params_batch)
+from flowsched.rl import step_log_probs
 from flowsched.rng import RngStream
 from flowsched.sampler import (GridExhausted, ScheduleConfig, Trajectory,
                                euler_step, quantize_time, rollout_batch,
                                sample_adaptive, sample_fixed, timeshift,
                                trajectory_to_csv, transport_uniform)
+from flowsched.special_math import beta_log_pdf
 
 
 def constant_output_policy(d: int, a: float, b: float) -> TimePolicy:
@@ -80,7 +83,7 @@ def test_adaptive_halving_schedule_example():
     assert traj.times == [1.0, 0.5, 0.25, 0.125, 0.0]
     assert traj.n_steps == 4
     assert len(traj.decay_rates) == 3  # the triggering prediction is discarded
-    assert len(traj.step_log_probs) == 3
+    assert len(traj.features) == 3
     assert traj.decay_rates == [0.5, 0.5, 0.5]
 
 
@@ -128,9 +131,11 @@ def test_trajectory_invariants_over_many_rollouts():
         assert len(traj.states) == len(traj.times)
         assert all(np.all(np.isfinite(s)) for s in traj.states)
         assert len(traj.decay_rates) in (traj.n_steps - 1, traj.n_steps)
-        assert len(traj.step_log_probs) == len(traj.decay_rates)
-        assert all(p.alpha > 1.0 and p.beta > 1.0 for p in traj.beta_params)
-        assert all(np.isfinite(lp) for lp in traj.step_log_probs)
+        assert len(traj.features) == len(traj.decay_rates)
+        if traj.features:
+            _, alpha, beta = tpm_params_batch(policy, np.stack(traj.features))
+            assert np.all(alpha > 1.0) and np.all(beta > 1.0)
+        assert np.all(np.isfinite(step_log_probs(policy, traj)))
 
 
 def test_adaptive_fresh_noise_uses_stream():
@@ -150,7 +155,7 @@ def test_sample_fixed_uniform_times():
     traj = sample_fixed(oracle_field(), cfg, RngStream(6, 0))
     assert np.allclose(traj.times, [1.0, 0.75, 0.5, 0.25, 0.0], atol=1e-15)
     assert traj.n_steps == 4
-    assert traj.step_log_probs == [] and traj.decay_rates == []
+    assert traj.features == [] and traj.decay_rates == []
 
 
 def test_sample_fixed_shift_one_is_uniform():
@@ -191,7 +196,7 @@ def test_quantize_time_examples():
 
 def test_discrete_mode_terminates_by_prediction_at_grid_zero():
     # Beta(2, ~3300): the mode sits below half a grid cell, so the very first
-    # prediction quantizes to index 0 and is kept with its log-prob
+    # prediction quantizes to index 0 and is kept with its features
     policy = constant_output_policy(2, 0.0, 8.1)
     cfg = ScheduleConfig(mode="discrete-adaptive", grid_size=1000)
     traj = sample_adaptive(policy, oracle_field(), cfg, RngStream(9, 0),
@@ -199,7 +204,20 @@ def test_discrete_mode_terminates_by_prediction_at_grid_zero():
     assert traj.times == [1.0, 0.0]
     assert traj.n_steps == 1
     assert len(traj.decay_rates) == 1
-    assert len(traj.step_log_probs) == 1
+    assert len(traj.features) == 1
+
+
+def test_discrete_mode_forces_jump_below_t_min_and_drops_prediction():
+    # Beta(2,2) mode 0.5 on a 1000-point grid: 0.016 * 0.5 snaps to 0.008,
+    # inside (0, t_min), so that prediction is dropped and the step lands on 0
+    policy = constant_output_policy(2, 0.0, 0.0)
+    cfg = ScheduleConfig(mode="discrete-adaptive", grid_size=1000, t_min=0.01)
+    field = oracle_field()
+    traj = sample_adaptive(policy, field, cfg, RngStream(9, 1), deterministic=True)
+    assert traj.times == [1.0, 0.5, 0.25, 0.125, 0.063, 0.032, 0.016, 0.0]
+    assert traj.decay_rates == [0.5] * 6 and len(traj.features) == 6
+    x, t = traj.states[-2], traj.times[-2]
+    assert np.array_equal(traj.final_sample, x + (0.0 - t) * field(x, t))
 
 
 def test_discrete_mode_times_live_on_grid():
@@ -239,12 +257,13 @@ def test_sampler_aborts_on_non_finite_state():
 def test_trajectory_validate_rules():
     x = np.zeros(2)
     with pytest.raises(ValueError, match="start at 1"):
-        Trajectory([0.9, 0.0], [x, x], [], [], [], []).validate()
+        Trajectory([0.9, 0.0], [x, x], [], []).validate()
     with pytest.raises(ValueError, match="strictly decreasing"):
-        Trajectory([1.0, 0.5, 0.5, 0.0], [x] * 4, [], [], [], []).validate()
+        Trajectory([1.0, 0.5, 0.5, 0.0], [x] * 4, [], []).validate()
     with pytest.raises(ValueError, match="prediction count"):
-        Trajectory([1.0, 0.5, 0.0], [x] * 3, [0.5, 0.5, 0.5],
-                   [0.1, 0.1, 0.1], [x, x, x], []).validate()
+        Trajectory([1.0, 0.5, 0.0], [x] * 3, [0.5, 0.5, 0.5], [x, x, x]).validate()
+    with pytest.raises(ValueError, match="must align"):
+        Trajectory([1.0, 0.5, 0.0], [x] * 3, [0.5], [x, x]).validate()
 
 
 def test_trajectory_to_csv_layout(tmp_path):
@@ -253,7 +272,8 @@ def test_trajectory_to_csv_layout(tmp_path):
     traj = sample_adaptive(policy, oracle_field(), cfg, RngStream(13, 0),
                            deterministic=True)
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
+    log_probs = step_log_probs(policy, traj)
+    trajectory_to_csv(traj, log_probs, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "t", "x0", "x1", "r", "log_prob"]
@@ -261,7 +281,11 @@ def test_trajectory_to_csv_layout(tmp_path):
     assert rows[1][4] == "" and rows[1][5] == ""      # no prediction at t0
     assert rows[-1][4] == "" and rows[-1][5] == ""    # forced jump row is blank
     assert float(rows[2][4]) == traj.decay_rates[0]   # repr round-trips
+    assert [float(r[5]) for r in rows[2:-1]] == list(log_probs)
+    assert float(rows[2][5]) == pytest.approx(beta_log_pdf(0.5, 2.0, 2.0), abs=1e-12)
     assert [float(r[1]) for r in rows[1:]] == traj.times
+    with pytest.raises(ValueError, match="log-probs"):
+        trajectory_to_csv(traj, log_probs[:-1], path)
 
 
 def test_transport_uniform_deterministic():
