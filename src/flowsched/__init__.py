@@ -15,8 +15,8 @@ from .policy import TimePolicy, init_policy, next_time, predict_decay
 from .rl import (RLConfig, RewardRecord, RolloutGroup, discounted_reward,
                  ppo_loss, rloo_advantages, toy_reward, train_tpm, traj_log_prob)
 from .rng import RngStream
-from .sampler import (ScheduleConfig, Trajectory, euler_step, quantize_time,
-                      sample_adaptive, sample_fixed)
+from .sampler import (ScheduleConfig, Trajectory, euler_step, quantize_times,
+                      roll_lanes, sample_adaptive, sample_fixed)
 from .special_math import (BetaParams, beta_kl, beta_log_pdf, beta_sample,
                            digamma, log_gamma)
 

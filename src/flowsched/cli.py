@@ -21,13 +21,12 @@ import numpy as np
 from .config import ExperimentConfig, preset_config, write_run_stamp
 from .flow import (TargetSpec, VelocityField, make_velocity_net,
                    ring_mixture_target, train_flow)
-from .nn import load_checkpoint, save_checkpoint
+from .nn import load_checkpoint, save_checkpoint, write_atomic
 from .policy import TimePolicy, init_policy, load_policy, save_policy
 from .rl import (discounted_reward, step_log_probs, toy_reward, train_tpm,
                  write_metrics_csv)
 from .rng import RngStream
-from .sampler import (ScheduleConfig, rollout_batch, sample_adaptive, sample_fixed,
-                      trajectory_to_csv)
+from .sampler import ScheduleConfig, roll_lanes, rollout_batch, trajectory_to_csv
 from .svg import polyline_plot
 
 logger = logging.getLogger(__name__)
@@ -169,7 +168,7 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
     """n adaptive rollouts -> step-count/reward summary + mean schedule curve."""
     trajs = rollout_batch(policy, velocity_field, sched, rng, n, deterministic)
     ns = np.array([t.n_steps for t in trajs])
-    irs = np.array([toy_reward(t.final_sample, target) for t in trajs])
+    irs = toy_reward(np.array([t.final_sample for t in trajs]), target)
     rewards = np.array([
         discounted_reward(ir, t.n_steps, gamma) for ir, t in zip(irs, trajs)
     ])
@@ -187,10 +186,8 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
 
 
 def _write_curve_csv(summary: EvalSummary, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("step,mean_t\n")
-        for k, t in zip(summary.curve_steps, summary.curve_times):
-            fh.write(f"{k},{t!r}\n")
+    write_atomic(path, "step,mean_t\n" + "".join(
+        f"{k},{t!r}\n" for k, t in zip(summary.curve_steps, summary.curve_times)))
 
 
 def cmd_train_flow(cfg: ExperimentConfig) -> None:
@@ -198,10 +195,8 @@ def cmd_train_flow(cfg: ExperimentConfig) -> None:
     for i, target in enumerate(cfg.targets):
         velocity_field, losses = _pretrain_field(cfg, target, i)
         save_checkpoint(velocity_field.net, out / f"field_{i}.ckpt")
-        with open(out / f"flow_loss_{i}.csv", "w", newline="") as fh:
-            fh.write("step,loss\n")
-            for k, loss in enumerate(losses):
-                fh.write(f"{k},{float(loss)!r}\n")
+        write_atomic(out / f"flow_loss_{i}.csv", "step,loss\n" + "".join(
+            f"{k},{float(loss)!r}\n" for k, loss in enumerate(losses)))
         logger.info("target %d: final flow loss %.4f", i, losses[-1])
 
 
@@ -253,11 +248,10 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
         rows.append((gamma, summary))
         logger.info("gamma %.2f: mean N %.2f, mean IR %.4f",
                     gamma, summary.mean_n, summary.mean_ir)
-    with open(out / "sweep_gamma.csv", "w", newline="") as fh:
-        fh.write("gamma,mean_N,std_N,mean_ir,mean_reward,n_rollouts\n")
-        for gamma, s in rows:
-            fh.write(f"{gamma!r},{s.mean_n!r},{s.std_n!r},{s.mean_ir!r},"
-                     f"{s.mean_reward!r},{s.n_rollouts}\n")
+    write_atomic(out / "sweep_gamma.csv",
+                 "gamma,mean_N,std_N,mean_ir,mean_reward,n_rollouts\n" + "".join(
+                     f"{gamma!r},{s.mean_n!r},{s.std_n!r},{s.mean_ir!r},"
+                     f"{s.mean_reward!r},{s.n_rollouts}\n" for gamma, s in rows))
 
 
 def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
@@ -265,42 +259,31 @@ def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
     fields = _build_fields(cfg, out)
     policy = _load_or_init_policy(cfg, out)
     target, velocity_field = cfg.targets[0], fields[0]
-    d = target.d
     n = cfg.eval_rollouts
-    noise = [RngStream(cfg.seed, STREAM_BASELINE_NOISE).child(j).standard_normal(d)
-             for j in range(n)]
+    noise = np.array([
+        RngStream(cfg.seed, STREAM_BASELINE_NOISE).child(j).standard_normal(target.d)
+        for j in range(n)])
     decay_rng = RngStream(cfg.seed, STREAM_BASELINE_DECAY)
-    adaptive = [
-        sample_adaptive(policy, velocity_field, cfg.schedule, decay_rng.child(j),
-                        initial_noise=noise[j], deterministic=deterministic)
-        for j in range(n)
-    ]
-    mean_n = float(np.mean([t.n_steps for t in adaptive]))
+    adaptive = roll_lanes(velocity_field, cfg.schedule,
+                          [decay_rng.child(j) for j in range(n)], noise, policy,
+                          deterministic)
+    mean_n = float(np.mean(adaptive.n_steps))
     matched = max(1, int(round(mean_n)))
 
     def fixed_ir(n_steps: int) -> float:
         sched = ScheduleConfig(mode="fixed-uniform", fixed_n=n_steps,
                                t_min=cfg.schedule.t_min, n_max=max(2, n_steps + 1),
                                grid_size=cfg.schedule.grid_size)
-        irs = [
-            toy_reward(
-                sample_fixed(velocity_field, sched, decay_rng.child(10**6 + j),
-                             initial_noise=noise[j]).final_sample, target)
-            for j in range(n)
-        ]
-        return float(np.mean(irs))
+        lanes = roll_lanes(velocity_field, sched, noise=noise)
+        return float(np.mean(toy_reward(lanes.finals, target)))
 
-    adaptive_ir = float(np.mean([toy_reward(t.final_sample, target)
-                                 for t in adaptive]))
     rows = [
-        ("adaptive", mean_n, adaptive_ir),
+        ("adaptive", mean_n, float(np.mean(toy_reward(adaptive.finals, target)))),
         ("fixed-matched", float(matched), fixed_ir(matched)),
         ("fixed-2x", float(2 * matched), fixed_ir(2 * matched)),
     ]
-    with open(out / "baselines.csv", "w", newline="") as fh:
-        fh.write("name,n_steps,mean_ir\n")
-        for name, steps, ir in rows:
-            fh.write(f"{name},{steps!r},{ir!r}\n")
+    write_atomic(out / "baselines.csv", "name,n_steps,mean_ir\n" + "".join(
+        f"{name},{steps!r},{ir!r}\n" for name, steps, ir in rows))
     for name, steps, ir in rows:
         logger.info("%s: N=%.2f mean IR %.4f", name, steps, ir)
 
@@ -335,13 +318,11 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
         logger.info("complexity %d: mean N %.2f", level, summary.mean_n)
     corr = float(np.corrcoef(np.array(pairs_level, dtype=float),
                              np.array(pairs_n, dtype=float))[0, 1])
-    with open(out / "complexity.csv", "w", newline="") as fh:
-        fh.write("level,mean_N,std_N,mean_ir,n_rollouts\n")
-        for level, s in rows:
-            fh.write(f"{level},{s.mean_n!r},{s.std_n!r},{s.mean_ir!r},{s.n_rollouts}\n")
-    with open(out / "correlation.csv", "w", newline="") as fh:
-        fh.write("pearson_r,n_samples\n")
-        fh.write(f"{corr!r},{len(pairs_n)}\n")
+    write_atomic(out / "complexity.csv", "level,mean_N,std_N,mean_ir,n_rollouts\n" + "".join(
+        f"{level},{s.mean_n!r},{s.std_n!r},{s.mean_ir!r},{s.n_rollouts}\n"
+        for level, s in rows))
+    write_atomic(out / "correlation.csv",
+                 f"pearson_r,n_samples\n{corr!r},{len(pairs_n)}\n")
     logger.info("complexity/step-count correlation %.3f over %d rollouts",
                 corr, len(pairs_n))
 

@@ -214,12 +214,16 @@ def save_checkpoint(net: DenseNet, path: str | Path, extra_header: bytes = b"") 
     for w, b in zip(net.weights, net.biases):
         buf.write(w.astype("<f8").tobytes(order="C"))
         buf.write(b.astype("<f8").tobytes(order="C"))
-    # write beside the target, then rename over it: a killed run leaves the
-    # previous checkpoint, never a truncated one
+    write_atomic(path, buf.getvalue())
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Write data (str as UTF-8) beside path, then rename it over path: a
+    killed run leaves the previous file, never a truncated one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(buf.getvalue())
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

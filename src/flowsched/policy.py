@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,16 +26,20 @@ def feature_length(d: int) -> int:
     return 2 * d + 2
 
 
-def step_features(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Feature vector [x, v, t, t^2]; the state is the point the velocity was
-    evaluated at, so the pair carries the before/after signal of one step."""
+def step_features(x: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """Feature vector [x, v, t, t^2], or one row per lane for states and
+    velocities of shape (n, d) and t a scalar or (n,); the state is the point
+    the velocity was evaluated at, so the pair carries the before/after signal
+    of one step."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if x.shape != v.shape or x.ndim != 1:
-        raise ValueError("state and velocity must be equal-length vectors")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
-    return np.concatenate([x, v, [t, t * t]])
+    if x.shape != v.shape or x.ndim not in (1, 2):
+        raise ValueError("state and velocity must be equal-shape vectors or lane rows")
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])[..., None]
+    outside = (t < 0.0) | (t > 1.0)
+    if outside.any():
+        raise ValueError(f"t={float(t[outside][0])} outside [0, 1]")
+    return np.concatenate([x, v, t, t * t], axis=-1)
 
 
 @dataclass
@@ -74,20 +79,36 @@ def tpm_params_batch(policy: TimePolicy, feats: np.ndarray) -> tuple[np.ndarray,
     return raw, ab[:, 0], ab[:, 1]
 
 
+def predict_decay_batch(policy: TimePolicy, feats: np.ndarray,
+                        rngs: Optional[Sequence[RngStream]],
+                        deterministic: bool = False) -> np.ndarray:
+    """Decay rate at each row of feats (n, 2d+2): the Beta mode, or a draw
+    from stream rngs[i] for row i; rl scores it later from the features."""
+    _, alpha, beta = tpm_params_batch(policy, feats)
+    if not np.all(np.isfinite(alpha) & np.isfinite(beta)):
+        raise ValueError("Beta shapes must be finite")
+    if deterministic:
+        return (alpha - 1.0) / (alpha + beta - 2.0)
+    return np.array([beta_sample(BetaParams(a, b), rng)
+                     for a, b, rng in zip(alpha.tolist(), beta.tolist(), rngs)], dtype=float)
+
+
 def predict_decay(policy: TimePolicy, feats: np.ndarray, rng: RngStream,
                   deterministic: bool = False) -> float:
-    """Draw (or take the mode of) the decay rate at one feature vector; rl
-    scores it later from the recorded features."""
-    alpha, beta = raw_to_shape(policy.net.forward(feats))
-    params = BetaParams(float(alpha), float(beta))
-    return params.mode if deterministic else beta_sample(params, rng)
+    """predict_decay_batch at one feature vector."""
+    return float(predict_decay_batch(policy, np.asarray(feats)[None, :], [rng],
+                                     deterministic)[0])
 
 
-def next_time(t_prev: float, r: float) -> float:
-    if not 0.0 < t_prev <= 1.0:
-        raise ValueError(f"t_prev={t_prev} outside (0, 1]")
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"decay rate r={r} outside (0, 1)")
+def next_time(t_prev, r):
+    """r * t_prev, elementwise over lanes; t_prev in (0, 1], r in (0, 1)."""
+    t_arr, r_arr = np.asarray(t_prev), np.asarray(r)
+    bad_t = ~((0.0 < t_arr) & (t_arr <= 1.0))
+    if bad_t.any():
+        raise ValueError(f"t_prev={float(t_arr[bad_t][0])} outside (0, 1]")
+    bad_r = ~((0.0 < r_arr) & (r_arr < 1.0))
+    if bad_r.any():
+        raise ValueError(f"decay rate r={float(r_arr[bad_r][0])} outside (0, 1)")
     return r * t_prev
 
 
@@ -112,18 +133,6 @@ def init_policy(d: int, r_target: float, rng: RngStream,
         b = np.log((2.0 - 3.0 * r_target) / r_target)
     net.biases[-1] = np.array([a, b])
     return TimePolicy(net, d)
-
-
-def log_pdf_grad_wrt_raw(r: float, raw: np.ndarray, alpha: float, beta: float,
-                         digamma_fn=None) -> np.ndarray:
-    """d beta_log_pdf(r; alpha(a), beta(b)) / d(a, b) via the chain rule."""
-    from .special_math import digamma
-
-    dg = digamma_fn or digamma
-    common = dg(alpha + beta)
-    dl_dalpha = np.log(r) - dg(alpha) + common
-    dl_dbeta = np.log1p(-r) - dg(beta) + common
-    return np.array([dl_dalpha, dl_dbeta]) * shape_grad_wrt_raw(raw)
 
 
 def save_policy(policy: TimePolicy, path: str | Path) -> None:

@@ -17,11 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flow import TargetSpec, VelocityField, ref_log_density
-from .nn import OptimizerState, adamw_step, clip_global_norm, global_norm
+from .nn import (OptimizerState, adamw_step, clip_global_norm, global_norm,
+                 write_atomic)
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
-from .sampler import ScheduleConfig, Trajectory, sample_adaptive
+from .sampler import ScheduleConfig, Trajectory, roll_lanes
 from .special_math import beta_terms
 
 logger = logging.getLogger(__name__)
@@ -67,7 +68,8 @@ class RewardRecord:
 @dataclass
 class RolloutGroup:
     """k trajectories sharing one initial state (target + noise draw); their
-    steps are stacked once and cached, so they are not edited afterwards."""
+    steps are stacked once and cached, so the trajectory list is not edited
+    afterwards (ppo_loss refuses a group whose list was replaced)."""
 
     target: TargetSpec
     initial_noise: np.ndarray
@@ -86,8 +88,9 @@ class RolloutGroup:
                 raise ValueError("all group trajectories must share the initial noise")
 
 
-def toy_reward(y: np.ndarray, target: TargetSpec) -> float:
-    """Quality score of a final sample: centered log-density, clamped below.
+def toy_reward(y: np.ndarray, target: TargetSpec) -> float | np.ndarray:
+    """Quality score of a final sample (d,), or of each row of a batch (n, d):
+    centered log-density, clamped below.
 
     Centering by the target's expected log-density puts typical samples near
     0 and the mode of a standard normal at exactly +1.
@@ -95,8 +98,8 @@ def toy_reward(y: np.ndarray, target: TargetSpec) -> float:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite sample")
-    ir = float(target.log_density(y)) - ref_log_density(target)
-    return max(ir, IR_CLAMP)
+    ir = np.maximum(target.log_density(y) - ref_log_density(target), IR_CLAMP)
+    return ir if y.ndim > 1 else float(ir)
 
 
 def discounted_reward(ir: float, n_steps: int, gamma: float) -> float:
@@ -130,6 +133,7 @@ class _GroupTerms:
     log_1mr: np.ndarray
     seg: np.ndarray            # trajectory index of each step
     steps: np.ndarray          # predictions per trajectory, at least 1
+    trajs: Sequence[Trajectory] = ()  # the list the steps were stacked from
     ref_params: list[np.ndarray] = dataclass_field(default_factory=list)
     # (alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta)) of the
     # policy whose parameter arrays are ref_params
@@ -143,7 +147,7 @@ def _stack_steps(trajs: Sequence[Trajectory], n_in: int) -> _GroupTerms:
     rates = np.concatenate([np.asarray(t.decay_rates, dtype=float) for t in trajs])
     return _GroupTerms(feats, np.log(rates), np.log1p(-rates),
                        np.repeat(np.arange(len(trajs)), counts),
-                       np.maximum(np.asarray(counts), 1))
+                       np.maximum(np.asarray(counts), 1), trajs)
 
 
 def _policy_terms(policy: TimePolicy, feats: np.ndarray) -> tuple:
@@ -168,10 +172,13 @@ def _group_terms(group: RolloutGroup, ref_policy: TimePolicy) -> _GroupTerms:
     """The group's cached terms. The reference terms are recomputed only when
     ref_policy's parameter arrays are not the ones they were built from, so a
     frozen reference (as in train_tpm) is evaluated once per group. Editing a
-    reference's arrays in place is not detected."""
+    reference's arrays, or the trajectory list, in place is not detected."""
     terms = group._terms
     if terms is None:
         terms = group._terms = _stack_steps(group.trajectories, ref_policy.net.sizes[0])
+    elif terms.trajs is not group.trajectories:
+        raise ValueError("group.trajectories was replaced after its steps were "
+                         "stacked; build a new RolloutGroup for new trajectories")
     params = ref_policy.net.parameters()
     if (len(params) != len(terms.ref_params)
             or any(a is not b for a, b in zip(params, terms.ref_params))):
@@ -291,25 +298,36 @@ def rollout_group(policy: TimePolicy, velocity_field: VelocityField,
     Old log-probs are scored over the stack the group keeps for ppo_loss, so
     the first inner epoch's ratios are exactly 1 (a forward over other
     batches, one trajectory at a time say, can differ in the last bits)."""
-    noise = rng.child(0).standard_normal(velocity_field.d)
-    trajs = [
-        sample_adaptive(policy, velocity_field, sched, rng.child(1 + j),
-                        initial_noise=noise)
-        for j in range(k)
-    ]
-    terms = _stack_steps(trajs, policy.net.sizes[0])
-    old_lp = np.bincount(terms.seg, weights=_step_log_pdf(policy, terms), minlength=k)
-    group = RolloutGroup(target, noise, trajs, old_lp)
-    group._terms = terms
-    irs = [toy_reward(t.final_sample, target) for t in trajs]
-    discounted = [discounted_reward(ir, t.n_steps, gamma)
-                  for ir, t in zip(irs, trajs)]
-    advs = rloo_advantages(discounted)
-    group.rewards = [
-        RewardRecord(ir, disc, float(adv), t.n_steps)
-        for ir, disc, adv, t in zip(irs, discounted, advs, trajs)
-    ]
-    return group
+    return _rollout_groups(policy, velocity_field, target, sched, k, [rng], gamma)[0]
+
+
+def _rollout_groups(policy: TimePolicy, velocity_field: VelocityField,
+                    target: TargetSpec, sched: ScheduleConfig, k: int,
+                    rngs: Sequence[RngStream], gamma: float) -> list[RolloutGroup]:
+    """rollout_group for each stream of rngs, every rollout in one lane batch."""
+    noise = np.array([rng.child(0).standard_normal(velocity_field.d) for rng in rngs])
+    lanes = roll_lanes(velocity_field, sched,
+                       [rng.child(1 + j) for rng in rngs for j in range(k)],
+                       np.repeat(noise, k, axis=0), policy)
+    all_trajs = lanes.trajectories()
+    all_irs = toy_reward(lanes.finals, target)
+    groups = []
+    for g in range(len(rngs)):
+        trajs, irs = all_trajs[g * k:(g + 1) * k], all_irs[g * k:(g + 1) * k]
+        terms = _stack_steps(trajs, policy.net.sizes[0])
+        old_lp = np.bincount(terms.seg, weights=_step_log_pdf(policy, terms),
+                             minlength=k)
+        group = RolloutGroup(target, noise[g], trajs, old_lp)
+        group._terms = terms
+        discounted = [discounted_reward(ir, t.n_steps, gamma)
+                      for ir, t in zip(irs, trajs)]
+        advs = rloo_advantages(discounted)
+        group.rewards = [
+            RewardRecord(float(ir), disc, float(adv), t.n_steps)
+            for ir, disc, adv, t in zip(irs, discounted, advs, trajs)
+        ]
+        groups.append(group)
+    return groups
 
 
 def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField],
@@ -338,13 +356,18 @@ def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField
     last_good = policy.copy()
 
     for outer in range(cfg.outer_steps):
-        groups = []
-        for g in range(n_groups):
-            pair = (outer * n_groups + g) % len(targets)
-            groups.append(
-                rollout_group(policy, fields[pair], targets[pair], sched,
-                              cfg.group_size, rng.child(outer, g), cfg.gamma)
-            )
+        # the groups sharing a (field, target) pair are rolled in one batch
+        groups = [None] * n_groups
+        for pair in range(len(targets)):
+            ids = [g for g in range(n_groups)
+                   if (outer * n_groups + g) % len(targets) == pair]
+            if not ids:
+                continue
+            rolled = _rollout_groups(policy, fields[pair], targets[pair], sched,
+                                     cfg.group_size,
+                                     [rng.child(outer, g) for g in ids], cfg.gamma)
+            for g, grp in zip(ids, rolled):
+                groups[g] = grp
         recs = [rec for grp in groups for rec in grp.rewards]
         mean_reward = float(np.mean([rec.discounted for rec in recs]))
         mean_ir = float(np.mean([rec.ir for rec in recs]))
@@ -388,11 +411,10 @@ def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField
 
 
 def write_metrics_csv(metrics: Sequence[MetricsRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n")
-        for row in metrics:
-            fh.write(f"{row.outer_step},{row.mean_reward!r},{row.mean_ir!r},"
-                     f"{row.mean_n!r},{row.mean_kl!r},{row.grad_norm!r}\n")
+    rows = "".join(f"{row.outer_step},{row.mean_reward!r},{row.mean_ir!r},"
+                   f"{row.mean_n!r},{row.mean_kl!r},{row.grad_norm!r}\n"
+                   for row in metrics)
+    write_atomic(path, "outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n" + rows)
 
 
 def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
@@ -416,8 +438,7 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
         x0 = target.sample(batch_size, rng)
         eps = rng.standard_normal((batch_size, d))
         v0 = velocity_field(eps, 1.0)
-        feats = np.stack([step_features(eps[i], v0[i], 1.0)
-                          for i in range(batch_size)])
+        feats = step_features(eps, v0, 1.0)
         raw, alpha, beta = tpm_params_batch(policy, feats)
         t1 = alpha / (alpha + beta)
         x1 = eps + (t1[:, None] - 1.0) * v0

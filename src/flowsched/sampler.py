@@ -1,9 +1,10 @@
-"""Euler sampling loops: policy-scheduled, fixed-schedule, and grid-quantized.
+"""One lockstep Euler loop for every schedule: policy-scheduled, grid-quantized,
+fixed uniform and fixed timeshifted.
 
-All schedules run from t=1 (noise) down to t=0 (data). The adaptive loop makes
-one velocity evaluation per step and reuses it for both the policy features
-and the Euler update, so the schedule policy adds only its own tiny forward
-pass per step.
+All schedules run from t=1 (noise) down to t=0 (data), every lane of a batch
+in the same loop (roll_lanes). An adaptive step makes one velocity
+evaluation per lane and reuses it for both the policy features and the Euler
+update, so the schedule policy adds only its own small forward pass.
 
 Termination: the Beta decay never reaches 0 exactly, so once a predicted time
 falls below t_min (or the step budget is hit) the sampler takes a forced final
@@ -18,6 +19,7 @@ array log-density path in rl (rollout_group, step_log_probs).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,7 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flow import VelocityField
-from .policy import TimePolicy, next_time, predict_decay, step_features
+from .nn import write_atomic
+from .policy import (TimePolicy, feature_length, next_time, predict_decay_batch,
+                     step_features)
 from .rng import RngStream
 
 MODES = ("adaptive", "fixed-uniform", "fixed-shifted", "discrete-adaptive")
@@ -98,22 +102,155 @@ def euler_step(x: np.ndarray, t_from: float, t_to: float,
     return x + (t_to - t_from) * velocity_field(x, t_from)
 
 
-def quantize_time(t: float, grid_size: int, t_prev_index: int) -> tuple[float, int]:
-    """Snap t to the nearest point of the grid {i/T}, forcing strict decrease.
+def quantize_times(t: np.ndarray, grid_size: int,
+                   prev_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Snap each t to the nearest point of the grid {i/T}, forcing strict decrease.
 
-    Index t_prev_index is the grid position of the previous time; landing at
-    or above it is pushed down one notch. Index 0 means the caller's next use
-    would need a time below the grid, which is a termination condition.
+    prev_index holds each lane's grid position of its previous time; landing
+    at or above it is pushed down one notch. A lane at index 0 would need a
+    time below the grid, which is a termination condition (GridExhausted).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
-    if t_prev_index == 0:
+    t = np.asarray(t, dtype=float)
+    prev_index = np.asarray(prev_index)
+    outside = (t < 0.0) | (t > 1.0)
+    if outside.any():
+        raise ValueError(f"t={float(t[outside][0])} outside [0, 1]")
+    if np.any(prev_index == 0):
         raise GridExhausted("time grid cannot decrease below index 0")
-    index = int(np.floor(t * grid_size + 0.5))
-    index = min(max(index, 0), grid_size)
-    if index >= t_prev_index:
-        index = t_prev_index - 1
+    index = np.clip(np.floor(t * grid_size + 0.5).astype(np.int64), 0, grid_size)
+    index = np.minimum(index, prev_index - 1)
     return index / grid_size, index
+
+
+def timeshift(t: float, shift: float) -> float:
+    """Timeshift map t -> shift*t / (1 + (shift-1)*t); identity at shift=1,
+    endpoint-preserving, pushes interior times toward 1 for shift > 1."""
+    return shift * t / (1.0 + (shift - 1.0) * t)
+
+
+def _time_table(cfg: ScheduleConfig) -> list[float]:
+    """The times a fixed schedule evaluates the field at, from 1 down to 0."""
+    n = cfg.fixed_n
+    times = [(n - k) / n for k in range(n + 1)]
+    if cfg.mode == "fixed-shifted":
+        times = [timeshift(t, cfg.shift) for t in times]
+    return times
+
+
+@dataclass
+class Lanes:
+    """n trajectories rolled in lockstep, padded with NaN. Lane i took
+    n_steps[i] Euler steps through times[i, :n_steps[i] + 1] and
+    states[i, :n_steps[i] + 1], and kept its first n_kept[i] predictions,
+    rates[i, :n_kept[i]] at features feats[i, :n_kept[i]] (None in fixed
+    modes)."""
+
+    times: np.ndarray
+    states: np.ndarray
+    n_steps: np.ndarray
+    n_kept: np.ndarray
+    rates: Optional[np.ndarray] = None
+    feats: Optional[np.ndarray] = None
+
+    @property
+    def finals(self) -> np.ndarray:
+        return self.states[np.arange(len(self.n_steps)), self.n_steps]
+
+    def trajectories(self) -> list[Trajectory]:
+        """One Trajectory per lane, over views of the padded paths."""
+        adaptive = self.rates is not None
+        return [Trajectory(self.times[i, :n + 1].tolist(), list(self.states[i, :n + 1]),
+                           self.rates[i, :p].tolist() if adaptive else [],
+                           list(self.feats[i, :p]) if adaptive else [])
+                for i, (n, p) in enumerate(zip(self.n_steps.tolist(),
+                                               self.n_kept.tolist()))]
+
+
+def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
+               streams: Optional[Sequence[RngStream]] = None,
+               noise: Optional[np.ndarray] = None,
+               policy: Optional[TimePolicy] = None,
+               deterministic: bool = False) -> Lanes:
+    """Roll one trajectory per lane from t=1 to t=0 in one lockstep Euler loop.
+
+    Every step makes one batched field forward over the lanes still running.
+    Adaptive modes add one batched policy forward and draw each lane's rate
+    from its own stream streams[i], in the order a lone trajectory would:
+    its initial noise when noise is None, then gamma(alpha), gamma(beta) per
+    prediction. The t_min forced jump, the grid and the step budget act as
+    masks, so a lane's draws and step count do not depend on the other lanes
+    (the batched matmuls can move the last bits). Fixed modes walk a time
+    table and draw nothing once noise is given.
+    """
+    d = velocity_field.d
+    fixed = cfg.mode.startswith("fixed")
+    if noise is None and streams is None:
+        raise ValueError("lanes need initial noise or one stream per lane")
+    if noise is None:
+        noise = np.array([s.standard_normal(d) for s in streams]).reshape(-1, d)
+    x = np.array(noise, dtype=float)
+    n = len(x)
+    if x.shape != (n, d):
+        raise ValueError(f"initial noise shape {x.shape} != ({n}, {d})")
+    if not fixed and policy is None:
+        raise ValueError(f"mode {cfg.mode!r} needs a policy")
+    if not (fixed or deterministic) and (streams is None or len(streams) != n):
+        raise ValueError("stochastic adaptive lanes need one stream per lane")
+    table = _time_table(cfg) if fixed else None
+    budget = cfg.fixed_n if fixed else cfg.n_max
+    lanes = Lanes(np.full((n, budget + 1), np.nan), np.full((n, budget + 1, d), np.nan),
+                  np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    lanes.times[:, 0], lanes.states[:, 0] = 1.0, x
+    if not fixed:
+        lanes.rates = np.full((n, budget), np.nan)
+        lanes.feats = np.full((n, budget, feature_length(d)), np.nan)
+
+    # the running lanes: their ids, states, times, grid indices and streams
+    idx = np.arange(n)
+    t = np.full(n, table[0] if fixed else 1.0)
+    grid = np.full(n, cfg.grid_size)
+    live_streams = streams
+    for k in range(budget):
+        v = velocity_field(x, t)
+        _check_finite(v, "velocity field produced a non-finite value at t={}", t)
+        if fixed:
+            t_next = np.full(len(idx), table[k + 1])
+        elif k == cfg.n_max - 1:
+            t_next = np.zeros(len(idx))  # the budget's last step, no policy
+        else:
+            feats = step_features(x, v, t)
+            r = predict_decay_batch(policy, feats, live_streams, deterministic)
+            t_next = next_time(t, r)
+            if cfg.mode == "discrete-adaptive":
+                t_next, grid = quantize_times(t_next, cfg.grid_size, grid)
+            # a prediction landing in (0, t_min) is dropped for a forced jump
+            # to 0; the rest are kept, including a grid prediction that lands
+            # exactly on 0
+            kept = ~((0.0 < t_next) & (t_next < cfg.t_min))
+            t_next[~kept] = 0.0
+            lanes.n_kept[idx[kept]] += 1
+            lanes.rates[idx[kept], k] = r[kept]
+            lanes.feats[idx[kept], k] = feats[kept]
+        x = x + (t_next - t)[:, None] * v
+        _check_finite(x, f"sampler produced a non-finite state at t={{}} after {k + 1} steps",
+                      t_next)
+        lanes.times[idx, k + 1] = t_next
+        lanes.states[idx, k + 1] = x
+        live = t_next > 0.0
+        lanes.n_steps[idx[~live]] = k + 1
+        if not live.any():
+            break
+        idx, x, t, grid = idx[live], x[live], t_next[live], grid[live]
+        if live_streams is not None:
+            live_streams = [s for s, keep in zip(live_streams, live) if keep]
+    return lanes
+
+
+def _check_finite(a: np.ndarray, message: str, t: np.ndarray) -> None:
+    """Raise RuntimeError naming the time of the first lane with a non-finite row."""
+    bad = ~np.all(np.isfinite(a), axis=1)
+    if bad.any():
+        raise RuntimeError(message.format(float(t[bad][0])))
 
 
 def sample_adaptive(policy: TimePolicy, velocity_field: VelocityField,
@@ -123,40 +260,9 @@ def sample_adaptive(policy: TimePolicy, velocity_field: VelocityField,
     """Roll one trajectory under the decay policy (continuous or grid mode)."""
     if cfg.mode not in ("adaptive", "discrete-adaptive"):
         raise ValueError(f"sample_adaptive needs an adaptive mode, got {cfg.mode!r}")
-    d = velocity_field.d
-    discrete = cfg.mode == "discrete-adaptive"
-    x = (np.asarray(initial_noise, dtype=float).copy() if initial_noise is not None
-         else rng.standard_normal(d))
-    if x.shape != (d,):
-        raise ValueError(f"initial noise shape {x.shape} != ({d},)")
-    traj = Trajectory([1.0], [x], [], [])
-    t_prev = 1.0
-    prev_index = cfg.grid_size
-    while t_prev > 0.0:
-        v = velocity_field(x, t_prev)
-        if not np.all(np.isfinite(v)):
-            raise RuntimeError(
-                f"velocity field produced a non-finite value at t={t_prev}"
-            )
-        t_next = 0.0  # the budget's last step jumps to 0 without the policy
-        if traj.n_steps < cfg.n_max - 1:
-            feats = step_features(x, v, t_prev)
-            r = predict_decay(policy, feats, rng, deterministic)
-            t_next = next_time(t_prev, r)
-            if discrete:
-                t_next, prev_index = quantize_time(t_next, cfg.grid_size, prev_index)
-            if 0.0 < t_next < cfg.t_min:
-                # discard the triggering prediction and take the forced jump
-                t_next = 0.0
-            else:
-                # kept, including a grid prediction that lands exactly on 0
-                traj.decay_rates.append(r)
-                traj.features.append(feats)
-        x = x + (t_next - t_prev) * v
-        _append_state(traj, t_next, x)
-        t_prev = t_next
-    traj.validate()
-    return traj
+    noise = None if initial_noise is None else np.asarray(initial_noise, dtype=float)[None]
+    return roll_lanes(velocity_field, cfg, [rng], noise, policy,
+                      deterministic).trajectories()[0]
 
 
 def sample_fixed(velocity_field: VelocityField, cfg: ScheduleConfig,
@@ -165,56 +271,24 @@ def sample_fixed(velocity_field: VelocityField, cfg: ScheduleConfig,
     """Fixed N-step baseline, uniform or timeshifted."""
     if cfg.mode not in ("fixed-uniform", "fixed-shifted"):
         raise ValueError(f"sample_fixed needs a fixed mode, got {cfg.mode!r}")
-    d = velocity_field.d
-    n = cfg.fixed_n
-    x = (np.asarray(initial_noise, dtype=float).copy() if initial_noise is not None
-         else rng.standard_normal(d))
-    times = [(n - k) / n for k in range(n + 1)]
-    if cfg.mode == "fixed-shifted":
-        times = [timeshift(t, cfg.shift) for t in times]
-    traj = Trajectory([1.0], [x], [], [])
-    for t_from, t_to in zip(times, times[1:]):
-        x = x + (t_to - t_from) * velocity_field(x, t_from)
-        _append_state(traj, t_to, x)
-    traj.validate()
-    return traj
-
-
-def timeshift(t: float, shift: float) -> float:
-    """Timeshift map t -> shift*t / (1 + (shift-1)*t); identity at shift=1,
-    endpoint-preserving, pushes interior times toward 1 for shift > 1."""
-    return shift * t / (1.0 + (shift - 1.0) * t)
-
-
-def _append_state(traj: Trajectory, t: float, x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError(
-            f"sampler produced a non-finite state at t={t} after {traj.n_steps + 1} steps"
-        )
-    traj.times.append(t)
-    traj.states.append(x)
+    noise = None if initial_noise is None else np.asarray(initial_noise, dtype=float)[None]
+    return roll_lanes(velocity_field, cfg, [rng], noise).trajectories()[0]
 
 
 def rollout_batch(policy: TimePolicy, velocity_field: VelocityField,
                   cfg: ScheduleConfig, rng: RngStream, n: int,
                   deterministic: bool = False) -> list[Trajectory]:
     """n independent adaptive rollouts, one child stream per trajectory."""
-    return [
-        sample_adaptive(policy, velocity_field, cfg, rng.child(i),
-                        deterministic=deterministic)
-        for i in range(n)
-    ]
+    return roll_lanes(velocity_field, cfg, [rng.child(i) for i in range(n)],
+                      policy=policy, deterministic=deterministic).trajectories()
 
 
 def transport_uniform(velocity_field: VelocityField, n_samples: int,
                       n_steps: int, rng: RngStream) -> np.ndarray:
-    """Vectorized uniform-schedule Euler transport of a noise batch to t=0."""
-    x = rng.standard_normal((n_samples, velocity_field.d))
-    for k in range(n_steps):
-        t_from = (n_steps - k) / n_steps
-        t_to = (n_steps - k - 1) / n_steps
-        x = x + (t_to - t_from) * velocity_field(x, t_from)
-    return x
+    """Uniform-schedule Euler transport of a noise batch to t=0."""
+    noise = rng.standard_normal((n_samples, velocity_field.d))
+    cfg = ScheduleConfig(mode="fixed-uniform", fixed_n=n_steps)
+    return roll_lanes(velocity_field, cfg, noise=noise).finals
 
 
 def trajectory_to_csv(traj: Trajectory, log_probs: Sequence[float],
@@ -226,15 +300,15 @@ def trajectory_to_csv(traj: Trajectory, log_probs: Sequence[float],
         raise ValueError(f"{len(log_probs)} log-probs for "
                          f"{len(traj.decay_rates)} predictions")
     d = traj.states[0].shape[0]
-    header = ["step", "t"] + [f"x{i}" for i in range(d)] + ["r", "log_prob"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, (t, x) in enumerate(zip(traj.times, traj.states)):
-            has_pred = 1 <= k <= len(traj.decay_rates)
-            writer.writerow(
-                [k, repr(t)]
-                + [repr(float(c)) for c in x]
-                + ([repr(traj.decay_rates[k - 1]), repr(float(log_probs[k - 1]))]
-                   if has_pred else ["", ""])
-            )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["step", "t"] + [f"x{i}" for i in range(d)] + ["r", "log_prob"])
+    for k, (t, x) in enumerate(zip(traj.times, traj.states)):
+        has_pred = 1 <= k <= len(traj.decay_rates)
+        writer.writerow(
+            [k, repr(t)]
+            + [repr(float(c)) for c in x]
+            + ([repr(traj.decay_rates[k - 1]), repr(float(log_probs[k - 1]))]
+               if has_pred else ["", ""])
+        )
+    write_atomic(path, buf.getvalue())

@@ -22,7 +22,7 @@ from flowsched.config import DESK_RL
 from flowsched.flow import (VelocityField, fm_loss, make_velocity_net,
                             single_gaussian_target, standard_normal_target)
 from flowsched.nn import DenseNet
-from flowsched.policy import (init_policy, log_pdf_grad_wrt_raw, raw_to_shape,
+from flowsched.policy import (init_policy, raw_to_shape,
                               step_features, tpm_params_batch)
 from flowsched.rl import (RLConfig, discounted_reward, ppo_loss,
                           rloo_advantages, rollout_group, train_naive_two_step,
@@ -32,6 +32,8 @@ from flowsched.sampler import (ScheduleConfig, rollout_batch,
                                transport_uniform)
 from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf,
                                     digamma, log_gamma)
+
+from beta_reference import log_pdf_grad_wrt_raw
 
 SEED = 20240801
 

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from flowsched.nn import DenseNet, save_checkpoint
 from flowsched.policy import (FEATURE_LAYOUT, RAW_PARAM_CLAMP, TimePolicy,
                               feature_length, init_policy, load_policy,
-                              log_pdf_grad_wrt_raw, next_time, predict_decay,
-                              raw_to_shape, save_policy, shape_grad_wrt_raw,
-                              step_features, tpm_params_batch)
+                              next_time, predict_decay, raw_to_shape, save_policy,
+                              shape_grad_wrt_raw, step_features, tpm_params_batch)
 from flowsched.rng import RngStream
 from flowsched.special_math import BetaParams, beta_log_pdf, beta_sample
+
+from beta_reference import log_pdf_grad_wrt_raw
 
 
 def beta_params_at(policy: TimePolicy, feats: np.ndarray) -> BetaParams:

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowsched.flow import VelocityField, ref_log_density, standard_normal_target
+from flowsched.flow import (VelocityField, ref_log_density, ring_mixture_target,
+                            standard_normal_target)
 from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy,
-                              log_pdf_grad_wrt_raw, raw_to_shape, tpm_params_batch)
+                              raw_to_shape, tpm_params_batch)
 from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig,
-                          RolloutGroup, discounted_reward, ppo_loss,
+                          RolloutGroup, _rollout_groups, discounted_reward, ppo_loss,
                           rloo_advantages, rollout_group, step_log_probs,
                           toy_reward, train_naive_two_step, train_tpm,
                           traj_log_prob, write_metrics_csv)
@@ -22,6 +23,8 @@ from flowsched.sampler import (ScheduleConfig, Trajectory, sample_adaptive,
                                sample_fixed)
 from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf, digamma,
                                     log_gamma)
+
+from beta_reference import log_pdf_grad_wrt_raw
 
 STD2 = standard_normal_target(2)
 
@@ -54,6 +57,18 @@ def test_toy_reward_typical_shell_is_zero():
 
 def test_toy_reward_far_tail_clamps():
     assert toy_reward(np.array([10.0, 10.0]), STD2) == IR_CLAMP
+
+
+@pytest.mark.parametrize("target", [ring_mixture_target(4), STD2],
+                         ids=["ring4", "standard_normal"])
+def test_toy_reward_batch_equals_per_sample(target):
+    # spread wide enough that the far tail reaches the clamp
+    pts = 3.0 * RngStream(63, 0).standard_normal((2000, 2))
+    batch = toy_reward(pts, target)
+    assert batch.shape == (2000,) and np.any(batch == IR_CLAMP)
+    assert batch.tolist() == [toy_reward(p, target) for p in pts]
+    with pytest.raises(ValueError, match="non-finite"):
+        toy_reward(np.vstack([pts[:3], [[np.inf, 0.0]]]), target)
 
 
 def test_toy_reward_rejects_non_finite():
@@ -353,6 +368,40 @@ def test_first_epoch_importance_ratio_is_exactly_one():
     assert len(ratios) == 256 and all(r == 1.0 for r in ratios)
 
 
+def test_batched_groups_match_single_group_rollouts():
+    # train_tpm rolls all groups of a field in one lane batch: same draws and
+    # step counts as one group at a time, and still an epoch-0 ratio of 1
+    policy = small_policy(49, jitter=0.05)
+    streams = [RngStream(49, 2).child(g) for g in range(6)]
+    batched = _rollout_groups(policy, oracle_field(), STD2, ScheduleConfig(), 4,
+                              streams, 0.95)
+    cfg = RLConfig(kl_weight=0.0, clip=0.0)
+    for g, group in enumerate(batched):
+        alone = rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), 4,
+                              RngStream(49, 2).child(g), 0.95)
+        assert np.array_equal(group.initial_noise, alone.initial_noise)
+        assert ([r.n_steps for r in group.rewards]
+                == [r.n_steps for r in alone.rewards])
+        for a, b in zip(group.trajectories, alone.trajectories):
+            np.testing.assert_allclose(a.decay_rates, b.decay_rates, rtol=1e-12)
+        np.testing.assert_allclose(group.old_log_probs, alone.old_log_probs,
+                                   rtol=1e-12)
+        for i in range(4):
+            for j, rec in enumerate(group.rewards):
+                rec.advantage = float(i == j)
+            assert -4 * ppo_loss(policy, policy, group, cfg).loss == 1.0
+
+
+def test_ppo_loss_rejects_replaced_trajectories():
+    # the cached stack belongs to the list it was built from; scoring it
+    # against another list's advantages would be silently wrong
+    policy = small_policy(50, jitter=0.05)
+    group = make_group(policy, 50)
+    group.trajectories = list(group.trajectories)
+    with pytest.raises(ValueError, match="build a new RolloutGroup"):
+        ppo_loss(policy, policy, group, RLConfig())
+
+
 def test_ppo_loss_requires_advantages():
     policy = small_policy(47)
     traj = [sample_adaptive(policy, oracle_field(), ScheduleConfig(),
@@ -594,6 +643,23 @@ def test_write_metrics_csv_layout(tmp_path):
     assert lines[0] == "outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm"
     assert lines[1] == "0,0.5,0.25,12.0,0.01,1.5"
     assert len(lines) == 3
+
+
+def test_write_metrics_csv_is_atomic(tmp_path, monkeypatch):
+    import flowsched.nn as nn
+
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv([MetricsRow(0, 0.5, 0.25, 12.0, 0.01, 1.5)], path)
+    before = path.read_bytes()
+
+    def killed(src, dst):
+        raise KeyboardInterrupt  # the run dies between the write and the rename
+
+    monkeypatch.setattr(nn.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        write_metrics_csv([MetricsRow(1, 0.6, 0.3, 11.0, 0.02, 0.5)] * 3, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
 # ------------------------------------------------------------- naive baseline

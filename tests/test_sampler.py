@@ -11,9 +11,9 @@ from flowsched.policy import (TimePolicy, feature_length, init_policy,
 from flowsched.rl import step_log_probs
 from flowsched.rng import RngStream
 from flowsched.sampler import (GridExhausted, ScheduleConfig, Trajectory,
-                               euler_step, quantize_time, rollout_batch,
-                               sample_adaptive, sample_fixed, timeshift,
-                               trajectory_to_csv, transport_uniform)
+                               euler_step, quantize_times, roll_lanes,
+                               rollout_batch, sample_adaptive, sample_fixed,
+                               timeshift, trajectory_to_csv, transport_uniform)
 from flowsched.special_math import beta_log_pdf
 
 
@@ -185,13 +185,17 @@ def test_sample_fixed_shifted_times_follow_map():
 
 
 def test_quantize_time_examples():
-    assert quantize_time(0.5004, 1000, 1000) == (0.5, 500)
-    assert quantize_time(0.9996, 1000, 1000) == (0.999, 999)
-    assert quantize_time(0.0004, 1000, 500) == (0.0, 0)
-    with pytest.raises(GridExhausted):
-        quantize_time(0.3, 1000, 0)
+    t, index = quantize_times(np.array([0.5004, 0.9996, 0.0004]), 1000,
+                              np.array([1000, 1000, 500]))
+    assert t.tolist() == [0.5, 0.999, 0.0] and index.tolist() == [500, 999, 0]
     with pytest.raises(ValueError):
-        quantize_time(1.4, 1000, 900)
+        quantize_times(np.array([0.5, 1.4]), 1000, np.array([900, 900]))
+
+
+def test_batched_grid_mask_raises_grid_exhausted():
+    # one lane already at grid index 0 cannot take another step
+    with pytest.raises(GridExhausted):
+        quantize_times(np.array([0.3, 0.2]), 1000, np.array([500, 0]))
 
 
 def test_discrete_mode_terminates_by_prediction_at_grid_zero():
@@ -252,6 +256,77 @@ def test_sampler_aborts_on_non_finite_state():
     policy = init_policy(2, 0.7, RngStream(12, 1))
     with pytest.raises(RuntimeError, match="non-finite"):
         sample_adaptive(policy, bad_field, ScheduleConfig(), RngStream(12, 2))
+
+
+# ------------------------------------------------------------ lane batches
+
+
+def jittered_policy(seed: int) -> TimePolicy:
+    policy = init_policy(2, 0.75, RngStream(seed, 0), hidden=(8,))
+    policy.net.weights[-1] = 0.3 * RngStream(seed, 1).standard_normal((2, 8))
+    return policy
+
+
+def roll_in_chunks(size, field, cfg, policy, deterministic, seed, n=23):
+    """Roll n lanes from fresh child streams, size lanes per roll_lanes call."""
+    streams = [RngStream(seed, 2).child(i) for i in range(n)]
+    parts = [roll_lanes(field, cfg, streams[i:i + size], policy=policy,
+                        deterministic=deterministic)
+             for i in range(0, n, size)]
+    return {key: np.concatenate([getattr(p, key) for p in parts])
+            for key in ("n_steps", "n_kept", "rates", "states", "times")}
+
+
+@pytest.mark.parametrize("mode, deterministic", [
+    ("adaptive", False), ("adaptive", True), ("discrete-adaptive", False)])
+def test_lane_chunks_do_not_change_draws_or_step_counts(mode, deterministic):
+    # a learned field and a hidden-layer policy, so the batched matmuls run
+    field = VelocityField("learned", net=make_velocity_net(2, (16,), RngStream(15, 0)))
+    policy = jittered_policy(15)
+    cfg = ScheduleConfig(mode=mode, n_max=30)
+    alone, sevens, whole = (roll_in_chunks(size, field, cfg, policy, deterministic, 15)
+                            for size in (1, 7, 23))
+    for other in (sevens, whole):
+        assert np.array_equal(alone["n_steps"], other["n_steps"])
+        assert np.array_equal(alone["n_kept"], other["n_kept"])
+        for key in ("rates", "states", "times"):
+            np.testing.assert_allclose(alone[key], other[key], rtol=1e-12, atol=1e-12)
+    assert len(set(alone["n_steps"].tolist())) > 1  # lanes finish at different steps
+
+
+@pytest.mark.parametrize("mode", ["fixed-uniform", "fixed-shifted"])
+def test_fixed_modes_with_given_noise_draw_nothing(mode):
+    streams = [RngStream(16, 1).child(i) for i in range(5)]
+    noise = RngStream(16, 0).standard_normal((5, 2))
+    lanes = roll_lanes(oracle_field(), ScheduleConfig(mode=mode, fixed_n=6),
+                       streams, noise)
+    assert lanes.n_steps.tolist() == [6] * 5 and lanes.rates is None
+    for i, stream in enumerate(streams):
+        assert stream.standard_normal() == RngStream(16, 1).child(i).standard_normal()
+
+
+def test_non_finite_velocity_in_one_lane_names_its_time():
+    class NanForFarLanes:
+        """The oracle, except non-finite below t = 0.3 for states beyond |x0| = 10."""
+        d = 2
+
+        def __call__(self, x, t):
+            v = oracle_field()(x, t)
+            v[(np.abs(x[:, 0]) > 10.0) & (t < 0.3)] = np.nan
+            return v
+
+    def streams():
+        return [RngStream(17, 1).child(i) for i in range(4)]
+
+    noise = RngStream(17, 0).standard_normal((4, 2))
+    noise[2, 0] = 100.0
+    policy = constant_output_policy(2, 0.0, 0.0)
+    with pytest.raises(RuntimeError, match="non-finite value at t=") as alone:
+        roll_lanes(NanForFarLanes(), ScheduleConfig(), streams()[2:3], noise[2:3], policy)
+    # the lanes run in lockstep, but the message names lane 2's own time
+    with pytest.raises(RuntimeError) as batched:
+        roll_lanes(NanForFarLanes(), ScheduleConfig(), streams(), noise, policy)
+    assert str(batched.value) == str(alone.value)
 
 
 def test_trajectory_validate_rules():
