@@ -121,6 +121,7 @@ def ring_mixture_target(n_components: int, radius: float = 2.0,
 _REF_LOG_DENSITY_CACHE: dict[bytes, float] = {}
 _REF_MC_SAMPLES = 100_000
 _REF_MC_SEED = 961748941
+_REF_BLOCK_ROWS = 8192
 
 
 def ref_log_density(target: TargetSpec) -> float:
@@ -139,7 +140,11 @@ def ref_log_density(target: TargetSpec) -> float:
             digest = hashlib.blake2b(key, digest_size=8).digest()
             rng = RngStream(_REF_MC_SEED, int.from_bytes(digest, "little"))
             pts = target.sample(_REF_MC_SAMPLES, rng)
-            val = float(np.mean(target.log_density(pts)))
+            # in row blocks, so the (rows, K, d) intermediates stay small;
+            # every row's value, and so the mean, is unchanged by blocking
+            val = float(np.mean(np.concatenate([
+                target.log_density(pts[i:i + _REF_BLOCK_ROWS])
+                for i in range(0, _REF_MC_SAMPLES, _REF_BLOCK_ROWS)])))
         _REF_LOG_DENSITY_CACHE[key] = float(val)
     return _REF_LOG_DENSITY_CACHE[key]
 
@@ -246,14 +251,14 @@ class VelocityField:
             u, c, du_dt = _oracle_velocity_time_grad(x, float(t), self.target)
             return u, c * g, float(g @ du_dt)
         inp = np.concatenate([x, [float(t)]])
-        v = self.net.forward(inp)
-        _, input_grad = self.net.backward(inp, g)
-        return v, input_grad[:-1], float(input_grad[-1])
+        acts = self.net.forward_acts(inp)
+        _, input_grad = self.net.backward(inp, g, acts)
+        return acts[-1][0], input_grad[:-1], float(input_grad[-1])
 
 
 def fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
-            t: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Conditional flow-matching loss and its parameter gradients.
+            t: np.ndarray) -> tuple[float, np.ndarray]:
+    """Conditional flow-matching loss and its gradient, laid out like theta.
 
     loss = mean over the batch of ||v(x_t, t) - (eps - x0)||^2.
     """
@@ -268,11 +273,11 @@ def fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
     xt = interpolate(x0, eps, t)
     u = eps - x0
     inp = np.concatenate([xt, t[:, None]], axis=1)
-    v = field.net.forward(inp)
-    resid = v - u
+    acts = field.net.forward_acts(inp)
+    resid = acts[-1] - u
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
-    grads, _ = field.net.backward(inp, 2.0 * resid / n)
-    return loss, grads
+    grad, _ = field.net.backward(inp, 2.0 * resid / n, acts)
+    return loss, grad
 
 
 def eval_fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
@@ -295,19 +300,17 @@ def train_flow(field: VelocityField, target: TargetSpec, steps: int,
     """
     if field.kind != "learned":
         raise ValueError("train_flow needs a learned field")
-    d = field.d
-    params = field.net.parameters()
-    state = OptimizerState.for_params(params, lr=lr)
+    d, net = field.d, field.net
+    state = OptimizerState.for_params([net.theta], lr=lr)
     losses = np.zeros(steps)
     for step in range(steps):
         x0 = target.sample(batch_size, rng)
         eps = rng.standard_normal((batch_size, d))
         t = rng.uniform(size=batch_size)
-        loss, grads = fm_loss(field, x0, eps, t)
+        loss, grad = fm_loss(field, x0, eps, t)
         if not np.isfinite(loss):
             raise RuntimeError(f"flow training diverged at step {step}: loss={loss}")
-        params, state = adamw_step(params, grads, state)
-        field.net.set_parameters(params)
+        [net.theta], state = adamw_step([net.theta], [grad], state)
         losses[step] = loss
     return field, losses
 

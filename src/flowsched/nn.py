@@ -11,8 +11,9 @@ from __future__ import annotations
 import io
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,22 +23,42 @@ CHECKPOINT_MAGIC = b"FSNET\x00"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+def _param_count(sizes: list[int]) -> int:
+    """Parameters of a net with these layer sizes; ValueError if invalid."""
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ValueError(f"invalid layer sizes {sizes}")
+    return sum((i + 1) * o for i, o in zip(sizes, sizes[1:]))
+
+
 class DenseNet:
-    """Fully connected tanh network. weights[i] has shape (fan_out, fan_in)."""
+    """Fully connected tanh network. weights[i] has shape (fan_out, fan_in).
 
-    sizes: list[int]
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
+    All parameters live in one float64 vector theta, laid out as the
+    checkpoint payload: per layer, W row-major, then b. weights, biases and
+    parameters() are views into theta, so writes to a layer go in place
+    (net.weights[0][...] = w); rebinding a layer raises TypeError.
+    """
 
-    def __post_init__(self):
-        if len(self.sizes) < 2 or any(s < 1 for s in self.sizes):
-            raise ValueError(f"invalid layer sizes {self.sizes}")
-        if not self.weights:
-            self.weights = [
-                np.zeros((o, i), dtype=float) for i, o in zip(self.sizes, self.sizes[1:])
-            ]
-            self.biases = [np.zeros(o, dtype=float) for o in self.sizes[1:]]
+    def __init__(self, sizes: list[int], weights: Optional[Sequence[np.ndarray]] = None,
+                 biases: Optional[Sequence[np.ndarray]] = None):
+        self.sizes = list(sizes)
+        self.theta = np.zeros(_param_count(self.sizes))
+        if weights is None and biases is None:
+            return
+        n_layers = len(self.sizes) - 1
+        for name, given, views in (("weight", weights, self._weights),
+                                   ("bias", biases, self._biases)):
+            given = [] if given is None else list(given)
+            if len(given) < n_layers:
+                raise ValueError(f"layer {len(given)}: {name} missing (sizes {self.sizes})")
+            if len(given) > n_layers:
+                raise ValueError(f"layer {n_layers}: {name} given, but sizes {self.sizes} "
+                                 f"have {n_layers} layers")
+            for k, (arr, view) in enumerate(zip(given, views)):
+                if np.shape(arr) != view.shape:
+                    raise ValueError(f"layer {k}: {name} shape {np.shape(arr)}, "
+                                     f"expected {view.shape}")
+                view[...] = arr
 
     @classmethod
     def init_random(cls, sizes: list[int], rng: RngStream) -> "DenseNet":
@@ -45,74 +66,113 @@ class DenseNet:
         net = cls(sizes)
         for k, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
             scale = 1.0 / np.sqrt(fan_in)
-            net.weights[k] = rng.standard_normal((fan_out, fan_in)) * scale
+            net.weights[k][...] = rng.standard_normal((fan_out, fan_in)) * scale
         return net
 
     @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    def theta(self) -> np.ndarray:
+        """The parameter vector. Assigning binds the given float64 vector
+        (not a copy) and fresh layer views into it."""
+        return self._theta
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat list [W0, b0, W1, b1, ...]; order matches gradients()."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
+    @theta.setter
+    def theta(self, value: np.ndarray) -> None:
+        theta = np.ascontiguousarray(value, dtype=float)
+        if theta.shape != (_param_count(self.sizes),):
+            raise ValueError(f"theta shape {theta.shape} does not match sizes {self.sizes}")
+        self._theta = theta
+        self._params = self.unflatten(theta)
+        self._weights = tuple(self._params[0::2])
+        self._biases = tuple(self._params[1::2])
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._weights
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._biases
+
+    @property
+    def n_params(self) -> int:
+        return self._theta.size
+
+    def unflatten(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views [W0, b0, W1, b1, ...] of a vector laid out like theta."""
+        out, off = [], 0
+        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
+            out.append(flat[off:off + fan_out * fan_in].reshape(fan_out, fan_in))
+            off += fan_out * fan_in
+            out.append(flat[off:off + fan_out])
+            off += fan_out
         return out
 
+    def parameters(self) -> list[np.ndarray]:
+        """Views [W0, b0, W1, b1, ...] of theta; the same array objects until
+        theta is rebound, so callers may key caches on their identity."""
+        return list(self._params)
+
     def set_parameters(self, params: list[np.ndarray]) -> None:
-        for k in range(len(self.weights)):
-            self.weights[k] = params[2 * k]
-            self.biases[k] = params[2 * k + 1]
+        """Bind a fresh theta holding params, given in parameters() order."""
+        if [np.shape(p) for p in params] != [p.shape for p in self._params]:
+            raise ValueError(f"parameter shapes do not match sizes {self.sizes}")
+        self.theta = np.concatenate([np.ravel(p) for p in params])
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            list(self.sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        net = DenseNet(self.sizes)
+        net.theta = self._theta.copy()
+        return net
+
+    def forward_acts(self, x: np.ndarray) -> list[np.ndarray]:
+        """Activations [input, hidden..., output] of forward, each (batch, width)
+        even for a single input (fan_in,); backward can reuse them."""
+        a = self._check_input(x)
+        acts = [a]
+        last = len(self._weights) - 1
+        for k, (w, b) in enumerate(zip(self._weights, self._biases)):
+            a = a @ w.T
+            a += b
+            if k != last:
+                np.tanh(a, out=a)
+            acts.append(a)
+        return acts
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the network. x is (fan_in,) or (batch, fan_in)."""
-        a = self._check_input(x)
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T + b
-            if k != last:
-                a = np.tanh(a)
-        return a if x.ndim > 1 else a[0]
+        out = self.forward_acts(x)[-1]
+        return out if np.ndim(x) > 1 else out[0]
 
-    def backward(self, x: np.ndarray, output_grad: np.ndarray):
+    def backward(self, x: np.ndarray, output_grad: np.ndarray,
+                 acts: Optional[list[np.ndarray]] = None):
         """Exact reverse-mode gradients of forward.
 
-        Returns (param_grads, input_grad) where param_grads matches
-        parameters() in order and shape. Batched inputs sum parameter
-        gradients over the batch.
+        Returns (grad, input_grad) where grad is laid out like theta (views
+        by unflatten). Batched inputs sum parameter gradients over the batch.
+        acts, when given, must be forward_acts(x) at the current theta; the
+        forward pass is then not repeated.
         """
-        a = self._check_input(x)
+        if acts is None:
+            acts = self.forward_acts(x)
         out_g = np.asarray(output_grad, dtype=float)
         if out_g.ndim == 1:
             out_g = out_g[None, :]
-        if out_g.shape != (a.shape[0], self.sizes[-1]):
+        if out_g.shape != (acts[0].shape[0], self.sizes[-1]):
             raise ValueError(
                 f"output_grad shape {output_grad.shape} does not match output size {self.sizes[-1]}"
             )
-        acts = [a]
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T + b
-            if k != last:
-                a = np.tanh(a)
-            acts.append(a)
-        grads: list[np.ndarray | None] = [None] * (2 * len(self.weights))
+        grad = np.empty(self.n_params)
+        views = self.unflatten(grad)
         delta = out_g
-        for k in range(last, -1, -1):
-            grads[2 * k] = delta.T @ acts[k]
-            grads[2 * k + 1] = delta.sum(axis=0)
-            delta = delta @ self.weights[k]
+        for k in range(len(self._weights) - 1, -1, -1):
+            np.matmul(delta.T, acts[k], out=views[2 * k])
+            np.sum(delta, axis=0, out=views[2 * k + 1])
+            delta = delta @ self._weights[k]
             if k > 0:
-                delta = delta * (1.0 - acts[k] ** 2)  # tanh'
-        input_grad = delta if np.asarray(x).ndim > 1 else delta[0]
-        return grads, input_grad
+                tanh_grad = acts[k] ** 2
+                np.subtract(1.0, tanh_grad, out=tanh_grad)
+                delta *= tanh_grad
+        input_grad = delta if np.ndim(x) > 1 else delta[0]
+        return grad, input_grad
 
     def _check_input(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=float)
@@ -185,23 +245,26 @@ def global_norm(grads: list[np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
+    """Scale all gradients in place so their joint L2 norm is at most
+    max_norm; returns the norm before clipping. Per-layer views of one flat
+    gradient (DenseNet.unflatten) clip that gradient."""
     if max_norm <= 0.0:
         raise ValueError("max_norm must be positive")
     norm = global_norm(grads)
-    if norm <= max_norm:
-        return [g.copy() for g in grads]
-    scale = max_norm / norm
-    return [g * scale for g in grads]
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads:
+            g *= scale
+    return norm
 
 
 def save_checkpoint(net: DenseNet, path: str | Path, extra_header: bytes = b"") -> None:
     """Write the documented binary checkpoint format.
 
     Layout: magic, u32 version, u32 header length + header bytes,
-    u32 layer count, u32 layer sizes, then per layer the weight matrix
-    (row-major) and bias vector as little-endian float64.
+    u32 layer count, u32 layer sizes, then theta (per layer the weight
+    matrix, row-major, and the bias vector) as little-endian float64.
     """
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -211,9 +274,7 @@ def save_checkpoint(net: DenseNet, path: str | Path, extra_header: bytes = b"") 
     buf.write(struct.pack("<I", len(net.sizes)))
     for s in net.sizes:
         buf.write(struct.pack("<I", s))
-    for w, b in zip(net.weights, net.biases):
-        buf.write(w.astype("<f8").tobytes(order="C"))
-        buf.write(b.astype("<f8").tobytes(order="C"))
+    buf.write(net.theta.astype("<f8").tobytes())
     write_atomic(path, buf.getvalue())
 
 
@@ -256,14 +317,13 @@ def load_checkpoint(path: str | Path) -> tuple[DenseNet, bytes]:
     n_layers, = struct.unpack("<I", take(4))
     sizes = list(struct.unpack(f"<{n_layers}I", take(4 * n_layers)))
     try:
-        net = DenseNet(sizes)
+        n_params = _param_count(sizes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    for k, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        w = np.frombuffer(take(8 * fan_in * fan_out), dtype="<f8")
-        b = np.frombuffer(take(8 * fan_out), dtype="<f8")
-        net.weights[k] = w.reshape(fan_out, fan_in).astype(float)
-        net.biases[k] = b.astype(float)
+    # checked against the bytes left before anything of that size is allocated
+    theta = np.frombuffer(take(8 * n_params), dtype="<f8").astype(float)
     if off != len(raw):
         raise ValueError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
+    net = DenseNet(sizes)
+    net.theta = theta
     return net, header

@@ -72,11 +72,14 @@ def shape_grad_wrt_raw(raw: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(np.clip(raw, -RAW_PARAM_CLAMP, RAW_PARAM_CLAMP)), 0.0)
 
 
-def tpm_params_batch(policy: TimePolicy, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (raw, alpha, beta) over a feature matrix (n, 2d+2)."""
-    raw = policy.net.forward(feats)
+def tpm_params_batch(policy: TimePolicy, feats: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Vectorized (raw, alpha, beta, acts) over a feature matrix (n, 2d+2);
+    acts are the net's activations, for a backward pass from raw."""
+    acts = policy.net.forward_acts(feats)
+    raw = acts[-1]
     ab = raw_to_shape(raw)
-    return raw, ab[:, 0], ab[:, 1]
+    return raw, ab[:, 0], ab[:, 1], acts
 
 
 def predict_decay_batch(policy: TimePolicy, feats: np.ndarray,
@@ -84,7 +87,7 @@ def predict_decay_batch(policy: TimePolicy, feats: np.ndarray,
                         deterministic: bool = False) -> np.ndarray:
     """Decay rate at each row of feats (n, 2d+2): the Beta mode, or a draw
     from stream rngs[i] for row i; rl scores it later from the features."""
-    _, alpha, beta = tpm_params_batch(policy, feats)
+    _, alpha, beta, _ = tpm_params_batch(policy, feats)
     if not np.all(np.isfinite(alpha) & np.isfinite(beta)):
         raise ValueError("Beta shapes must be finite")
     if deterministic:
@@ -124,14 +127,14 @@ def init_policy(d: int, r_target: float, rng: RngStream,
     if not 0.0 < r_target < 1.0:
         raise ValueError(f"r_target={r_target} outside (0, 1)")
     net = DenseNet.init_random([feature_length(d), *hidden, 2], rng)
-    net.weights[-1] = np.zeros_like(net.weights[-1])
+    net.weights[-1][...] = 0.0
     if r_target >= 0.5:
         a = np.log((3.0 * r_target - 1.0) / (1.0 - r_target))
         b = 0.0
     else:
         a = 0.0
         b = np.log((2.0 - 3.0 * r_target) / r_target)
-    net.biases[-1] = np.array([a, b])
+    net.biases[-1][...] = (a, b)
     return TimePolicy(net, d)
 
 
@@ -156,4 +159,7 @@ def load_policy(path: str | Path) -> TimePolicy:
     if not d.isdigit() or feature_length(int(d)) != net.sizes[0]:
         raise ValueError(f"{path}: policy header field d={d!r} does not match the "
                          f"net's input size {net.sizes[0]} = 2d + 2")
-    return TimePolicy(net, int(d), fields["layout"])
+    try:
+        return TimePolicy(net, int(d), fields["layout"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flow import TargetSpec, VelocityField, ref_log_density
-from .nn import (OptimizerState, adamw_step, clip_global_norm, global_norm,
-                 write_atomic)
+from .nn import OptimizerState, adamw_step, clip_global_norm, write_atomic
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
@@ -151,9 +150,10 @@ def _stack_steps(trajs: Sequence[Trajectory], n_in: int) -> _GroupTerms:
 
 
 def _policy_terms(policy: TimePolicy, feats: np.ndarray) -> tuple:
-    """(raw, alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta))."""
-    raw, alpha, beta = tpm_params_batch(policy, feats)
-    return (raw, alpha, beta, *beta_terms(alpha, beta))
+    """(acts, alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta)),
+    acts being the policy net's activations; acts[-1] holds the raw outputs."""
+    _, alpha, beta, acts = tpm_params_batch(policy, feats)
+    return (acts, alpha, beta, *beta_terms(alpha, beta))
 
 
 def _log_pdf(log_r: np.ndarray, log_1mr: np.ndarray, alpha: np.ndarray,
@@ -201,7 +201,7 @@ def traj_log_prob(policy: TimePolicy, traj: Trajectory) -> float:
 @dataclass
 class PpoLossResult:
     loss: float
-    grads: list[np.ndarray]
+    grad: np.ndarray  # laid out like the policy net's theta
     mean_kl: float
     n_dropped: int
 
@@ -224,7 +224,7 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
 
     terms = _group_terms(group, ref_policy)
     seg, m = terms.seg, terms.steps
-    raw, alpha, beta, log_b, psi_a, psi_b, psi_ab = _policy_terms(policy, terms.feats)
+    acts, alpha, beta, log_b, psi_a, psi_b, psi_ab = _policy_terms(policy, terms.feats)
     ref_alpha, ref_beta, ref_log_b, ref_psi_a, ref_psi_b, ref_psi_ab = terms.ref
 
     log_pdf = _log_pdf(terms.log_r, terms.log_1mr, alpha, beta, log_b)
@@ -240,8 +240,7 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
         ratio = np.where(kept, ratio, 0.0)
     n_kept = int(np.count_nonzero(kept))
     if n_kept == 0:
-        return PpoLossResult(0.0, [np.zeros_like(p) for p in policy.net.parameters()],
-                             0.0, n_dropped)
+        return PpoLossResult(0.0, np.zeros(policy.net.n_params), 0.0, n_dropped)
 
     unclipped = ratio * advs
     if cfg.clip > 0.0:
@@ -275,9 +274,9 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
     out_grad = np.stack([
         (surr_coef * dlp_da + kl_coef * dkl_da),
         (surr_coef * dlp_db + kl_coef * dkl_db),
-    ], axis=1) * shape_grad_wrt_raw(raw)
-    grads, _ = policy.net.backward(terms.feats, out_grad)
-    return PpoLossResult(loss, grads, mean_kl, n_dropped)
+    ], axis=1) * shape_grad_wrt_raw(acts[-1])
+    grad, _ = policy.net.backward(terms.feats, out_grad, acts)
+    return PpoLossResult(loss, grad, mean_kl, n_dropped)
 
 
 @dataclass
@@ -349,8 +348,8 @@ def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField
     if len(fields) != len(targets):
         raise ValueError("need one velocity field per target")
     ref_policy = policy.copy()
-    params = policy.net.parameters()
-    state = OptimizerState.for_params(params, lr=cfg.lr, betas=(0.9, 0.99))
+    net = policy.net
+    state = OptimizerState.for_params([net.theta], lr=cfg.lr, betas=(0.9, 0.99))
     n_groups = cfg.batch_size // cfg.group_size
     metrics: list[MetricsRow] = []
     last_good = policy.copy()
@@ -377,29 +376,25 @@ def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField
         grad_norm_val = 0.0
         aborted = False
         for epoch in range(cfg.inner_epochs):
-            total = [np.zeros_like(p) for p in params]
+            total = np.zeros(net.n_params)
             losses = []
             kls = []
             for grp in groups:
                 res = ppo_loss(policy, ref_policy, grp, cfg)
                 losses.append(res.loss)
                 kls.append(res.mean_kl)
-                for acc, g_arr in zip(total, res.grads):
-                    acc += g_arr
-            total = [g_arr / len(groups) for g_arr in total]
+                total += res.grad
+            total = total / len(groups)
             if epoch == 0:
                 mean_kl = float(np.mean(kls))
-            if not np.isfinite(np.mean(losses)) or not all(
-                    np.all(np.isfinite(g_arr)) for g_arr in total):
+            if not np.isfinite(np.mean(losses)) or not np.all(np.isfinite(total)):
                 logger.warning("aborting at outer step %d: non-finite loss/gradient",
                                outer)
                 aborted = True
                 break
-            grad_norm_val = global_norm(total)
-            clipped = clip_global_norm(total, cfg.max_grad_norm)
-            params, state = adamw_step(params, clipped, state)
-            policy.net.set_parameters(params)
-        if aborted or not all(np.all(np.isfinite(p)) for p in params):
+            grad_norm_val = clip_global_norm(net.unflatten(total), cfg.max_grad_norm)
+            [net.theta], state = adamw_step([net.theta], [total], state)
+        if aborted or not np.all(np.isfinite(net.theta)):
             policy = last_good
             break
         metrics.append(MetricsRow(outer, mean_reward, mean_ir, mean_n,
@@ -430,16 +425,15 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
     its decay rate toward the end of the interval where the two-step
     reconstruction is best, collapsing inference to very few steps.
     """
-    d = velocity_field.d
-    params = policy.net.parameters()
-    state = OptimizerState.for_params(params, lr=lr, betas=(0.9, 0.99))
+    d, net = velocity_field.d, policy.net
+    state = OptimizerState.for_params([net.theta], lr=lr, betas=(0.9, 0.99))
     losses = np.zeros(steps)
     for step in range(steps):
         x0 = target.sample(batch_size, rng)
         eps = rng.standard_normal((batch_size, d))
         v0 = velocity_field(eps, 1.0)
         feats = step_features(eps, v0, 1.0)
-        raw, alpha, beta = tpm_params_batch(policy, feats)
+        raw, alpha, beta, acts = tpm_params_batch(policy, feats)
         t1 = alpha / (alpha + beta)
         x1 = eps + (t1[:, None] - 1.0) * v0
         v1 = velocity_field(x1, t1)
@@ -459,8 +453,7 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
             dl_dt1 * beta / denom,
             dl_dt1 * (-alpha) / denom,
         ], axis=1) * shape_grad_wrt_raw(raw)
-        grads, _ = policy.net.backward(feats, out_grad)
-        clipped = clip_global_norm(grads, 1.0)
-        params, state = adamw_step(params, clipped, state)
-        policy.net.set_parameters(params)
+        grad, _ = net.backward(feats, out_grad, acts)
+        clip_global_norm(net.unflatten(grad), 1.0)
+        [net.theta], state = adamw_step([net.theta], [grad], state)
     return policy, losses

@@ -153,7 +153,7 @@ def _criterion_gradients():
     net = DenseNet.init_random([3, 6, 2], RngStream(SEED, 21))
     x = RngStream(SEED, 22).standard_normal((4, 3))
     cot = RngStream(SEED, 23).standard_normal((4, 2))
-    analytic_net, _ = net.backward(x, cot)
+    analytic_net = net.unflatten(net.backward(x, cot)[0])
     fd_net = _central_diff(lambda: float(np.sum(cot * net.forward(x))),
                            net.parameters())
     net_err = _rel_err(analytic_net, fd_net)
@@ -164,7 +164,7 @@ def _criterion_gradients():
     x0 = RngStream(SEED, 25).standard_normal((8, 2))
     eps = RngStream(SEED, 26).standard_normal((8, 2))
     t = RngStream(SEED, 27).uniform(size=8)
-    _, analytic_fm = fm_loss(field, x0, eps, t)
+    analytic_fm = field.net.unflatten(fm_loss(field, x0, eps, t)[1])
     fd_fm = _central_diff(lambda: fm_loss(field, x0, eps, t)[0],
                           field.net.parameters())
     fm_err = _rel_err(analytic_fm, fd_fm)
@@ -182,7 +182,7 @@ def _criterion_gradients():
     raw = policy.net.forward(feats)
     alpha, beta = raw_to_shape(raw)
     dlp_draw = log_pdf_grad_wrt_raw(r, raw, float(alpha), float(beta))
-    analytic_lp, _ = policy.net.backward(feats, dlp_draw)
+    analytic_lp = policy.net.unflatten(policy.net.backward(feats, dlp_draw)[0])
     lp_err = _rel_err(analytic_lp, _central_diff(logpdf, policy.net.parameters()))
 
     # full surrogate loss: clipped ratios, advantages, and the KL penalty
@@ -196,7 +196,7 @@ def _criterion_gradients():
     _jitter_policy(actor, 0.01, RngStream(SEED, 33))
     cfg = RLConfig(gamma=0.95, kl_weight=0.3, clip=0.2, group_size=4,
                    batch_size=8, inner_epochs=1, lr=1e-3, outer_steps=1)
-    analytic_ppo = ppo_loss(actor, ref, group, cfg).grads
+    analytic_ppo = actor.net.unflatten(ppo_loss(actor, ref, group, cfg).grad)
     fd_ppo = _central_diff(lambda: ppo_loss(actor, ref, group, cfg).loss,
                            actor.net.parameters())
     ppo_err = _rel_err(analytic_ppo, fd_ppo)
@@ -262,7 +262,7 @@ def _criterion_schedule_invariants():
         assert np.all(np.diff(times) < 0.0)
         assert traj.n_steps <= sched.n_max
     feats = np.concatenate([np.reshape(t.features, (-1, 6)) for t in trajs])
-    _, alpha, beta = tpm_params_batch(policy, feats)
+    _, alpha, beta, _ = tpm_params_batch(policy, feats)
     min_shape = min(alpha.min(), beta.min())
     ns = np.array([t.n_steps for t in trajs])
     values = {

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,8 @@ from flowsched.flow import (TargetSpec, VelocityField, eval_fm_loss, fm_loss,
                             ref_log_density, ring_mixture_target,
                             single_gaussian_target, standard_normal_target,
                             train_flow)
-from flowsched.nn import DenseNet
+import flowsched.flow as flow
+from flowsched.nn import DenseNet, OptimizerState, adamw_step
 from flowsched.rng import RngStream
 from flowsched.sampler import transport_uniform
 
@@ -208,14 +211,14 @@ def test_velocity_vjp_matches_finite_differences():
 def test_fm_loss_zero_for_exact_field():
     # constant-velocity net reproduces eps - x0 when that difference is constant
     net = DenseNet([3, 2])
-    net.biases[0] = np.array([1.0, -2.0])
+    net.biases[0][...] = (1.0, -2.0)
     field = VelocityField("learned", net=net)
     x0 = RngStream(7, 0).standard_normal((5, 2))
     eps = x0 + np.array([1.0, -2.0])
     t = RngStream(7, 1).uniform(size=5)
-    loss, grads = fm_loss(field, x0, eps, t)
+    loss, grad = fm_loss(field, x0, eps, t)
     assert loss == pytest.approx(0.0, abs=1e-24)
-    assert all(np.allclose(g, 0.0, atol=1e-12) for g in grads)
+    assert np.allclose(grad, 0.0, atol=1e-12)
 
 
 def test_fm_loss_zero_field_single_item():
@@ -232,7 +235,8 @@ def test_fm_loss_gradients_match_finite_differences():
     x0 = rng.standard_normal((4, 2))
     eps = rng.standard_normal((4, 2))
     t = rng.uniform(size=4)
-    _, analytic = fm_loss(field, x0, eps, t)
+    _, grad = fm_loss(field, x0, eps, t)
+    analytic = net.unflatten(grad)
     h = 1e-5
     for pi, p in enumerate(net.parameters()):
         flat = p.reshape(-1)
@@ -304,3 +308,51 @@ def test_oracle_transport_reproduces_standard_normal():
     samples = transport_uniform(field, 10**4, 200, RngStream(12, 0))
     assert float(np.linalg.norm(samples.mean(axis=0))) <= 0.05
     assert np.all(samples.var(axis=0) >= 0.9) and np.all(samples.var(axis=0) <= 1.1)
+
+
+def unblocked_ref_log_density(target):
+    """ref_log_density as one log_density call over all the Monte-Carlo points."""
+    digest = hashlib.blake2b(target.key(), digest_size=8).digest()
+    rng = RngStream(flow._REF_MC_SEED, int.from_bytes(digest, "little"))
+    pts = target.sample(flow._REF_MC_SAMPLES, rng)
+    return float(np.mean(target.log_density(pts)))
+
+
+def test_ref_log_density_blocks_equal_one_unblocked_pass(monkeypatch):
+    monkeypatch.setattr(flow, "_REF_LOG_DENSITY_CACHE", {})
+    mixture_3d = TargetSpec([[0.0, 0.0, 0.0], [1.5, -1.0, 0.5], [-2.0, 1.0, 1.0]],
+                            [0.4, 0.7, 1.1], [0.5, 0.3, 0.2])
+    for target in (ring_mixture_target(4), ring_mixture_target(8), mixture_3d):
+        assert ref_log_density(target) == unblocked_ref_log_density(target)
+
+
+def per_layer_train_flow(field, target, steps, rng, batch_size, lr):
+    """train_flow as a per-layer loop: the forward repeated inside backward,
+    AdamW over the list of layer arrays, and set_parameters every step."""
+    net = field.net
+    params = net.parameters()
+    state = OptimizerState.for_params(params, lr=lr)
+    losses = np.zeros(steps)
+    for step in range(steps):
+        x0 = target.sample(batch_size, rng)
+        eps = rng.standard_normal((batch_size, field.d))
+        t = rng.uniform(size=batch_size)
+        inp = np.concatenate([flow.interpolate(x0, eps, t), t[:, None]], axis=1)
+        resid = net.forward(inp) - (eps - x0)
+        losses[step] = float(np.mean(np.sum(resid * resid, axis=1)))
+        grad, _ = net.backward(inp, 2.0 * resid / batch_size)
+        params, state = adamw_step(params, net.unflatten(grad), state)
+        net.set_parameters(params)
+    return losses
+
+
+def test_train_flow_equals_per_layer_loop_bit_for_bit():
+    target = ring_mixture_target(4)
+    runs = []
+    for train in (lambda f, r: train_flow(f, target, 50, r, batch_size=64, lr=1e-3)[1],
+                  lambda f, r: per_layer_train_flow(f, target, 50, r, 64, 1e-3)):
+        field = VelocityField("learned", net=make_velocity_net(2, (16, 16), RngStream(18, 0)))
+        runs.append((train(field, RngStream(18, 1)), field.net.theta))
+    (losses, theta), (ref_losses, ref_theta) = runs
+    assert np.array_equal(losses, ref_losses)
+    assert np.array_equal(theta, ref_theta)

@@ -43,9 +43,94 @@ def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-8):
         assert float(rel.max()) <= rel_tol, f"max rel err {rel.max():.3e}"
 
 
+def test_constructor_rejects_missing_bias_list():
+    # without the check this net ran zero layers and echoed its 3-vector input
+    with pytest.raises(ValueError, match="layer 0: bias missing"):
+        DenseNet([3, 4, 2], weights=[np.ones((4, 3)), np.ones((2, 4))])
+
+
+def test_constructor_rejects_wrong_layer_shape():
+    with pytest.raises(ValueError, match=r"layer 1: weight shape \(2, 5\), expected \(2, 4\)"):
+        DenseNet([3, 4, 2], weights=[np.ones((4, 3)), np.ones((2, 5))],
+                 biases=[np.zeros(4), np.zeros(2)])
+    with pytest.raises(ValueError, match="layer 1: weight given"):
+        DenseNet([3, 2], weights=[np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2))],
+                 biases=[np.zeros(2)])
+
+
+def test_constructor_copies_layers_into_theta():
+    w, b = np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0])
+    net = DenseNet([3, 2], weights=[w], biases=[b])
+    assert np.array_equal(net.theta, [0, 1, 2, 3, 4, 5, 7, 8])
+    assert not np.shares_memory(net.theta, w)
+
+
+def assert_views_share_theta(net):
+    views = [*net.weights, *net.biases, *net.parameters()]
+    assert all(np.shares_memory(v, net.theta) for v in views)
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.parameters()]), net.theta)
+
+
+def test_layer_views_share_theta_through_every_writer(tmp_path):
+    from flowsched.flow import (VelocityField, make_velocity_net, ring_mixture_target,
+                                standard_normal_target, train_flow)
+    from flowsched.policy import init_policy
+    from flowsched.rl import RLConfig, train_tpm
+    from flowsched.sampler import ScheduleConfig
+
+    net = DenseNet.init_random([3, 5, 2], RngStream(15, 0))
+    assert_views_share_theta(net)
+    save_checkpoint(net, tmp_path / "net.ckpt")
+    loaded, _ = load_checkpoint(tmp_path / "net.ckpt")
+    assert_views_share_theta(loaded)
+    twin = net.copy()
+    assert_views_share_theta(twin)
+    assert not np.shares_memory(twin.theta, net.theta)
+    twin.weights[0][...] = 1.0
+    assert not np.any(net.weights[0] == 1.0)
+    net.set_parameters([2.0 * p for p in net.parameters()])
+    assert_views_share_theta(net)
+
+    field = VelocityField("learned", net=make_velocity_net(2, (6,), RngStream(15, 1)))
+    train_flow(field, ring_mixture_target(4), 3, RngStream(15, 2), batch_size=8)
+    assert_views_share_theta(field.net)
+    target = standard_normal_target(2)
+    cfg = RLConfig(group_size=2, batch_size=4, inner_epochs=2, outer_steps=2)
+    policy, _ = train_tpm(init_policy(2, 0.7, RngStream(15, 3), hidden=(4,)),
+                          VelocityField("oracle", target=target), target, cfg,
+                          ScheduleConfig(), RngStream(15, 4))
+    assert_views_share_theta(policy.net)
+
+
+def test_rebinding_a_layer_raises_and_parameters_keep_identity():
+    net = DenseNet.init_random([3, 4, 2], RngStream(16, 0))
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((4, 3))
+    with pytest.raises(TypeError):
+        net.biases[1] = np.zeros(2)
+    first, again = net.parameters(), net.parameters()
+    assert all(a is b for a, b in zip(first, again))
+    net.theta = net.theta.copy()
+    assert not any(a is b for a, b in zip(first, net.parameters()))
+    assert_views_share_theta(net)
+
+
+def test_backward_with_forward_acts_equals_recompute():
+    net = DenseNet.init_random([3, 7, 5, 2], RngStream(17, 0))
+    rng = RngStream(17, 1)
+    for x, g in ((rng.standard_normal(3), rng.standard_normal(2)),
+                 (rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))):
+        acts = net.forward_acts(x)
+        assert np.array_equal(net.forward(x), acts[-1] if x.ndim > 1 else acts[-1][0])
+        got_grad, got_in = net.backward(x, g, acts=acts)
+        want_grad, want_in = net.backward(x, g)
+        assert np.array_equal(got_grad, want_grad)
+        assert np.array_equal(got_in, want_in)
+
+
 def test_forward_identity_linear_layer():
     net = DenseNet([2, 2])
-    net.weights[0] = np.eye(2)
+    net.weights[0][...] = np.eye(2)
     assert np.allclose(net.forward(np.array([1.0, 2.0])), [1.0, 2.0])
 
 
@@ -82,7 +167,7 @@ def test_backward_matches_finite_differences_2_16_16_2():
     out_g = np.array([1.3, -0.8])
     analytic, _ = net.backward(x, out_g)
     numeric = finite_difference_grads(net, x, out_g)
-    assert_grads_close(analytic, numeric)
+    assert_grads_close(net.unflatten(analytic), numeric)
 
 
 def test_backward_random_nets_match_finite_differences():
@@ -95,7 +180,7 @@ def test_backward_random_nets_match_finite_differences():
         out_g = rng.standard_normal(sizes[-1])
         analytic, input_grad = net.backward(x, out_g)
         numeric = finite_difference_grads(net, x, out_g)
-        assert_grads_close(analytic, numeric)
+        assert_grads_close(net.unflatten(analytic), numeric)
         # input gradient against finite differences too
         h = 1e-5
         fd_in = np.zeros_like(x)
@@ -117,12 +202,12 @@ def test_backward_zero_output_grad():
 def test_backward_linear_net_hand_gradient():
     # single linear layer, squared error: dL/dW_ij = 2 * resid_i * x_j
     net = DenseNet([3, 2])
-    net.weights[0] = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]])
-    net.biases[0] = np.array([0.1, -0.2])
+    net.weights[0][...] = [[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]]
+    net.biases[0][...] = (0.1, -0.2)
     x = np.array([1.0, -2.0, 0.5])
     y = np.array([2.0, 1.0])
     resid = net.forward(x) - y
-    grads, _ = net.backward(x, 2.0 * resid)
+    grads = net.unflatten(net.backward(x, 2.0 * resid)[0])
     assert np.allclose(grads[0], 2.0 * np.outer(resid, x), atol=1e-12)
     assert np.allclose(grads[1], 2.0 * resid, atol=1e-12)
 
@@ -192,10 +277,20 @@ def test_adamw_step_counter_increases():
 
 
 def test_clip_global_norm_examples():
-    clipped = clip_global_norm([np.array([3.0]), np.array([4.0])], 1.0)
-    assert np.allclose(np.concatenate(clipped), [0.6, 0.8], atol=1e-12)
-    unchanged = clip_global_norm([np.array([0.3]), np.array([0.4])], 1.0)
-    assert np.allclose(np.concatenate(unchanged), [0.3, 0.4], atol=1e-15)
+    grads = [np.array([3.0]), np.array([4.0])]
+    assert clip_global_norm(grads, 1.0) == pytest.approx(5.0)
+    assert np.allclose(np.concatenate(grads), [0.6, 0.8], atol=1e-12)
+    unchanged = [np.array([0.3]), np.array([0.4])]
+    assert clip_global_norm(unchanged, 1.0) == pytest.approx(0.5)
+    assert np.array_equal(np.concatenate(unchanged), [0.3, 0.4])
+
+
+def test_clip_global_norm_clips_a_flat_gradient_through_its_views():
+    net = DenseNet([2, 3, 1])
+    grad = np.arange(net.n_params, dtype=float)
+    norm = clip_global_norm(net.unflatten(grad), 1.0)
+    assert norm == pytest.approx(float(np.linalg.norm(np.arange(net.n_params))))
+    assert global_norm([grad]) == pytest.approx(1.0)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -203,10 +298,11 @@ def test_clip_global_norm_examples():
        st.floats(min_value=1e-3, max_value=100.0))
 def test_clip_global_norm_bound_and_idempotence(values, max_norm):
     grads = [np.array(values)]
-    once = clip_global_norm(grads, max_norm)
-    assert global_norm(once) <= max_norm + 1e-12
-    twice = clip_global_norm(once, max_norm)
-    assert np.allclose(once[0], twice[0], rtol=0, atol=1e-12)
+    clip_global_norm(grads, max_norm)
+    assert global_norm(grads) <= max_norm + 1e-12
+    once = grads[0].copy()
+    clip_global_norm(grads, max_norm)
+    assert np.allclose(once, grads[0], rtol=0, atol=1e-12)
 
 
 def test_global_norm_value():
@@ -251,8 +347,8 @@ def test_checkpoint_documented_layout(tmp_path):
     import struct
 
     net = DenseNet([2, 3])
-    net.weights[0] = np.arange(6, dtype=float).reshape(3, 2)
-    net.biases[0] = np.array([7.0, 8.0, 9.0])
+    net.weights[0][...] = np.arange(6, dtype=float).reshape(3, 2)
+    net.biases[0][...] = (7.0, 8.0, 9.0)
     path = tmp_path / "layout.ckpt"
     save_checkpoint(net, path, extra_header=b"hd")
     raw = path.read_bytes()
@@ -290,6 +386,26 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     path.write_bytes(bytes(raw_sizes))
     with pytest.raises(ValueError, match="cut.ckpt: truncated"):
         load_checkpoint(path)
+
+
+def test_load_checkpoint_checks_length_before_allocating(tmp_path):
+    import struct
+    import tracemalloc
+
+    # a 94-byte file declaring sizes [6, 10**6, 2]: 8 million parameters
+    raw = (CHECKPOINT_MAGIC + struct.pack("<III", 1, 0, 3)
+           + struct.pack("<3I", 6, 10**6, 2) + bytes(64))
+    assert len(raw) == 94
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="huge.ckpt: truncated"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flowsched.nn import DenseNet, save_checkpoint
+from flowsched.nn import DenseNet, load_checkpoint, save_checkpoint
 from flowsched.policy import (FEATURE_LAYOUT, RAW_PARAM_CLAMP, TimePolicy,
                               feature_length, init_policy, load_policy,
                               next_time, predict_decay, raw_to_shape, save_policy,
@@ -18,14 +20,14 @@ from beta_reference import log_pdf_grad_wrt_raw
 
 def beta_params_at(policy: TimePolicy, feats: np.ndarray) -> BetaParams:
     """Beta shapes at one feature vector, read from the batched path."""
-    _, alpha, beta = tpm_params_batch(policy, np.asarray(feats)[None, :])
+    _, alpha, beta, _ = tpm_params_batch(policy, np.asarray(feats)[None, :])
     return BetaParams(float(alpha[0]), float(beta[0]))
 
 
 def constant_output_policy(d: int, a: float, b: float) -> TimePolicy:
     """Zero-weight policy emitting fixed raw (a, b) for any features."""
     net = DenseNet([feature_length(d), 2])
-    net.biases[0] = np.array([a, b])
+    net.biases[0][...] = (a, b)
     return TimePolicy(net, d)
 
 
@@ -88,9 +90,9 @@ def test_tpm_params_always_unimodal(a, b):
 def test_tpm_params_batch_matches_single():
     # rows of the batched path agree with the 1-D forward predict_decay draws from
     pol = init_policy(2, 0.6, RngStream(1, 0))
-    pol.net.weights[-1] = RngStream(1, 1).standard_normal((2, 32)) * 0.3
+    pol.net.weights[-1][...] = RngStream(1, 1).standard_normal((2, 32)) * 0.3
     feats = RngStream(1, 2).uniform(size=(5, 6))
-    raw, alpha, beta = tpm_params_batch(pol, feats)
+    raw, alpha, beta, _ = tpm_params_batch(pol, feats)
     for i in range(5):
         single_raw = pol.net.forward(feats[i])
         single_alpha, single_beta = raw_to_shape(single_raw)
@@ -214,6 +216,54 @@ def test_load_policy_rejects_bad_header(tmp_path, header, message):
     with pytest.raises(ValueError, match="policy header") as err:
         load_policy(path)
     assert str(path) in str(err.value) and message in str(err.value)
+
+
+def _saved_policy_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "policy.ckpt"
+        save_policy(init_policy(2, 0.7, RngStream(9, 0), hidden=(4,)), path)
+        return path.read_bytes()
+
+
+SAVED_POLICY = _saved_policy_bytes()
+HEADER_END = 14 + SAVED_POLICY[10]  # the header is shorter than 256 bytes
+
+
+def flip(pos: int, mask: int) -> bytes:
+    """SAVED_POLICY with byte pos XOR-ed by mask (1..255: any other value)."""
+    return SAVED_POLICY[:pos] + bytes([SAVED_POLICY[pos] ^ mask]) + SAVED_POLICY[pos + 1:]
+
+
+checkpoint_mutations = st.one_of(
+    st.integers(0, len(SAVED_POLICY) - 1).map(lambda n: SAVED_POLICY[:n]),
+    st.builds(flip, st.integers(0, len(SAVED_POLICY) - 1), st.integers(1, 255)),
+    st.binary(min_size=1, max_size=32).map(lambda tail: SAVED_POLICY + tail),
+)
+
+
+@given(checkpoint_mutations)
+@example(flip(HEADER_END - 1, 0x01))                   # d=2 -> d=3
+@example(flip(HEADER_END - 4, ord(";") ^ ord("x")))    # the field separator
+@example(flip(HEADER_END, 0x01))                       # layer count 3 -> 2
+@example(flip(HEADER_END + 12, 0x01))                  # output size 2 -> 3
+@example(flip(10, 0x80))                               # header length + 128
+@example(flip(len(SAVED_POLICY) - 1, 0x7F))            # top byte of the last float
+def test_load_policy_fuzzed_bytes_round_trip_or_raise_naming_the_path(raw):
+    """Any truncation, single-byte change or appended bytes of a saved policy
+    either loads, and saving it again reproduces the bytes, or raises a
+    ValueError naming the path (never struct.error, IndexError, MemoryError...)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.ckpt"
+        path.write_bytes(raw)
+        try:
+            load_policy(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+        net, header = load_checkpoint(path)
+        again = Path(tmp) / "again.ckpt"
+        save_checkpoint(net, again, extra_header=header)
+        assert again.read_bytes() == raw
 
 
 def test_raw_clamp_constant_is_wide_enough():

@@ -167,7 +167,7 @@ def test_traj_log_prob_single_prediction_hand_check():
     cfg = ScheduleConfig(mode="adaptive", t_min=0.1, n_max=3)
     traj = sample_adaptive(policy, oracle_field(), cfg, RngStream(22, 2))
     if len(traj.decay_rates) == 1:
-        _, alpha, beta = tpm_params_batch(policy, np.stack(traj.features))
+        _, alpha, beta, _ = tpm_params_batch(policy, np.stack(traj.features))
         expected = beta_log_pdf(traj.decay_rates[0], float(alpha[0]), float(beta[0]))
         assert abs(traj_log_prob(policy, traj) - expected) <= 1e-12
 
@@ -255,7 +255,7 @@ def test_ppo_loss_zero_advantage_at_reference_is_flat():
         rec.advantage = 0.0
     res = ppo_loss(policy, policy, group, RLConfig(kl_weight=0.5, clip=0.2))
     assert abs(res.loss) <= 1e-12
-    assert all(np.all(np.abs(g) <= 1e-12) for g in res.grads)
+    assert np.all(np.abs(res.grad) <= 1e-12)
 
 
 def test_ppo_loss_reinforce_identity_at_reference_point():
@@ -268,19 +268,17 @@ def test_ppo_loss_reinforce_identity_at_reference_point():
     res = ppo_loss(policy, policy, group, cfg)
 
     k = len(group.trajectories)
-    expected = [np.zeros_like(p) for p in policy.net.parameters()]
+    expected = np.zeros(policy.net.n_params)
     for traj, rec in zip(group.trajectories, group.rewards):
         feats = np.stack(traj.features)
-        raw, alpha, beta = tpm_params_batch(policy, feats)
+        raw, alpha, beta, _ = tpm_params_batch(policy, feats)
         out = np.stack([
             log_pdf_grad_wrt_raw(r, raw[m], float(alpha[m]), float(beta[m]))
             for m, r in enumerate(traj.decay_rates)
         ])
         g, _ = policy.net.backward(feats, out)
-        for acc, gi in zip(expected, g):
-            acc -= rec.advantage / k * gi
-    for got, want in zip(res.grads, expected):
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        expected -= rec.advantage / k * g
+    np.testing.assert_allclose(res.grad, expected, rtol=1e-9, atol=1e-12)
 
 
 def test_ppo_loss_kl_term_matches_scalar_oracle():
@@ -297,8 +295,8 @@ def test_ppo_loss_kl_term_matches_scalar_oracle():
     kls = []
     for traj in group.trajectories:
         feats = np.stack(traj.features)
-        _, a_q, b_q = tpm_params_batch(policy, feats)
-        _, a_p, b_p = tpm_params_batch(ref, feats)
+        _, a_q, b_q, _ = tpm_params_batch(policy, feats)
+        _, a_p, b_p, _ = tpm_params_batch(ref, feats)
         per_step = [beta_kl(BetaParams(float(a_p[m]), float(b_p[m])),
                             BetaParams(float(a_q[m]), float(b_q[m])))
                     for m in range(feats.shape[0])]
@@ -320,7 +318,7 @@ def test_ppo_loss_gradients_match_finite_differences():
 
     h = 1e-6
     params = policy.net.parameters()
-    for idx, (p, g) in enumerate(zip(params, res.grads)):
+    for idx, (p, g) in enumerate(zip(params, policy.net.unflatten(res.grad))):
         flat_p, flat_g = p.ravel(), g.ravel()
         for j in range(flat_p.size):
             orig = flat_p[j]
@@ -349,7 +347,7 @@ def test_ppo_loss_drops_non_finite_ratios(caplog):
     assert res.n_dropped == 1
     assert "non-finite importance ratio" in caplog.text
     assert abs(res.loss - (-np.mean(custom[1:]))) <= 1e-12
-    assert all(np.all(np.isfinite(g)) for g in res.grads)
+    assert np.all(np.isfinite(res.grad))
 
 
 def test_first_epoch_importance_ratio_is_exactly_one():
@@ -422,15 +420,15 @@ def _log_beta(a, b):
 
 def separate_call_ppo_loss(policy, ref_policy, group, cfg):
     """ppo_loss with every Beta term from its own log_gamma / digamma call and
-    both policies evaluated afresh; returns (loss, grads, mean_kl, n_dropped)."""
+    both policies evaluated afresh; returns (loss, grad, mean_kl, n_dropped)."""
     trajs = group.trajectories
     advs = np.array([rec.advantage for rec in group.rewards])
     counts = [len(t.decay_rates) for t in trajs]
     feats = np.concatenate([np.stack(t.features) for t in trajs if t.features])
     rates = np.concatenate([np.asarray(t.decay_rates) for t in trajs])
     seg = np.repeat(np.arange(len(trajs)), counts)
-    raw, alpha, beta = tpm_params_batch(policy, feats)
-    _, ref_alpha, ref_beta = tpm_params_batch(ref_policy, feats)
+    raw, alpha, beta, _ = tpm_params_batch(policy, feats)
+    _, ref_alpha, ref_beta, _ = tpm_params_batch(ref_policy, feats)
 
     log_pdf = ((alpha - 1.0) * np.log(rates) + (beta - 1.0) * np.log1p(-rates)
                - _log_beta(alpha, beta))
@@ -469,8 +467,8 @@ def separate_call_ppo_loss(policy, ref_policy, group, cfg):
     shape_jac = np.exp(np.clip(raw, -RAW_PARAM_CLAMP, RAW_PARAM_CLAMP)) * inside
     out_grad = np.stack([surr_coef * dlp_da + kl_coef * dkl_da,
                          surr_coef * dlp_db + kl_coef * dkl_db], axis=1) * shape_jac
-    grads, _ = policy.net.backward(feats, out_grad)
-    return loss, grads, mean_kl, n_dropped
+    grad, _ = policy.net.backward(feats, out_grad)
+    return loss, grad, mean_kl, n_dropped
 
 
 def perturbed(policy: TimePolicy, seed: int, scale: float = 0.5) -> TimePolicy:
@@ -497,11 +495,9 @@ def assert_matches_separate_calls(policy, ref, group, cfg):
     # twice: the second call runs on the terms the first one cached
     for _ in range(2):
         res = ppo_loss(policy, ref, group, cfg)
-        loss, grads, mean_kl, n_dropped = separate_call_ppo_loss(policy, ref, group, cfg)
+        loss, grad, mean_kl, n_dropped = separate_call_ppo_loss(policy, ref, group, cfg)
         assert (res.loss, res.mean_kl, res.n_dropped) == (loss, mean_kl, n_dropped)
-        assert len(res.grads) == len(grads)
-        for got, want in zip(res.grads, grads):
-            assert np.array_equal(got, want)
+        assert np.array_equal(res.grad, grad)
     return res
 
 
@@ -550,7 +546,7 @@ def test_ppo_loss_without_any_prediction_is_zero():
     advs = np.array([rec.advantage for rec in group.rewards])
     assert res.loss == float(np.sum(-advs) / len(advs))
     assert (res.mean_kl, res.n_dropped) == (0.0, 0)
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in res.grads)
+    assert np.array_equal(res.grad, np.zeros(ref.net.n_params))
 
 
 def test_ppo_loss_recomputes_reference_terms_for_new_reference():

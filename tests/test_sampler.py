@@ -19,7 +19,7 @@ from flowsched.special_math import beta_log_pdf
 
 def constant_output_policy(d: int, a: float, b: float) -> TimePolicy:
     net = DenseNet([feature_length(d), 2])
-    net.biases[0] = np.array([a, b])
+    net.biases[0][...] = (a, b)
     return TimePolicy(net, d)
 
 
@@ -133,7 +133,7 @@ def test_trajectory_invariants_over_many_rollouts():
         assert len(traj.decay_rates) in (traj.n_steps - 1, traj.n_steps)
         assert len(traj.features) == len(traj.decay_rates)
         if traj.features:
-            _, alpha, beta = tpm_params_batch(policy, np.stack(traj.features))
+            _, alpha, beta, _ = tpm_params_batch(policy, np.stack(traj.features))
             assert np.all(alpha > 1.0) and np.all(beta > 1.0)
         assert np.all(np.isfinite(step_log_probs(policy, traj)))
 
@@ -263,7 +263,7 @@ def test_sampler_aborts_on_non_finite_state():
 
 def jittered_policy(seed: int) -> TimePolicy:
     policy = init_policy(2, 0.75, RngStream(seed, 0), hidden=(8,))
-    policy.net.weights[-1] = 0.3 * RngStream(seed, 1).standard_normal((2, 8))
+    policy.net.weights[-1][...] = 0.3 * RngStream(seed, 1).standard_normal((2, 8))
     return policy
 
 
