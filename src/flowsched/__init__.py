@@ -12,11 +12,11 @@ from .flow import (TargetSpec, VelocityField, interpolate, oracle_velocity,
                    standard_normal_target, train_flow)
 from .nn import DenseNet, OptimizerState, adamw_step, clip_global_norm
 from .policy import TimePolicy, init_policy, next_time, predict_decay
-from .rl import (RLConfig, RewardRecord, RolloutGroup, discounted_reward,
-                 ppo_loss, rloo_advantages, toy_reward, train_tpm, traj_log_prob)
+from .rl import (RLConfig, Rollouts, discounted_reward, ppo_loss, rloo_advantages,
+                 toy_reward, train_tpm, traj_log_prob)
 from .rng import RngStream
-from .sampler import (ScheduleConfig, Trajectory, euler_step, quantize_times,
-                      roll_lanes, sample_adaptive, sample_fixed)
+from .sampler import (ScheduleConfig, Trajectory, quantize_times, roll_lanes,
+                      sample_adaptive, sample_fixed)
 from .special_math import (BetaParams, beta_kl, beta_log_pdf, beta_sample,
                            digamma, log_gamma)
 

@@ -3,7 +3,8 @@
 Subcommands mirror the analysis workflow: pretrain velocity fields, RL-train
 the schedule policy, sample trajectories, and run the three preset studies
 (discount sweep, fixed-schedule comparison, complexity sweep). Exit codes:
-0 success, 1 usage error, 2 runtime failure.
+0 success, 1 command-line usage error, 2 any other failure, including a
+config file that does not validate.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ STREAM_BASELINE_DECAY = 6
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this harness reserves 2 for runtime
-    failures, so usage errors are remapped to exit code 1."""
+    """argparse exits 2 on usage errors; 2 is reserved for every other
+    failure, so command-line usage errors are remapped to exit code 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -166,22 +167,18 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
                     target: TargetSpec, sched: ScheduleConfig, gamma: float,
                     rng: RngStream, n: int, deterministic: bool) -> EvalSummary:
     """n adaptive rollouts -> step-count/reward summary + mean schedule curve."""
-    trajs = rollout_batch(policy, velocity_field, sched, rng, n, deterministic)
-    ns = np.array([t.n_steps for t in trajs])
-    irs = toy_reward(np.array([t.final_sample for t in trajs]), target)
-    rewards = np.array([
-        discounted_reward(ir, t.n_steps, gamma) for ir, t in zip(irs, trajs)
-    ])
-    max_len = max(len(t.times) for t in trajs)
-    curve = []
-    for k in range(max_len):
-        vals = [t.times[k] for t in trajs if len(t.times) > k]
-        curve.append(float(np.mean(vals)))
+    lanes = roll_lanes(velocity_field, sched, [rng.child(i) for i in range(n)],
+                       policy=policy, deterministic=deterministic)
+    ns = lanes.n_steps
+    irs = toy_reward(lanes.finals, target)
+    rewards = discounted_reward(irs, ns, gamma)
+    # mean time at step k over the rollouts still running there
+    curve = [float(np.mean(lanes.times[ns >= k, k])) for k in range(ns.max() + 1)]
     return EvalSummary(
         mean_n=float(ns.mean()), std_n=float(ns.std()),
         mean_ir=float(irs.mean()), mean_reward=float(rewards.mean()),
-        n_rollouts=n, curve_steps=list(range(max_len)), curve_times=curve,
-        per_rollout_n=[int(v) for v in ns],
+        n_rollouts=n, curve_steps=list(range(len(curve))), curve_times=curve,
+        per_rollout_n=ns.tolist(),
     )
 
 

@@ -46,7 +46,6 @@ def step_features(x: np.ndarray, v: np.ndarray, t) -> np.ndarray:
 class TimePolicy:
     net: DenseNet
     d: int
-    feature_layout: str = FEATURE_LAYOUT
 
     def __post_init__(self):
         if self.net.sizes[0] != feature_length(self.d):
@@ -57,7 +56,7 @@ class TimePolicy:
             raise ValueError("policy must output exactly (a, b)")
 
     def copy(self) -> "TimePolicy":
-        return TimePolicy(self.net.copy(), self.d, self.feature_layout)
+        return TimePolicy(self.net.copy(), self.d)
 
 
 def raw_to_shape(raw: np.ndarray) -> np.ndarray:
@@ -139,7 +138,7 @@ def init_policy(d: int, r_target: float, rng: RngStream,
 
 
 def save_policy(policy: TimePolicy, path: str | Path) -> None:
-    header = f"layout={policy.feature_layout};d={policy.d}".encode("ascii")
+    header = f"layout={FEATURE_LAYOUT};d={policy.d}".encode("ascii")
     save_checkpoint(policy.net, path, extra_header=header)
 
 
@@ -159,7 +158,10 @@ def load_policy(path: str | Path) -> TimePolicy:
     if not d.isdigit() or feature_length(int(d)) != net.sizes[0]:
         raise ValueError(f"{path}: policy header field d={d!r} does not match the "
                          f"net's input size {net.sizes[0]} = 2d + 2")
+    if fields["layout"] != FEATURE_LAYOUT:
+        raise ValueError(f"{path}: policy header field layout={fields['layout']!r} is "
+                         f"not the feature layout {FEATURE_LAYOUT!r}")
     try:
-        return TimePolicy(net, int(d), fields["layout"])
+        return TimePolicy(net, int(d))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

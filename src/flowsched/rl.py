@@ -21,7 +21,7 @@ from .nn import OptimizerState, adamw_step, clip_global_norm, write_atomic
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
-from .sampler import ScheduleConfig, Trajectory, roll_lanes
+from .sampler import Lanes, ScheduleConfig, Trajectory, roll_lanes
 from .special_math import beta_terms
 
 logger = logging.getLogger(__name__)
@@ -56,37 +56,6 @@ class RLConfig:
             raise ValueError("lr and max_grad_norm must be positive")
 
 
-@dataclass
-class RewardRecord:
-    ir: float
-    discounted: float
-    advantage: float
-    n_steps: int
-
-
-@dataclass
-class RolloutGroup:
-    """k trajectories sharing one initial state (target + noise draw); their
-    steps are stacked once and cached, so the trajectory list is not edited
-    afterwards (ppo_loss refuses a group whose list was replaced)."""
-
-    target: TargetSpec
-    initial_noise: np.ndarray
-    trajectories: list[Trajectory]
-    old_log_probs: np.ndarray
-    rewards: list[RewardRecord] = dataclass_field(default_factory=list)
-    # stacked steps, set by rollout_group or the first ppo_loss; see _group_terms
-    _terms: Optional["_GroupTerms"] = dataclass_field(default=None, init=False,
-                                                      repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.trajectories) < 2:
-            raise ValueError("a rollout group needs k >= 2 trajectories")
-        for traj in self.trajectories:
-            if not np.array_equal(traj.states[0], self.initial_noise):
-                raise ValueError("all group trajectories must share the initial noise")
-
-
 def toy_reward(y: np.ndarray, target: TargetSpec) -> float | np.ndarray:
     """Quality score of a final sample (d,), or of each row of a batch (n, d):
     centered log-density, clamped below.
@@ -101,52 +70,30 @@ def toy_reward(y: np.ndarray, target: TargetSpec) -> float | np.ndarray:
     return ir if y.ndim > 1 else float(ir)
 
 
-def discounted_reward(ir: float, n_steps: int, gamma: float) -> float:
-    """ir * (1/N) * sum_{n=1..N} gamma^(N-n); equals ir at gamma=1 or N=1."""
-    if n_steps < 1:
+def discounted_reward(ir, n_steps, gamma: float):
+    """ir * (1/N) * sum_{n=1..N} gamma^(N-n), elementwise over arrays of
+    scores and step counts; equals ir at gamma=1 or N=1. gamma^N is Python's
+    pow (numpy's vectorized pow can differ in the last bit), so a reward does
+    not depend on the array it is computed in."""
+    ir, n = np.asarray(ir, dtype=float), np.asarray(n_steps)
+    if np.any(n < 1):
         raise ValueError("n_steps must be >= 1")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    if gamma == 1.0:
-        return float(ir)
-    return float(ir) * (1.0 - gamma**n_steps) / (n_steps * (1.0 - gamma))
+    if gamma != 1.0:
+        powers = np.array([gamma**j for j in range(int(n.max()) + 1)])
+        ir = ir * (1.0 - powers[n]) / (n * (1.0 - gamma))
+    return float(ir) if ir.ndim == 0 else ir
 
 
-def rloo_advantages(rewards: Sequence[float]) -> np.ndarray:
-    """Leave-one-out baselined advantages; always sums to exactly 0."""
+def rloo_advantages(rewards) -> np.ndarray:
+    """Leave-one-out baselined advantages within each group of the last axis;
+    each group sums to exactly 0."""
     r = np.asarray(rewards, dtype=float)
-    k = r.shape[0]
+    k = r.shape[-1]
     if k < 2:
         raise ValueError("need at least 2 rewards for a leave-one-out baseline")
-    total = r.sum()
-    return (k * r - total) / (k - 1)
-
-
-@dataclass
-class _GroupTerms:
-    """What ppo_loss needs of a group besides the current policy: the stacked
-    per-step features and rates, and the reference policy's terms there."""
-
-    feats: np.ndarray
-    log_r: np.ndarray
-    log_1mr: np.ndarray
-    seg: np.ndarray            # trajectory index of each step
-    steps: np.ndarray          # predictions per trajectory, at least 1
-    trajs: Sequence[Trajectory] = ()  # the list the steps were stacked from
-    ref_params: list[np.ndarray] = dataclass_field(default_factory=list)
-    # (alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta)) of the
-    # policy whose parameter arrays are ref_params
-    ref: tuple = ()
-
-
-def _stack_steps(trajs: Sequence[Trajectory], n_in: int) -> _GroupTerms:
-    """The kept predictions of trajs stacked in trajectory order."""
-    counts = [len(t.decay_rates) for t in trajs]
-    feats = np.concatenate([np.reshape(t.features, (-1, n_in)) for t in trajs])
-    rates = np.concatenate([np.asarray(t.decay_rates, dtype=float) for t in trajs])
-    return _GroupTerms(feats, np.log(rates), np.log1p(-rates),
-                       np.repeat(np.arange(len(trajs)), counts),
-                       np.maximum(np.asarray(counts), 1), trajs)
+    return (k * r - r.sum(axis=-1, keepdims=True)) / (k - 1)
 
 
 def _policy_terms(policy: TimePolicy, feats: np.ndarray) -> tuple:
@@ -162,34 +109,67 @@ def _log_pdf(log_r: np.ndarray, log_1mr: np.ndarray, alpha: np.ndarray,
     return (alpha - 1.0) * log_r + (beta - 1.0) * log_1mr - log_b
 
 
-def _step_log_pdf(policy: TimePolicy, terms: _GroupTerms) -> np.ndarray:
-    """Log-density under policy of each stacked step of terms."""
-    _, alpha, beta, log_b, *_ = _policy_terms(policy, terms.feats)
-    return _log_pdf(terms.log_r, terms.log_1mr, alpha, beta, log_b)
+def _step_log_pdf(policy: TimePolicy, feats: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Log-density under policy of each rate at its feature row."""
+    _, alpha, beta, log_b, *_ = _policy_terms(policy, feats)
+    return _log_pdf(np.log(rates), np.log1p(-rates), alpha, beta, log_b)
 
 
-def _group_terms(group: RolloutGroup, ref_policy: TimePolicy) -> _GroupTerms:
-    """The group's cached terms. The reference terms are recomputed only when
-    ref_policy's parameter arrays are not the ones they were built from, so a
-    frozen reference (as in train_tpm) is evaluated once per group. Editing a
-    reference's arrays, or the trajectory list, in place is not detected."""
-    terms = group._terms
-    if terms is None:
-        terms = group._terms = _stack_steps(group.trajectories, ref_policy.net.sizes[0])
-    elif terms.trajs is not group.trajectories:
-        raise ValueError("group.trajectories was replaced after its steps were "
-                         "stacked; build a new RolloutGroup for new trajectories")
-    params = ref_policy.net.parameters()
-    if (len(params) != len(terms.ref_params)
-            or any(a is not b for a, b in zip(params, terms.ref_params))):
-        terms.ref_params = params
-        terms.ref = _policy_terms(ref_policy, terms.feats)[1:]
-    return terms
+@dataclass
+class Rollouts:
+    """One outer step's rollouts as arrays, read by every inner epoch.
+
+    The per-lane arrays are (n_groups, k): row g is group g, whose k lanes
+    share one initial noise draw. The kept predictions of all lanes are
+    stacked lane by lane (feats, rates), lane holding the flat lane index of
+    each. The reference policy's terms there are cached (ref_terms)."""
+
+    n_steps: np.ndarray       # Euler steps N
+    ir: np.ndarray            # terminal quality score
+    reward: np.ndarray        # discounted reward
+    advantage: np.ndarray     # leave-one-out advantage within the group
+    old_log_prob: np.ndarray  # log-probability of the schedule when rolled
+    n_pred: np.ndarray        # kept predictions, at least 1 (the KL's divisor)
+    feats: np.ndarray
+    rates: np.ndarray
+    lane: np.ndarray
+    # the reference policy's parameter arrays and its terms at feats
+    _ref: tuple = dataclass_field(default=((), ()), init=False, repr=False)
+
+    @classmethod
+    def from_lanes(cls, policy: TimePolicy, lanes: Lanes, ir: np.ndarray, k: int,
+                   gamma: float) -> "Rollouts":
+        """The record of adaptive lanes rolled in groups of k consecutive lanes,
+        with terminal scores ir. Old log-probs are scored in one forward over
+        the stack ppo_loss reads, so the first inner epoch's ratios are exactly
+        1 (a forward over another batch can differ in the last bits)."""
+        mask = np.arange(lanes.rates.shape[1]) < lanes.n_kept[:, None]
+        feats, rates, lane = lanes.feats[mask], lanes.rates[mask], np.nonzero(mask)[0]
+        old_lp = np.bincount(lane, weights=_step_log_pdf(policy, feats, rates),
+                             minlength=len(lanes.n_kept))
+        reward = discounted_reward(ir, lanes.n_steps, gamma).reshape(-1, k)
+        return cls(lanes.n_steps.reshape(-1, k), np.reshape(ir, (-1, k)), reward,
+                   rloo_advantages(reward), old_lp.reshape(-1, k),
+                   np.maximum(lanes.n_kept, 1).reshape(-1, k), feats, rates, lane)
+
+    def ref_terms(self, ref_policy: TimePolicy) -> tuple:
+        """(alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta)) of
+        ref_policy at feats, recomputed only when ref_policy's parameter
+        arrays are not the ones they came from; so a frozen reference (as in
+        train_tpm) is evaluated once per record. Editing a reference's arrays
+        in place is not detected."""
+        params, terms = self._ref
+        current = ref_policy.net.parameters()
+        if len(current) != len(params) or any(a is not b for a, b in zip(current, params)):
+            terms = _policy_terms(ref_policy, self.feats)[1:]
+            self._ref = current, terms
+        return terms
 
 
 def step_log_probs(policy: TimePolicy, traj: Trajectory) -> np.ndarray:
     """Beta log-density under policy of each kept prediction of traj."""
-    return _step_log_pdf(policy, _stack_steps([traj], policy.net.sizes[0]))
+    return _step_log_pdf(policy, np.reshape(traj.features, (-1, policy.net.sizes[0])),
+                         np.asarray(traj.decay_rates, dtype=float))
 
 
 def traj_log_prob(policy: TimePolicy, traj: Trajectory) -> float:
@@ -206,31 +186,30 @@ class PpoLossResult:
     n_dropped: int
 
 
-def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
+def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, rollouts: Rollouts,
              cfg: RLConfig) -> PpoLossResult:
-    """Trajectory-as-action PPO loss on one group, with exact gradients.
+    """Trajectory-as-action PPO loss over a whole record, with exact gradients.
 
-    loss = mean over kept trajectories of -(surrogate_i - kl_weight * KL_i),
+    loss = mean over groups of the mean over the group's kept trajectories of
+    -(surrogate_i - kl_weight * KL_i), so a kept trajectory weighs
+    1/(n_groups * n_kept_g) and a group with none kept counts as 0;
     surrogate_i = ratio_i * adv_i (pessimistically clipped when cfg.clip > 0),
     KL_i = mean over the trajectory's steps of KL(ref || policy) at the
-    visited features. Gradients flow only through the current policy.
-    The group keeps its stacked steps and ref_policy's terms between calls
-    (_group_terms), so ref_policy must not be edited in place meanwhile.
+    visited features. One forward and one backward cover the whole record;
+    gradients flow only through the current policy. The record keeps
+    ref_policy's terms (Rollouts.ref_terms), so do not edit it in place.
     """
-    trajs = group.trajectories
-    advs = np.array([rec.advantage for rec in group.rewards])
-    if advs.shape[0] != len(trajs):
-        raise ValueError("advantages must be computed before ppo_loss")
+    r, advs = rollouts, rollouts.advantage
+    n_groups = len(advs)
+    log_r, log_1mr = np.log(r.rates), np.log1p(-r.rates)
+    acts, alpha, beta, log_b, psi_a, psi_b, psi_ab = _policy_terms(policy, r.feats)
+    ref_alpha, ref_beta, ref_log_b, ref_psi_a, ref_psi_b, ref_psi_ab = r.ref_terms(ref_policy)
 
-    terms = _group_terms(group, ref_policy)
-    seg, m = terms.seg, terms.steps
-    acts, alpha, beta, log_b, psi_a, psi_b, psi_ab = _policy_terms(policy, terms.feats)
-    ref_alpha, ref_beta, ref_log_b, ref_psi_a, ref_psi_b, ref_psi_ab = terms.ref
+    def per_lane(step_values):  # (n_groups, k) sums over each lane's steps
+        return np.bincount(r.lane, weights=step_values, minlength=advs.size).reshape(advs.shape)
 
-    log_pdf = _log_pdf(terms.log_r, terms.log_1mr, alpha, beta, log_b)
-    new_lp = np.bincount(seg, weights=log_pdf, minlength=len(trajs))
-    ratio = np.exp(new_lp - group.old_log_probs)
-
+    ratio = np.exp(per_lane(_log_pdf(log_r, log_1mr, alpha, beta, log_b))
+                   - r.old_log_prob)
     kept = np.isfinite(ratio)
     n_dropped = int(np.count_nonzero(~kept))
     if n_dropped:
@@ -238,8 +217,7 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
                        n_dropped)
         # neutralize before any arithmetic: 0 * inf would poison the masked sums
         ratio = np.where(kept, ratio, 0.0)
-    n_kept = int(np.count_nonzero(kept))
-    if n_kept == 0:
+    if not kept.any():
         return PpoLossResult(0.0, np.zeros(policy.net.n_params), 0.0, n_dropped)
 
     unclipped = ratio * advs
@@ -255,19 +233,24 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
     kl_steps = (log_b - ref_log_b + (ref_alpha - alpha) * ref_psi_a
                 + (ref_beta - beta) * ref_psi_b
                 + (alpha - ref_alpha + beta - ref_beta) * ref_psi_ab)
-    kl_per_traj = np.bincount(seg, weights=kl_steps, minlength=len(trajs)) / m
+    kl_per_traj = per_lane(kl_steps) / r.n_pred
 
     keep_f = kept.astype(float)
-    loss = float(np.sum(keep_f * (-surrogate + cfg.kl_weight * kl_per_traj)) / n_kept)
-    mean_kl = float(np.sum(keep_f * kl_per_traj) / n_kept)
+    n_kept = np.maximum(np.count_nonzero(kept, axis=-1, keepdims=True), 1)
+
+    def group_mean(x):  # mean over groups of each group's mean over kept lanes
+        return float(np.mean(np.sum(keep_f * x, axis=-1, keepdims=True) / n_kept))
+
+    loss = group_mean(-surrogate + cfg.kl_weight * kl_per_traj)
+    mean_kl = group_mean(kl_per_traj)
 
     # d loss / d log_pdf_m: the surrogate branch actually taken, per step
-    surr_coef = -(keep_f * use_unclipped * advs * ratio / n_kept)[seg]
-    dlp_da = terms.log_r - psi_a + psi_ab
-    dlp_db = terms.log_1mr - psi_b + psi_ab
+    surr_coef = -(keep_f * use_unclipped * advs * ratio / n_kept / n_groups).ravel()[r.lane]
+    dlp_da = log_r - psi_a + psi_ab
+    dlp_db = log_1mr - psi_b + psi_ab
 
     # d loss / d kl_m, then d kl / d (alpha_q, beta_q)
-    kl_coef = (cfg.kl_weight * keep_f / n_kept / m)[seg]
+    kl_coef = (cfg.kl_weight * keep_f / n_kept / r.n_pred / n_groups).ravel()[r.lane]
     dkl_da = psi_a - psi_ab - ref_psi_a + ref_psi_ab
     dkl_db = psi_b - psi_ab - ref_psi_b + ref_psi_ab
 
@@ -275,7 +258,7 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, group: RolloutGroup,
         (surr_coef * dlp_da + kl_coef * dkl_da),
         (surr_coef * dlp_db + kl_coef * dkl_db),
     ], axis=1) * shape_grad_wrt_raw(acts[-1])
-    grad, _ = policy.net.backward(terms.feats, out_grad, acts)
+    grad, _ = policy.net.backward(r.feats, out_grad, acts)
     return PpoLossResult(loss, grad, mean_kl, n_dropped)
 
 
@@ -289,44 +272,22 @@ class MetricsRow:
     grad_norm: float
 
 
+def roll_groups(policy: TimePolicy, velocity_field: VelocityField,
+                sched: ScheduleConfig, k: int, rngs: Sequence[RngStream]) -> Lanes:
+    """k lanes per stream of rngs in one lane batch, all starting from the
+    stream's child(0) noise draw; lane j of a group draws from child(1 + j)."""
+    noise = np.array([rng.child(0).standard_normal(velocity_field.d) for rng in rngs])
+    return roll_lanes(velocity_field, sched,
+                      [rng.child(1 + j) for rng in rngs for j in range(k)],
+                      np.repeat(noise, k, axis=0), policy)
+
+
 def rollout_group(policy: TimePolicy, velocity_field: VelocityField,
                   target: TargetSpec, sched: ScheduleConfig, k: int,
-                  rng: RngStream, gamma: float) -> RolloutGroup:
-    """k rollouts from one shared noise draw, with rewards and advantages.
-
-    Old log-probs are scored over the stack the group keeps for ppo_loss, so
-    the first inner epoch's ratios are exactly 1 (a forward over other
-    batches, one trajectory at a time say, can differ in the last bits)."""
-    return _rollout_groups(policy, velocity_field, target, sched, k, [rng], gamma)[0]
-
-
-def _rollout_groups(policy: TimePolicy, velocity_field: VelocityField,
-                    target: TargetSpec, sched: ScheduleConfig, k: int,
-                    rngs: Sequence[RngStream], gamma: float) -> list[RolloutGroup]:
-    """rollout_group for each stream of rngs, every rollout in one lane batch."""
-    noise = np.array([rng.child(0).standard_normal(velocity_field.d) for rng in rngs])
-    lanes = roll_lanes(velocity_field, sched,
-                       [rng.child(1 + j) for rng in rngs for j in range(k)],
-                       np.repeat(noise, k, axis=0), policy)
-    all_trajs = lanes.trajectories()
-    all_irs = toy_reward(lanes.finals, target)
-    groups = []
-    for g in range(len(rngs)):
-        trajs, irs = all_trajs[g * k:(g + 1) * k], all_irs[g * k:(g + 1) * k]
-        terms = _stack_steps(trajs, policy.net.sizes[0])
-        old_lp = np.bincount(terms.seg, weights=_step_log_pdf(policy, terms),
-                             minlength=k)
-        group = RolloutGroup(target, noise[g], trajs, old_lp)
-        group._terms = terms
-        discounted = [discounted_reward(ir, t.n_steps, gamma)
-                      for ir, t in zip(irs, trajs)]
-        advs = rloo_advantages(discounted)
-        group.rewards = [
-            RewardRecord(float(ir), disc, float(adv), t.n_steps)
-            for ir, disc, adv, t in zip(irs, discounted, advs, trajs)
-        ]
-        groups.append(group)
-    return groups
+                  rng: RngStream, gamma: float) -> Rollouts:
+    """k rollouts from one shared noise draw: a one-group record (k >= 2)."""
+    lanes = roll_groups(policy, velocity_field, sched, k, [rng])
+    return Rollouts.from_lanes(policy, lanes, toy_reward(lanes.finals, target), k, gamma)
 
 
 def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField],
@@ -336,10 +297,11 @@ def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField
               ) -> tuple[TimePolicy, list[MetricsRow]]:
     """PPO training of the decay policy against frozen velocity fields.
 
-    Groups cycle round-robin over the provided (field, target) pairs. The
-    reference policy is frozen at entry. Divergence (non-finite parameters or
-    loss) aborts, leaving the last finite checkpoint on disk when a path is
-    given, and returns the last-good policy.
+    Groups cycle round-robin over the provided (field, target) pairs; each
+    outer step's groups form one record, pair by pair. The reference policy
+    is frozen at entry. Divergence (non-finite parameters or loss) aborts,
+    leaving the last finite checkpoint on disk when a path is given, and
+    returns the last-good policy.
     """
     if isinstance(fields, VelocityField):
         fields = [fields]
@@ -356,49 +318,32 @@ def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField
 
     for outer in range(cfg.outer_steps):
         # the groups sharing a (field, target) pair are rolled in one batch
-        groups = [None] * n_groups
+        parts, irs = [], []
         for pair in range(len(targets)):
-            ids = [g for g in range(n_groups)
-                   if (outer * n_groups + g) % len(targets) == pair]
-            if not ids:
-                continue
-            rolled = _rollout_groups(policy, fields[pair], targets[pair], sched,
-                                     cfg.group_size,
-                                     [rng.child(outer, g) for g in ids], cfg.gamma)
-            for g, grp in zip(ids, rolled):
-                groups[g] = grp
-        recs = [rec for grp in groups for rec in grp.rewards]
-        mean_reward = float(np.mean([rec.discounted for rec in recs]))
-        mean_ir = float(np.mean([rec.ir for rec in recs]))
-        mean_n = float(np.mean([rec.n_steps for rec in recs]))
+            rngs = [rng.child(outer, g) for g in range(n_groups)
+                    if (outer * n_groups + g) % len(targets) == pair]
+            if rngs:
+                parts.append(roll_groups(policy, fields[pair], sched, cfg.group_size, rngs))
+                irs.append(toy_reward(parts[-1].finals, targets[pair]))
+        record = Rollouts.from_lanes(policy, Lanes.concat(parts), np.concatenate(irs),
+                                     cfg.group_size, cfg.gamma)
 
-        mean_kl = 0.0
-        grad_norm_val = 0.0
-        aborted = False
         for epoch in range(cfg.inner_epochs):
-            total = np.zeros(net.n_params)
-            losses = []
-            kls = []
-            for grp in groups:
-                res = ppo_loss(policy, ref_policy, grp, cfg)
-                losses.append(res.loss)
-                kls.append(res.mean_kl)
-                total += res.grad
-            total = total / len(groups)
-            if epoch == 0:
-                mean_kl = float(np.mean(kls))
-            if not np.isfinite(np.mean(losses)) or not np.all(np.isfinite(total)):
+            res = ppo_loss(policy, ref_policy, record, cfg)
+            finite = np.isfinite(res.loss) and np.all(np.isfinite(res.grad))
+            if not finite:
                 logger.warning("aborting at outer step %d: non-finite loss/gradient",
                                outer)
-                aborted = True
                 break
-            grad_norm_val = clip_global_norm(net.unflatten(total), cfg.max_grad_norm)
-            [net.theta], state = adamw_step([net.theta], [total], state)
-        if aborted or not np.all(np.isfinite(net.theta)):
+            if epoch == 0:
+                mean_kl = res.mean_kl
+            grad_norm_val = clip_global_norm(net.unflatten(res.grad), cfg.max_grad_norm)
+            [net.theta], state = adamw_step([net.theta], [res.grad], state)
+        if not finite or not np.all(np.isfinite(net.theta)):
             policy = last_good
             break
-        metrics.append(MetricsRow(outer, mean_reward, mean_ir, mean_n,
-                                  mean_kl, grad_norm_val))
+        metrics.append(MetricsRow(outer, float(np.mean(record.reward)), float(np.mean(record.ir)),
+                                  float(np.mean(record.n_steps)), mean_kl, grad_norm_val))
         last_good = policy.copy()
         if checkpoint_path is not None:
             save_policy(policy, checkpoint_path)

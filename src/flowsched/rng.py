@@ -64,15 +64,9 @@ class RngStream:
     def gamma(self, shape: float, size=None):
         return self._gen.gamma(shape, size=size)
 
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def choice(self, n: int, p=None, size=None):
-        """Uniform or weighted index draws in [0, n). Weighted draws use
-        inverse-CDF on one uniform each, so consumption per draw is fixed."""
-        if p is None:
-            out = self._gen.integers(0, n, size=size)
-            return out if size is not None else int(out)
+    def choice(self, n: int, p, size=None):
+        """Weighted index draws in [0, n) by inverse CDF on one uniform each,
+        so consumption per draw is fixed."""
         cdf = np.cumsum(p)
         u = self._gen.uniform(size=size)
         out = np.minimum(np.searchsorted(cdf, u), n - 1)

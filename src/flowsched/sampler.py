@@ -13,14 +13,14 @@ the prediction that triggered it is discarded, so len(decay_rates) = N - 1
 unless the discrete grid terminated exactly at 0.
 
 Each kept rate is recorded with its features and scored afterwards by the one
-array log-density path in rl (rollout_group, step_log_probs).
+array log-density path in rl (Rollouts.from_lanes, step_log_probs).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -94,14 +94,6 @@ class Trajectory:
             raise ValueError("prediction count must be N-1 (forced jump) or N")
 
 
-def euler_step(x: np.ndarray, t_from: float, t_to: float,
-               velocity_field: VelocityField) -> np.ndarray:
-    if not 0.0 <= t_to < t_from <= 1.0:
-        raise ValueError(f"need 0 <= t_to < t_from <= 1, got {t_to}, {t_from}")
-    x = np.asarray(x, dtype=float)
-    return x + (t_to - t_from) * velocity_field(x, t_from)
-
-
 def quantize_times(t: np.ndarray, grid_size: int,
                    prev_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Snap each t to the nearest point of the grid {i/T}, forcing strict decrease.
@@ -155,6 +147,13 @@ class Lanes:
     @property
     def finals(self) -> np.ndarray:
         return self.states[np.arange(len(self.n_steps)), self.n_steps]
+
+    @classmethod
+    def concat(cls, parts: Sequence["Lanes"]) -> "Lanes":
+        """The lanes of parts in order, which must share one step budget."""
+        return cls(*(None if getattr(parts[0], f.name) is None
+                     else np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
 
     def trajectories(self) -> list[Trajectory]:
         """One Trajectory per lane, over views of the padded paths."""

@@ -197,7 +197,7 @@ def test_policy_checkpoint_roundtrip(tmp_path):
     save_policy(pol, path)
     loaded = load_policy(path)
     assert loaded.d == 3
-    assert loaded.feature_layout == FEATURE_LAYOUT
+    assert load_checkpoint(path)[1] == f"layout={FEATURE_LAYOUT};d=3".encode("ascii")
     for a, b in zip(pol.net.parameters(), loaded.net.parameters()):
         assert np.array_equal(a, b)
 
@@ -208,7 +208,8 @@ def test_policy_checkpoint_roundtrip(tmp_path):
     (b"layout=x;d=two", "field d='two'"),
     ("layout=x;d=2\u00e9".encode("utf-8"), "not ASCII"),
     (b"layout=x;d=3", "field d='3' does not match the net's input size 6"),
-], ids=["garbage", "no_d", "d_not_integer", "non_ascii", "d_mismatch"])
+    (b"layout=foo;d=2", "field layout='foo' is not the feature layout"),
+], ids=["garbage", "no_d", "d_not_integer", "non_ascii", "d_mismatch", "layout"])
 def test_load_policy_rejects_bad_header(tmp_path, header, message):
     path = tmp_path / "policy.ckpt"
     save_checkpoint(init_policy(2, 0.66, RngStream(8, 0)).net, path,

@@ -2,24 +2,27 @@
 training loops: hand-computed examples, scalar-path oracles against the
 vectorized implementations, and finite-difference gradient checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
+from flowsched.cli import evaluate_policy
 from flowsched.flow import (VelocityField, ref_log_density, ring_mixture_target,
-                            standard_normal_target)
+                            single_gaussian_target, standard_normal_target)
 from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy,
                               raw_to_shape, tpm_params_batch)
-from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig,
-                          RolloutGroup, _rollout_groups, discounted_reward, ppo_loss,
-                          rloo_advantages, rollout_group, step_log_probs,
-                          toy_reward, train_naive_two_step, train_tpm,
-                          traj_log_prob, write_metrics_csv)
+from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig, Rollouts,
+                          discounted_reward, ppo_loss, rloo_advantages, roll_groups,
+                          rollout_group, step_log_probs, toy_reward,
+                          train_naive_two_step, train_tpm, traj_log_prob,
+                          write_metrics_csv)
 from flowsched.rng import RngStream
-from flowsched.sampler import (ScheduleConfig, Trajectory, sample_adaptive,
+from flowsched.sampler import (Lanes, ScheduleConfig, roll_lanes, sample_adaptive,
                                sample_fixed)
 from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf, digamma,
                                     log_gamma)
@@ -27,6 +30,7 @@ from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf, digamma,
 from beta_reference import log_pdf_grad_wrt_raw
 
 STD2 = standard_normal_target(2)
+SHIFTED = single_gaussian_target([1.0, -0.5], 0.7)
 
 
 def oracle_field():
@@ -185,17 +189,19 @@ def test_rollout_group_shares_noise_and_baselines():
     policy = small_policy(31, jitter=0.05)
     group = rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), 4,
                           RngStream(31, 2), gamma=0.95)
-    assert len(group.trajectories) == 4
-    for traj in group.trajectories:
-        assert np.array_equal(traj.states[0], group.initial_noise)
-    assert abs(sum(rec.advantage for rec in group.rewards)) <= 1e-12
-    for rec, traj in zip(group.rewards, group.trajectories):
-        assert rec.n_steps == traj.n_steps
-        assert rec.ir >= IR_CLAMP
-        assert abs(rec.discounted
-                   - discounted_reward(rec.ir, rec.n_steps, 0.95)) <= 1e-12
-    recomputed = [traj_log_prob(policy, t) for t in group.trajectories]
-    np.testing.assert_allclose(group.old_log_probs, recomputed, atol=1e-9)
+    trajs = roll_groups(policy, oracle_field(), ScheduleConfig(), 4,
+                        [RngStream(31, 2)]).trajectories()
+    assert group.advantage.shape == (1, 4)
+    for traj in trajs:
+        assert np.array_equal(traj.states[0], trajs[0].states[0])
+    assert abs(group.advantage.sum()) <= 1e-12
+    assert group.n_steps.ravel().tolist() == [t.n_steps for t in trajs]
+    for ir, n_steps, discounted in zip(group.ir.ravel(), group.n_steps.ravel(),
+                                       group.reward.ravel()):
+        assert ir >= IR_CLAMP
+        assert abs(discounted - discounted_reward(ir, n_steps, 0.95)) <= 1e-12
+    recomputed = [traj_log_prob(policy, t) for t in trajs]
+    np.testing.assert_allclose(group.old_log_prob.ravel(), recomputed, atol=1e-9)
 
 
 def test_rollout_group_is_deterministic():
@@ -204,18 +210,25 @@ def test_rollout_group_is_deterministic():
                       RngStream(32, 2), gamma=0.9)
     b = rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), 4,
                       RngStream(32, 2), gamma=0.9)
-    assert np.array_equal(a.old_log_probs, b.old_log_probs)
-    assert [r.discounted for r in a.rewards] == [r.discounted for r in b.rewards]
+    assert np.array_equal(a.old_log_prob, b.old_log_prob)
+    assert np.array_equal(a.reward, b.reward)
 
 
 def test_rollout_group_validation():
-    policy = small_policy(33)
-    t1 = sample_adaptive(policy, oracle_field(), ScheduleConfig(), RngStream(33, 1))
-    t2 = sample_adaptive(policy, oracle_field(), ScheduleConfig(), RngStream(33, 2))
-    with pytest.raises(ValueError, match="share the initial noise"):
-        RolloutGroup(STD2, t1.states[0], [t1, t2], np.zeros(2))
-    with pytest.raises(ValueError, match="k >= 2"):
-        RolloutGroup(STD2, t1.states[0], [t1], np.zeros(1))
+    with pytest.raises(ValueError, match="at least 2 rewards"):
+        rollout_group(small_policy(33), oracle_field(), STD2, ScheduleConfig(), 1,
+                      RngStream(33, 1), 0.95)
+
+
+def test_discounting_and_rloo_act_per_lane_and_per_group():
+    n_steps = np.array([[1, 3, 7], [40, 2, 5]])
+    ir = np.array([[0.5, -1.0, 2.0], [0.25, -10.0, 1.5]])
+    disc = discounted_reward(ir, n_steps, 0.9)
+    assert disc.tolist() == [[discounted_reward(float(r), int(n), 0.9)
+                              for r, n in zip(row_ir, row_n)]
+                             for row_ir, row_n in zip(ir, n_steps)]
+    assert np.array_equal(rloo_advantages(disc),
+                          np.stack([rloo_advantages(row) for row in disc]))
 
 
 def test_rl_config_validation():
@@ -230,17 +243,31 @@ def test_rl_config_validation():
 # ------------------------------------------------------------------- ppo_loss
 
 
-def make_group(policy, seed: int, k: int = 4, gamma: float = 0.95) -> RolloutGroup:
-    return rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), k,
-                         RngStream(seed, 9), gamma)
+def make_record(policy, streams, k: int = 4, gamma: float = 0.95,
+                no_predictions=()) -> Rollouts:
+    """The record of one group per stream, rolled as train_tpm rolls them;
+    the lanes named in no_predictions keep none of their predictions."""
+    lanes = roll_groups(policy, oracle_field(), ScheduleConfig(), k, streams)
+    lanes.n_kept[list(no_predictions)] = 0
+    return Rollouts.from_lanes(policy, lanes, toy_reward(lanes.finals, STD2), k, gamma)
+
+
+def make_group(policy, seed: int, k: int = 4, gamma: float = 0.95,
+               no_predictions=()) -> Rollouts:
+    return make_record(policy, [RngStream(seed, 9)], k, gamma, no_predictions)
+
+
+def lane_steps(record: Rollouts, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked features and rates of flat lane i."""
+    mine = record.lane == i
+    return record.feats[mine], record.rates[mine]
 
 
 def test_ppo_loss_at_reference_point_is_minus_mean_advantage():
     policy = small_policy(41, jitter=0.05)
     group = make_group(policy, 41)
     custom = [0.7, -0.2, 1.1, 0.4]
-    for rec, adv in zip(group.rewards, custom):
-        rec.advantage = adv
+    group.advantage[0] = custom
     cfg = RLConfig(kl_weight=0.0, clip=0.0)
     res = ppo_loss(policy, policy, group, cfg)
     assert res.n_dropped == 0
@@ -251,8 +278,7 @@ def test_ppo_loss_at_reference_point_is_minus_mean_advantage():
 def test_ppo_loss_zero_advantage_at_reference_is_flat():
     policy = small_policy(42, jitter=0.05)
     group = make_group(policy, 42)
-    for rec in group.rewards:
-        rec.advantage = 0.0
+    group.advantage[...] = 0.0
     res = ppo_loss(policy, policy, group, RLConfig(kl_weight=0.5, clip=0.2))
     assert abs(res.loss) <= 1e-12
     assert np.all(np.abs(res.grad) <= 1e-12)
@@ -267,17 +293,17 @@ def test_ppo_loss_reinforce_identity_at_reference_point():
     cfg = RLConfig(kl_weight=0.0, clip=0.0)
     res = ppo_loss(policy, policy, group, cfg)
 
-    k = len(group.trajectories)
+    k = group.advantage.size
     expected = np.zeros(policy.net.n_params)
-    for traj, rec in zip(group.trajectories, group.rewards):
-        feats = np.stack(traj.features)
+    for i, adv in enumerate(group.advantage.ravel()):
+        feats, rates = lane_steps(group, i)
         raw, alpha, beta, _ = tpm_params_batch(policy, feats)
         out = np.stack([
             log_pdf_grad_wrt_raw(r, raw[m], float(alpha[m]), float(beta[m]))
-            for m, r in enumerate(traj.decay_rates)
+            for m, r in enumerate(rates)
         ])
         g, _ = policy.net.backward(feats, out)
-        expected -= rec.advantage / k * g
+        expected -= adv / k * g
     np.testing.assert_allclose(res.grad, expected, rtol=1e-9, atol=1e-12)
 
 
@@ -288,13 +314,12 @@ def test_ppo_loss_kl_term_matches_scalar_oracle():
               for i, p in enumerate(policy.net.parameters())]
     policy.net.set_parameters(params)
     group = make_group(ref, 44)
-    for rec in group.rewards:
-        rec.advantage = 0.0
+    group.advantage[...] = 0.0
     res = ppo_loss(policy, ref, group, RLConfig(kl_weight=1.0, clip=0.2))
 
     kls = []
-    for traj in group.trajectories:
-        feats = np.stack(traj.features)
+    for i in range(group.advantage.size):
+        feats, _ = lane_steps(group, i)
         _, a_q, b_q, _ = tpm_params_batch(policy, feats)
         _, a_p, b_p, _ = tpm_params_batch(ref, feats)
         per_step = [beta_kl(BetaParams(float(a_p[m]), float(b_p[m])),
@@ -338,10 +363,8 @@ def test_ppo_loss_drops_non_finite_ratios(caplog):
     policy = small_policy(46, jitter=0.05)
     group = make_group(policy, 46)
     custom = [0.5, -0.5, 1.0, -1.0]
-    for rec, adv in zip(group.rewards, custom):
-        rec.advantage = adv
-    group.old_log_probs = group.old_log_probs.copy()
-    group.old_log_probs[0] = -1e9
+    group.advantage[0] = custom
+    group.old_log_prob[0, 0] = -1e9
     with caplog.at_level("WARNING", logger="flowsched.rl"), np.errstate(over="ignore"):
         res = ppo_loss(policy, policy, group, RLConfig(kl_weight=0.0, clip=0.0))
     assert res.n_dropped == 1
@@ -350,65 +373,103 @@ def test_ppo_loss_drops_non_finite_ratios(caplog):
     assert np.all(np.isfinite(res.grad))
 
 
-def test_first_epoch_importance_ratio_is_exactly_one():
-    # no KL, no clipping and a one-hot advantage leave loss = -ratio_i / k
-    # with every operation exact, so -k * loss is trajectory i's ratio
-    policy = small_policy(48, jitter=0.05)
+def assert_first_epoch_ratios_are_one(policy, record):
+    """With no KL, no clipping and a one-hot advantage the loss is
+    -ratio_i / (n_groups * k), every operation exact when n_groups * k is a
+    power of two; so -n_groups * k * loss is lane i's ratio."""
+    record = dataclasses.replace(record, advantage=np.zeros_like(record.advantage))
+    n_lanes = record.advantage.size
+    assert n_lanes & (n_lanes - 1) == 0
     cfg = RLConfig(kl_weight=0.0, clip=0.0)
     ratios = []
+    for i in range(n_lanes):
+        record.advantage.flat[:] = np.arange(n_lanes) == i
+        ratios.append(-n_lanes * ppo_loss(policy, policy, record, cfg).loss)
+    assert ratios == [1.0] * n_lanes
+
+
+def test_first_epoch_importance_ratio_is_exactly_one():
+    policy = small_policy(48, jitter=0.05)
     for g in range(64):
-        group = rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), 4,
-                              RngStream(48, 2).child(g), 0.95)
-        for i in range(4):
-            for j, rec in enumerate(group.rewards):
-                rec.advantage = float(i == j)
-            ratios.append(-4 * ppo_loss(policy, policy, group, cfg).loss)
-    assert len(ratios) == 256 and all(r == 1.0 for r in ratios)
+        assert_first_epoch_ratios_are_one(
+            policy, rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), 4,
+                                  RngStream(48, 2).child(g), 0.95))
+    assert_first_epoch_ratios_are_one(
+        policy, make_record(policy, [RngStream(48, 3).child(g) for g in range(16)]))
+
+
+def test_train_tpm_first_epoch_ratio_is_exactly_one_over_two_pairs(monkeypatch):
+    # every outer step's record spans both (field, target) pairs
+    import flowsched.rl as rl
+
+    policy = small_policy(56, jitter=0.05)
+    seen = []
+
+    def checked(pol, ref, record, cfg):
+        if not any(record is r for r in seen):
+            seen.append(record)
+            assert_first_epoch_ratios_are_one(pol, record)
+        return ppo_loss(pol, ref, record, cfg)
+
+    monkeypatch.setattr(rl, "ppo_loss", checked)
+    cfg = RLConfig(group_size=4, batch_size=32, inner_epochs=2, lr=3e-3,
+                   outer_steps=2)
+    train_tpm(policy, [oracle_field(), VelocityField("oracle", target=SHIFTED)],
+              [STD2, SHIFTED], cfg, ScheduleConfig(), RngStream(56, 1))
+    assert len(seen) == cfg.outer_steps
 
 
 def test_batched_groups_match_single_group_rollouts():
     # train_tpm rolls all groups of a field in one lane batch: same draws and
     # step counts as one group at a time, and still an epoch-0 ratio of 1
     policy = small_policy(49, jitter=0.05)
-    streams = [RngStream(49, 2).child(g) for g in range(6)]
-    batched = _rollout_groups(policy, oracle_field(), STD2, ScheduleConfig(), 4,
-                              streams, 0.95)
-    cfg = RLConfig(kl_weight=0.0, clip=0.0)
-    for g, group in enumerate(batched):
-        alone = rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), 4,
-                              RngStream(49, 2).child(g), 0.95)
-        assert np.array_equal(group.initial_noise, alone.initial_noise)
-        assert ([r.n_steps for r in group.rewards]
-                == [r.n_steps for r in alone.rewards])
-        for a, b in zip(group.trajectories, alone.trajectories):
-            np.testing.assert_allclose(a.decay_rates, b.decay_rates, rtol=1e-12)
-        np.testing.assert_allclose(group.old_log_probs, alone.old_log_probs,
+    streams = [RngStream(49, 2).child(g) for g in range(8)]
+    lanes = roll_groups(policy, oracle_field(), ScheduleConfig(), 4, streams)
+    batched = make_record(policy, streams)
+    for g, stream in enumerate(streams):
+        alone_lanes = roll_groups(policy, oracle_field(), ScheduleConfig(), 4, [stream])
+        alone = make_record(policy, [stream])
+        assert np.array_equal(lanes.states[4 * g:4 * g + 4, 0], alone_lanes.states[:, 0])
+        assert np.array_equal(batched.n_steps[g], alone.n_steps[0])
+        for j in range(4):
+            np.testing.assert_allclose(lane_steps(batched, 4 * g + j)[1],
+                                       lane_steps(alone, j)[1], rtol=1e-12)
+        np.testing.assert_allclose(batched.old_log_prob[g], alone.old_log_prob[0],
                                    rtol=1e-12)
-        for i in range(4):
-            for j, rec in enumerate(group.rewards):
-                rec.advantage = float(i == j)
-            assert -4 * ppo_loss(policy, policy, group, cfg).loss == 1.0
+    assert_first_epoch_ratios_are_one(policy, batched)
 
 
-def test_ppo_loss_rejects_replaced_trajectories():
-    # the cached stack belongs to the list it was built from; scoring it
-    # against another list's advantages would be silently wrong
-    policy = small_policy(50, jitter=0.05)
-    group = make_group(policy, 50)
-    group.trajectories = list(group.trajectories)
-    with pytest.raises(ValueError, match="build a new RolloutGroup"):
-        ppo_loss(policy, policy, group, RLConfig())
+def one_group(record: Rollouts, g: int) -> Rollouts:
+    """Group g of record as a record of its own, with the same old log-probs
+    and advantages."""
+    k = record.advantage.shape[1]
+    steps = record.lane // k == g
+    return Rollouts(*(a[g:g + 1].copy() for a in (
+        record.n_steps, record.ir, record.reward, record.advantage,
+        record.old_log_prob, record.n_pred)),
+        record.feats[steps], record.rates[steps], record.lane[steps] - g * k)
 
 
-def test_ppo_loss_requires_advantages():
-    policy = small_policy(47)
-    traj = [sample_adaptive(policy, oracle_field(), ScheduleConfig(),
-                            RngStream(47, 2), initial_noise=np.ones(2))
-            for _ in range(2)]
-    group = RolloutGroup(STD2, np.ones(2), traj,
-                         np.array([traj_log_prob(policy, t) for t in traj]))
-    with pytest.raises(ValueError, match="advantages"):
-        ppo_loss(policy, policy, group, RLConfig())
+def test_record_loss_is_the_mean_of_its_one_group_losses():
+    # one forward and one backward over the record give what the mean over
+    # its groups gives, with an all-dropped group still counted in the mean
+    ref = small_policy(57, jitter=0.3)
+    policy = perturbed(ref, 57)
+    record = make_record(ref, [RngStream(57, 2).child(g) for g in range(5)],
+                         no_predictions=[6])
+    record.old_log_prob[3] = -1e9
+    cfg = RLConfig(kl_weight=0.3, clip=0.2)
+    with np.errstate(over="ignore"):
+        whole = ppo_loss(policy, ref, record, cfg)
+        parts = [ppo_loss(policy, ref, one_group(record, g), cfg) for g in range(5)]
+    assert whole.n_dropped == sum(p.n_dropped for p in parts) == 4
+    assert parts[3].loss == parts[3].mean_kl == 0.0
+    assert record.n_pred[1, 2] == 1 and not np.any(record.lane == 6)
+    mean_grad = np.mean([p.grad for p in parts], axis=0)
+    np.testing.assert_allclose(whole.grad, mean_grad, rtol=1e-12,
+                               atol=1e-12 * np.abs(mean_grad).max())
+    assert whole.loss == pytest.approx(np.mean([p.loss for p in parts]), rel=1e-12)
+    assert whole.mean_kl == pytest.approx(np.mean([p.mean_kl for p in parts]), rel=1e-12)
 
 
 # ------------------------------------- ppo_loss against the separate-call form
@@ -419,21 +480,18 @@ def _log_beta(a, b):
 
 
 def separate_call_ppo_loss(policy, ref_policy, group, cfg):
-    """ppo_loss with every Beta term from its own log_gamma / digamma call and
-    both policies evaluated afresh; returns (loss, grad, mean_kl, n_dropped)."""
-    trajs = group.trajectories
-    advs = np.array([rec.advantage for rec in group.rewards])
-    counts = [len(t.decay_rates) for t in trajs]
-    feats = np.concatenate([np.stack(t.features) for t in trajs if t.features])
-    rates = np.concatenate([np.asarray(t.decay_rates) for t in trajs])
-    seg = np.repeat(np.arange(len(trajs)), counts)
+    """ppo_loss on a one-group record with every Beta term from its own
+    log_gamma / digamma call and both policies evaluated afresh; returns
+    (loss, grad, mean_kl, n_dropped)."""
+    advs = group.advantage[0]
+    feats, rates, seg = group.feats, group.rates, group.lane
     raw, alpha, beta, _ = tpm_params_batch(policy, feats)
     _, ref_alpha, ref_beta, _ = tpm_params_batch(ref_policy, feats)
 
     log_pdf = ((alpha - 1.0) * np.log(rates) + (beta - 1.0) * np.log1p(-rates)
                - _log_beta(alpha, beta))
-    ratio = np.exp(np.bincount(seg, weights=log_pdf, minlength=len(trajs))
-                   - group.old_log_probs)
+    ratio = np.exp(np.bincount(seg, weights=log_pdf, minlength=len(advs))
+                   - group.old_log_prob[0])
     kept = np.isfinite(ratio)
     n_dropped = int(np.count_nonzero(~kept))
     ratio = np.where(kept, ratio, 0.0)
@@ -450,8 +508,8 @@ def separate_call_ppo_loss(policy, ref_policy, group, cfg):
                 + (ref_alpha - alpha) * digamma(ref_alpha)
                 + (ref_beta - beta) * digamma(ref_beta)
                 + (alpha - ref_alpha + beta - ref_beta) * digamma(ref_alpha + ref_beta))
-    m = np.maximum(np.asarray(counts), 1)
-    kl_per_traj = np.bincount(seg, weights=kl_steps, minlength=len(trajs)) / m
+    m = group.n_pred[0]
+    kl_per_traj = np.bincount(seg, weights=kl_steps, minlength=len(advs)) / m
     keep_f = kept.astype(float)
     loss = float(np.sum(keep_f * (-surrogate + cfg.kl_weight * kl_per_traj)) / n_kept)
     mean_kl = float(np.sum(keep_f * kl_per_traj) / n_kept)
@@ -475,19 +533,6 @@ def perturbed(policy: TimePolicy, seed: int, scale: float = 0.5) -> TimePolicy:
     out = policy.copy()
     out.net.set_parameters([p + scale * RngStream(seed, 7).child(i).standard_normal(p.shape)
                             for i, p in enumerate(out.net.parameters())])
-    return out
-
-
-def zero_prediction_trajectory(noise: np.ndarray) -> Trajectory:
-    return Trajectory(times=[1.0, 0.0], states=[noise, noise], decay_rates=[],
-                      features=[])
-
-
-def with_trajectories(group, trajs, old_log_probs) -> RolloutGroup:
-    """A new group over trajs keeping group's rewards; a group caches its
-    stacked steps, so its trajectories are replaced, not edited in place."""
-    out = RolloutGroup(group.target, group.initial_noise, trajs, old_log_probs)
-    out.rewards = group.rewards
     return out
 
 
@@ -516,12 +561,8 @@ def test_ppo_loss_equals_separate_call_form(clip):
 @pytest.mark.parametrize("clip", [0.0, 0.2])
 def test_ppo_loss_equals_separate_call_form_with_zero_prediction_trajectory(clip):
     ref = small_policy(75, jitter=0.3)
-    group = make_group(ref, 75)
-    trajs = list(group.trajectories)
-    trajs[2] = zero_prediction_trajectory(group.initial_noise)
-    old_lp = group.old_log_probs.copy()
-    old_lp[2] = 0.0
-    group = with_trajectories(group, trajs, old_lp)
+    group = make_group(ref, 75, no_predictions=[2])
+    assert group.old_log_prob[0, 2] == 0.0
     assert_matches_separate_calls(perturbed(ref, 75), ref, group, RLConfig(clip=clip))
 
 
@@ -529,8 +570,7 @@ def test_ppo_loss_equals_separate_call_form_with_zero_prediction_trajectory(clip
 def test_ppo_loss_equals_separate_call_form_with_non_finite_ratio(clip):
     ref = small_policy(76, jitter=0.3)
     group = make_group(ref, 76)
-    group.old_log_probs = group.old_log_probs.copy()
-    group.old_log_probs[1] = -1e9
+    group.old_log_prob[0, 1] = -1e9
     with np.errstate(over="ignore"):
         res = assert_matches_separate_calls(perturbed(ref, 76), ref, group,
                                             RLConfig(clip=clip))
@@ -539,11 +579,9 @@ def test_ppo_loss_equals_separate_call_form_with_non_finite_ratio(clip):
 
 def test_ppo_loss_without_any_prediction_is_zero():
     ref = small_policy(77)
-    group = make_group(ref, 77)
-    noise = group.initial_noise
-    group = with_trajectories(group, [zero_prediction_trajectory(noise)] * 4, np.zeros(4))
+    group = make_group(ref, 77, no_predictions=range(4))
     res = ppo_loss(perturbed(ref, 77), ref, group, RLConfig())
-    advs = np.array([rec.advantage for rec in group.rewards])
+    advs = group.advantage[0]
     assert res.loss == float(np.sum(-advs) / len(advs))
     assert (res.mean_kl, res.n_dropped) == (0.0, 0)
     assert np.array_equal(res.grad, np.zeros(ref.net.n_params))
@@ -562,7 +600,7 @@ def test_ppo_loss_recomputes_reference_terms_for_new_reference():
     assert_matches_separate_calls(policy, other, group, cfg)
 
 
-def test_train_tpm_evaluates_reference_once_per_group_and_outer_step(monkeypatch):
+def test_train_tpm_evaluates_reference_once_per_outer_step(monkeypatch):
     import flowsched.rl as rl
 
     cfg = RLConfig(gamma=0.95, kl_weight=0.2, clip=0.2, group_size=4,
@@ -577,11 +615,28 @@ def test_train_tpm_evaluates_reference_once_per_group_and_outer_step(monkeypatch
     monkeypatch.setattr(rl, "tpm_params_batch", counting)
     _, metrics = train_tpm(policy, oracle_field(), STD2, cfg, ScheduleConfig(),
                            RngStream(81, 1))
-    n_groups = cfg.batch_size // cfg.group_size
     assert len(metrics) == cfg.outer_steps
-    assert calls["other"] == cfg.outer_steps * n_groups
-    # one forward scores each group's old log-probs, then one per inner epoch
-    assert calls["live"] == cfg.outer_steps * n_groups * (cfg.inner_epochs + 1)
+    assert calls["other"] == cfg.outer_steps
+    # one forward scores the record's old log-probs, then one per inner epoch
+    assert calls["live"] == cfg.outer_steps * (cfg.inner_epochs + 1)
+
+
+def test_training_and_evaluation_never_build_trajectories(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("per-trajectory objects rebuilt")
+
+    monkeypatch.setattr(Lanes, "trajectories", forbidden)
+    cfg = RLConfig(group_size=4, batch_size=8, inner_epochs=1, lr=1e-3, outer_steps=2)
+    policy = init_policy(2, 0.7, RngStream(58, 0), hidden=(8,))
+    for fields, targets in (([oracle_field()], [STD2]),
+                            ([oracle_field(), VelocityField("oracle", target=SHIFTED)],
+                             [STD2, SHIFTED])):
+        _, metrics = train_tpm(policy, fields, targets, cfg, ScheduleConfig(),
+                               RngStream(58, 1))
+        assert len(metrics) == cfg.outer_steps
+    summary = evaluate_policy(policy, oracle_field(), STD2, ScheduleConfig(), 0.95,
+                              RngStream(58, 2), 50, deterministic=False)
+    assert summary.n_rollouts == 50
 
 
 # -------------------------------------------------------------- training loop
@@ -676,3 +731,58 @@ def test_naive_two_step_aborts_on_divergence():
     with pytest.raises(RuntimeError, match="diverged"):
         train_naive_two_step(policy, oracle_field(), STD2, steps=3,
                              lr=0.02, rng=RngStream(62, 1), batch_size=8)
+
+
+# ------------------------------------------------------ zero-mean policy score
+
+
+@pytest.fixture(scope="module")
+def desk_scores():
+    """10^4 rollouts of the desk initial policy on the standard-normal oracle,
+    as one record scored at unit advantages, with the score of each rollout's
+    kept draws with respect to the two output biases, and the same score at
+    fresh Beta draws at the same features."""
+    policy = init_policy(2, 0.75, RngStream(20240801, 1), hidden=(32,))
+    streams = [RngStream(59, 1).child(i) for i in range(10_000)]
+    lanes = roll_lanes(oracle_field(), ScheduleConfig(), streams, policy=policy)
+    record = Rollouts.from_lanes(policy, lanes, toy_reward(lanes.finals, STD2), 4, 0.95)
+    record.advantage[...] = 1.0
+    res = ppo_loss(policy, policy, record, RLConfig(kl_weight=0.0, clip=0.0))
+
+    _, alpha, beta, _ = tpm_params_batch(policy, record.feats)
+    rng = RngStream(59, 2)
+    gamma_a, gamma_b = rng.gamma(alpha), rng.gamma(beta)
+    fresh = gamma_a / (gamma_a + gamma_b)
+
+    def scores(rates):  # (rollouts, 2): summed d log pdf / d (output biases)
+        psi_ab = special.digamma(alpha + beta)
+        steps = np.stack([(np.log(rates) - special.digamma(alpha) + psi_ab) * (alpha - 1.0),
+                          (np.log1p(-rates) - special.digamma(beta) + psi_ab) * (beta - 1.0)],
+                         axis=1)
+        return np.stack([np.bincount(record.lane, weights=steps[:, j], minlength=10_000)
+                         for j in range(2)], axis=1)
+
+    return -res.grad[-2:], scores(record.rates), scores(fresh)
+
+
+def z_scores(scores: np.ndarray) -> np.ndarray:
+    return scores.mean(axis=0) / (scores.std(axis=0, ddof=1) / np.sqrt(len(scores)))
+
+
+def test_ppo_gradient_at_unit_advantages_is_minus_the_mean_score(desk_scores):
+    minus_grad, kept, _ = desk_scores
+    np.testing.assert_allclose(minus_grad, kept.mean(axis=0), rtol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the sampler drops the Beta draw that triggers the forced jump to t=0, so "
+    "the kept draws' score misses a term and its mean is not 0"))
+def test_kept_draw_score_has_zero_mean(desk_scores):
+    _, kept, _ = desk_scores
+    assert np.all(np.abs(z_scores(kept)) < 4.0)
+
+
+def test_fresh_draw_score_has_zero_mean(desk_scores):
+    # the control: a complete score at the same features has mean 0
+    _, _, fresh = desk_scores
+    assert np.all(np.abs(z_scores(fresh)) < 4.0)

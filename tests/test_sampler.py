@@ -11,9 +11,9 @@ from flowsched.policy import (TimePolicy, feature_length, init_policy,
 from flowsched.rl import step_log_probs
 from flowsched.rng import RngStream
 from flowsched.sampler import (GridExhausted, ScheduleConfig, Trajectory,
-                               euler_step, quantize_times, roll_lanes,
-                               rollout_batch, sample_adaptive, sample_fixed,
-                               timeshift, trajectory_to_csv, transport_uniform)
+                               quantize_times, roll_lanes, rollout_batch,
+                               sample_adaptive, sample_fixed, timeshift,
+                               trajectory_to_csv, transport_uniform)
 from flowsched.special_math import beta_log_pdf
 
 
@@ -38,39 +38,6 @@ def test_schedule_config_validation():
         ScheduleConfig(mode="fixed-uniform")  # fixed_n required
     with pytest.raises(ValueError):
         ScheduleConfig(grid_size=5)
-
-
-def test_euler_step_examples():
-    zero_field = VelocityField("learned", net=DenseNet([3, 2]))
-    x = np.array([1.0, -2.0])
-    assert np.array_equal(euler_step(x, 0.8, 0.3, zero_field), x)
-
-    # one full step with the exact field collapses the unit point to the mean
-    out = euler_step(np.array([1.0, 0.0]), 1.0, 0.0, oracle_field())
-    assert np.allclose(out, [0.0, 0.0], atol=1e-12)
-
-    with pytest.raises(ValueError):
-        euler_step(x, 0.3, 0.8, zero_field)
-    with pytest.raises(ValueError):
-        euler_step(x, 1.1, 0.5, zero_field)
-
-
-def test_euler_step_bilinearity():
-    field = oracle_field()
-
-    class Doubled:
-        d = 2
-
-        def __call__(self, x, t):
-            return 2.0 * field(x, t)
-
-    x = np.array([0.4, -1.3])
-    once = euler_step(x, 0.9, 0.5, Doubled())
-    same = x + (0.5 - 0.9) * 2.0 * field(x, 0.9)
-    assert np.allclose(once, same, atol=1e-15)
-    # halving the interval against doubling the field is the same increment
-    assert np.allclose(euler_step(x, 0.9, 0.7, Doubled()) - x,
-                       2.0 * (euler_step(x, 0.9, 0.7, field) - x), atol=1e-15)
 
 
 def test_adaptive_halving_schedule_example():
