@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .flow import TargetSpec
+from .nn import write_atomic
 from .rl import RLConfig
 from .sampler import ScheduleConfig
 
@@ -90,11 +91,16 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_json(Path(path).read_text())
+        """The config at path; a bad document raises a ValueError naming path."""
+        text = Path(path).read_text()
+        try:
+            return cls.from_json(text)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"invalid config {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _from_fields(cls, data: dict, where: str):

@@ -187,14 +187,22 @@ def oracle_velocity(x: np.ndarray, t: float | np.ndarray,
     return c * (x - (1.0 - tv) * mu) - mu
 
 
-def _oracle_velocity_time_grad(x: np.ndarray, t: float,
-                               target: TargetSpec) -> tuple[np.ndarray, float, np.ndarray]:
-    """(u, du/dx scalar factor, du/dt) for the single-Gaussian oracle field.
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row i of two (n, d) arrays, bit for bit (a
+    row-wise sum or einsum may add the products in another order)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    du/dx is c(t) * I, so only the scalar c is returned.
+
+def _oracle_velocity_time_grad(x: np.ndarray, t: np.ndarray,
+                               target: TargetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, du/dx scalar factor, du/dt) of the single-Gaussian oracle field at
+    rows x (n, d) and times t (n,); shapes (n, d), (n, 1) and (n, d).
+
+    du/dx is c(t) * I, so only the scalar c of each row is returned.
     """
     mu = target.means[0]
     s2 = float(target.sigmas[0]) ** 2
+    t = t[:, None]
     var_t = t * t + (1.0 - t) ** 2 * s2
     dvar = 2.0 * t - 2.0 * (1.0 - t) * s2
     num = t - (1.0 - t) * s2
@@ -241,19 +249,19 @@ class VelocityField:
         tv = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
         return self.net.forward(np.concatenate([x, tv[:, None]], axis=1))
 
-    def velocity_vjp(self, x: np.ndarray, t: float,
-                     g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(v, g @ dv/dx, g @ dv/dt) at a single point; used when a loss is
-        differentiated through the sampling path itself."""
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(g, dtype=float)
+    def velocity_vjp(self, x: np.ndarray, t: np.ndarray,
+                     g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, g . dv/dx, g . dv/dt) row by row, for rows x (n, d), times t (n,)
+        and cotangents g (n, d); shapes (n, d), (n, d) and (n,). Used when a
+        loss is differentiated through the sampling path itself."""
+        x, t, g = (np.asarray(a, dtype=float) for a in (x, t, g))
         if self.kind == "oracle":
-            u, c, du_dt = _oracle_velocity_time_grad(x, float(t), self.target)
-            return u, c * g, float(g @ du_dt)
-        inp = np.concatenate([x, [float(t)]])
+            u, c, du_dt = _oracle_velocity_time_grad(x, t, self.target)
+            return u, c * g, row_dot(g, du_dt)
+        inp = np.concatenate([x, t[:, None]], axis=1)
         acts = self.net.forward_acts(inp)
         _, input_grad = self.net.backward(inp, g, acts)
-        return acts[-1][0], input_grad[:-1], float(input_grad[-1])
+        return acts[-1], input_grad[:, :-1], input_grad[:, -1]
 
 
 def fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,

@@ -16,13 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .flow import TargetSpec, VelocityField, ref_log_density
+from .flow import TargetSpec, VelocityField, ref_log_density, row_dot
 from .nn import OptimizerState, adamw_step, clip_global_norm, write_atomic
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
 from .sampler import Lanes, ScheduleConfig, Trajectory, roll_lanes
-from .special_math import beta_terms
+from .special_math import beta_log_pdf, beta_terms, kl_from_terms, log_pdf_from_terms
 
 logger = logging.getLogger(__name__)
 
@@ -103,16 +103,10 @@ def _policy_terms(policy: TimePolicy, feats: np.ndarray) -> tuple:
     return (acts, alpha, beta, *beta_terms(alpha, beta))
 
 
-def _log_pdf(log_r: np.ndarray, log_1mr: np.ndarray, alpha: np.ndarray,
-             beta: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """Beta(alpha, beta) log-density from log r, log(1 - r) and ln B."""
-    return (alpha - 1.0) * log_r + (beta - 1.0) * log_1mr - log_b
-
-
 def _step_log_pdf(policy: TimePolicy, feats: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Log-density under policy of each rate at its feature row."""
-    _, alpha, beta, log_b, *_ = _policy_terms(policy, feats)
-    return _log_pdf(np.log(rates), np.log1p(-rates), alpha, beta, log_b)
+    _, alpha, beta, _ = tpm_params_batch(policy, feats)
+    return beta_log_pdf(rates, alpha, beta)
 
 
 @dataclass
@@ -202,14 +196,15 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, rollouts: Rollouts,
     r, advs = rollouts, rollouts.advantage
     n_groups = len(advs)
     log_r, log_1mr = np.log(r.rates), np.log1p(-r.rates)
-    acts, alpha, beta, log_b, psi_a, psi_b, psi_ab = _policy_terms(policy, r.feats)
-    ref_alpha, ref_beta, ref_log_b, ref_psi_a, ref_psi_b, ref_psi_ab = r.ref_terms(ref_policy)
+    acts, *terms = _policy_terms(policy, r.feats)
+    ref_terms = r.ref_terms(ref_policy)
+    psi_a, psi_b, psi_ab = terms[3:]
+    ref_psi_a, ref_psi_b, ref_psi_ab = ref_terms[3:]
 
     def per_lane(step_values):  # (n_groups, k) sums over each lane's steps
         return np.bincount(r.lane, weights=step_values, minlength=advs.size).reshape(advs.shape)
 
-    ratio = np.exp(per_lane(_log_pdf(log_r, log_1mr, alpha, beta, log_b))
-                   - r.old_log_prob)
+    ratio = np.exp(per_lane(log_pdf_from_terms(log_r, log_1mr, terms)) - r.old_log_prob)
     kept = np.isfinite(ratio)
     n_dropped = int(np.count_nonzero(~kept))
     if n_dropped:
@@ -229,11 +224,7 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, rollouts: Rollouts,
         surrogate = unclipped
         use_unclipped = np.ones_like(ratio, dtype=bool)
 
-    # KL(ref || policy) at each step
-    kl_steps = (log_b - ref_log_b + (ref_alpha - alpha) * ref_psi_a
-                + (ref_beta - beta) * ref_psi_b
-                + (alpha - ref_alpha + beta - ref_beta) * ref_psi_ab)
-    kl_per_traj = per_lane(kl_steps) / r.n_pred
+    kl_per_traj = per_lane(kl_from_terms(ref_terms, terms)) / r.n_pred  # KL(ref || policy)
 
     keep_f = kept.astype(float)
     n_kept = np.maximum(np.count_nonzero(kept, axis=-1, keepdims=True), 1)
@@ -388,11 +379,8 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
         if not np.isfinite(losses[step]):
             raise RuntimeError(f"naive training diverged at step {step}")
         g_y = 2.0 * resid / batch_size
-        dl_dt1 = np.zeros(batch_size)
-        for i in range(batch_size):
-            _, g_jx, g_jt = velocity_field.velocity_vjp(x1[i], float(t1[i]), g_y[i])
-            dl_dt1[i] = (float(g_y[i] @ v0[i]) - float(g_y[i] @ v1[i])
-                         - float(t1[i]) * (float(g_jx @ v0[i]) + g_jt))
+        _, g_jx, g_jt = velocity_field.velocity_vjp(x1, t1, g_y)
+        dl_dt1 = row_dot(g_y, v0) - row_dot(g_y, v1) - t1 * (row_dot(g_jx, v0) + g_jt)
         denom = (alpha + beta) ** 2
         out_grad = np.stack([
             dl_dt1 * beta / denom,

@@ -2,9 +2,12 @@
 
 Only what the decay-rate policy needs: ln Gamma and digamma (for the Beta
 normalizer and KL), exact Beta sampling, log-density, and the closed-form
-Beta-Beta KL divergence. ln Gamma and digamma use argument-shift recurrences
-into the region where the Stirling asymptotic series converges fast; both
-are verified against high-precision references in the test suite.
+Beta-Beta KL divergence, all array-first (a float input returns a float).
+One fused kernel computes ln Gamma and digamma by argument-shift recurrences
+into the region where the Stirling series converges fast; it is verified
+against high-precision references in the test suite. The log-density and the
+KL each have one formula, over term tuples (alpha, beta, ln B, psi(alpha),
+psi(beta), psi(alpha + beta)) as PPO caches them.
 """
 
 from __future__ import annotations
@@ -39,60 +42,23 @@ _SHIFT_THRESHOLD = 9.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0. Scalar or array.
+def _unwrap(out):
+    """A 0-d result as a Python float; arrays as they are."""
+    return float(out) if np.ndim(out) == 0 else out
 
-    The scalar branch runs the same recurrence and series in plain floats;
-    it sits on the per-step sampling path, where array ceremony would
-    dominate the cost. Scalar and array results may differ by a few ulp
-    because the vectorized log is not the libm log.
-    """
-    if isinstance(x, (float, int)):
-        if not (x > 0.0 and math.isfinite(x)):
-            raise ValueError("log_gamma requires finite x > 0")
-        z = float(x)
-        shift = 0.0
-        while z < _SHIFT_THRESHOLD:
-            shift -= math.log(z)
-            z += 1.0
-        inv2 = 1.0 / (z * z)
-        series = 0.0
-        term = 1.0 / z
-        for c in _LGAMMA_COEF:
-            series += c * term
-            term *= inv2
-        return (z - 0.5) * math.log(z) - z + _HALF_LOG_2PI + series + shift
-    out = log_gamma_digamma(x)[0]
-    return float(out) if out.ndim == 0 else out
+
+def log_gamma(x):
+    """ln Gamma(x) for x > 0, scalar or array: log_gamma_digamma(x)[0]."""
+    return _unwrap(log_gamma_digamma(x)[0])
 
 
 def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0. Scalar or array.
-
-    Scalar branch mirrors log_gamma's: same algorithm in plain floats.
-    """
-    if isinstance(x, (float, int)):
-        if not (x > 0.0 and math.isfinite(x)):
-            raise ValueError("digamma requires finite x > 0")
-        z = float(x)
-        shift = 0.0
-        while z < _SHIFT_THRESHOLD:
-            shift -= 1.0 / z
-            z += 1.0
-        inv2 = 1.0 / (z * z)
-        series = 0.0
-        term = inv2
-        for c in _DIGAMMA_COEF:
-            series += c * term
-            term *= inv2
-        return math.log(z) - 0.5 / z - series + shift
-    out = log_gamma_digamma(x)[1]
-    return float(out) if out.ndim == 0 else out
+    """psi(x) = d/dx ln Gamma(x) for x > 0, scalar or array: log_gamma_digamma(x)[1]."""
+    return _unwrap(log_gamma_digamma(x)[1])
 
 
 def log_gamma_digamma(x) -> tuple[np.ndarray, np.ndarray]:
-    """(ln Gamma(x), psi(x)) for an array x > 0, from one argument-shift loop;
-    the array branches of log_gamma and digamma."""
+    """(ln Gamma(x), psi(x)) as arrays for x > 0, from one argument-shift loop."""
     z = np.array(x, dtype=float)
     if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
         raise ValueError("log_gamma and digamma require finite x > 0")
@@ -121,19 +87,13 @@ def log_gamma_digamma(x) -> tuple[np.ndarray, np.ndarray]:
             log_z - 0.5 / z - dg_series + dg_shift)
 
 
-def log_beta_fn(alpha, beta):
-    """ln B(alpha, beta)."""
-    if isinstance(alpha, (float, int)) and isinstance(beta, (float, int)):
-        return log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta)
-    return beta_terms(alpha, beta)[0]
-
-
 def beta_terms(alpha, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ln B(alpha, beta), psi(alpha), psi(beta), psi(alpha + beta)) for arrays.
 
     One log_gamma_digamma call over [alpha, beta, alpha + beta]; elementwise
     equal to log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta)
-    and to the three digamma calls.
+    and to the three digamma calls. (alpha, beta, *beta_terms(alpha, beta))
+    is the term tuple that log_pdf_from_terms and kl_from_terms read.
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
     n = alpha.size
@@ -169,19 +129,31 @@ class BetaParams:
         return (self.alpha - 1.0) / (self.alpha + self.beta - 2.0)
 
 
-def beta_log_pdf(r: float, alpha: float, beta: float) -> float:
-    """Log-density of Beta(alpha, beta) at r in (0, 1).
+def log_pdf_from_terms(log_r, log_1mr, terms):
+    """Beta log-density from log r, log(1 - r) and terms (alpha, beta, ln B, ...)."""
+    alpha, beta, log_b = terms[:3]
+    return (alpha - 1.0) * log_r + (beta - 1.0) * log_1mr - log_b
 
-    Accepts any positive shapes, not just the >1 policy range, so tests can
-    probe edge densities.
-    """
-    if not 0.0 < r < 1.0:
+
+def kl_from_terms(p, q):
+    """KL(p || q) in nats between Betas given as term tuples (alpha, beta,
+    ln B, psi(alpha), psi(beta), psi(alpha + beta)); only p's psi terms are read."""
+    p_alpha, p_beta, p_log_b, p_psi_a, p_psi_b, p_psi_ab = p
+    q_alpha, q_beta, q_log_b = q[:3]
+    return (q_log_b - p_log_b + (p_alpha - q_alpha) * p_psi_a
+            + (p_beta - q_beta) * p_psi_b
+            + (q_alpha - p_alpha + q_beta - p_beta) * p_psi_ab)
+
+
+def beta_log_pdf(r, alpha, beta):
+    """Log-density of Beta(alpha, beta) at r in (0, 1), elementwise. Accepts
+    any positive shapes, not just the >1 policy range, so tests can probe
+    edge densities."""
+    r = np.asarray(r, dtype=float)
+    if not np.all((r > 0.0) & (r < 1.0)):
         raise ValueError(f"beta_log_pdf requires r in (0, 1), got {r}")
-    return (
-        (alpha - 1.0) * math.log(r)
-        + (beta - 1.0) * math.log1p(-r)
-        - float(log_beta_fn(alpha, beta))
-    )
+    return _unwrap(log_pdf_from_terms(np.log(r), np.log1p(-r),
+                                      (alpha, beta, *beta_terms(alpha, beta))))
 
 
 def beta_sample(params: BetaParams, rng) -> float:
@@ -197,13 +169,8 @@ def beta_sample(params: BetaParams, rng) -> float:
     return min(max(r, SAMPLE_EPS), 1.0 - SAMPLE_EPS)
 
 
-def beta_kl(p: BetaParams, q: BetaParams) -> float:
-    """KL(p || q) between two Beta distributions, in nats."""
-    sp = p.alpha + p.beta
-    return float(
-        log_beta_fn(q.alpha, q.beta)
-        - log_beta_fn(p.alpha, p.beta)
-        + (p.alpha - q.alpha) * digamma(p.alpha)
-        + (p.beta - q.beta) * digamma(p.beta)
-        + (q.alpha - p.alpha + q.beta - p.beta) * digamma(sp)
-    )
+def beta_kl(p, q):
+    """KL(p || q) in nats between two Betas, each a BetaParams or anything
+    with alpha and beta (floats or arrays, elementwise)."""
+    return _unwrap(kl_from_terms(*((d.alpha, d.beta, *beta_terms(d.alpha, d.beta))
+                                   for d in (p, q))))

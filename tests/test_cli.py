@@ -369,6 +369,29 @@ def test_config_names_unknown_section_keys(tmp_path):
         assert main(["train-tpm", "--config", str(path)]) == 2
 
 
+def _bad_config_text(case: str) -> str:
+    doc = preset_config("desk").to_dict()
+    if case == "not json":
+        return "{not json"
+    if case == "target without sigmas":
+        del doc["targets"][0]["sigmas"]
+    elif case == "n_max not a number":
+        doc["schedule"]["n_max"] = "x"
+    elif case == "top level is a list":
+        doc = [1, 2]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case", ["not json", "target without sigmas",
+                                  "n_max not a number", "top level is a list"])
+def test_bad_config_file_exits_two_naming_path(case, tmp_path, caplog):
+    path = tmp_path / "bad.json"
+    path.write_text(_bad_config_text(case))
+    with caplog.at_level("ERROR"):
+        assert main(["train-tpm", "--config", str(path)]) == 2
+    assert str(path) in caplog.text
+
+
 def test_preset_values():
     desk = preset_config("desk")
     assert (desk.rl.batch_size, desk.rl.outer_steps) == (64, 60)

@@ -196,16 +196,34 @@ def test_velocity_vjp_matches_finite_differences():
     for field in cases:
         x = np.array([0.9, -0.4])
         t = 0.6
-        v, gx, gt = field.velocity_vjp(x, t, g)
-        assert np.allclose(v, field(x, t), atol=1e-12)
+        v, gx, gt = field.velocity_vjp(x[None, :], np.array([t]), g[None, :])
+        assert v.shape == gx.shape == (1, 2) and gt.shape == (1,)
+        assert np.allclose(v[0], field(x, t), atol=1e-12)
         for i in range(2):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
             fd = float(g @ (field(xp, t) - field(xm, t))) / (2 * h)
-            assert gx[i] == pytest.approx(fd, abs=1e-6)
+            assert gx[0, i] == pytest.approx(fd, abs=1e-6)
         fd_t = float(g @ (field(x, t + h) - field(x, t - h))) / (2 * h)
-        assert gt == pytest.approx(fd_t, abs=1e-6)
+        assert gt[0] == pytest.approx(fd_t, abs=1e-6)
+
+
+def test_velocity_vjp_rows_equal_one_row_calls():
+    rng = RngStream(6, 1)
+    x = rng.standard_normal((5, 2))
+    g = rng.standard_normal((5, 2))
+    t = np.array([0.05, 0.3, 0.6, 0.9, 1.0])
+    cases = [
+        (VelocityField("oracle", target=single_gaussian_target([0.5, 0.0], 2.0)), 0.0),
+        (VelocityField("learned", net=make_velocity_net(2, (8,), RngStream(6, 0))), 1e-12),
+    ]
+    for field, tol in cases:
+        rows = field.velocity_vjp(x, t, g)
+        for i in range(5):
+            one = field.velocity_vjp(x[i:i + 1], t[i:i + 1], g[i:i + 1])
+            for got, want in zip(rows, one):
+                assert np.max(np.abs(got[i] - want[0])) <= tol
 
 
 def test_fm_loss_zero_for_exact_field():

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from scipy import special
 
 from flowsched.cli import evaluate_policy
-from flowsched.flow import (VelocityField, ref_log_density, ring_mixture_target,
-                            single_gaussian_target, standard_normal_target)
-from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy,
-                              raw_to_shape, tpm_params_batch)
+import flowsched.rl as rl
+from flowsched.flow import (VelocityField, make_velocity_net, ref_log_density,
+                            ring_mixture_target, single_gaussian_target,
+                            standard_normal_target)
+from flowsched.nn import clip_global_norm
+from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy, raw_to_shape,
+                              shape_grad_wrt_raw, step_features, tpm_params_batch)
 from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig, Rollouts,
                           discounted_reward, ppo_loss, rloo_advantages, roll_groups,
                           rollout_group, step_log_probs, toy_reward,
@@ -723,6 +726,53 @@ def test_naive_two_step_reduces_reconstruction_error():
     assert losses.shape == (60,)
     assert np.all(np.isfinite(losses))
     assert losses[-10:].mean() < losses[:10].mean()
+
+
+def naive_step_grad_reference(policy, field, target, rng, batch_size):
+    """The clipped gradient of one train_naive_two_step step, with d loss / d t1
+    formed sample by sample from one-row velocity_vjp calls."""
+    x0 = target.sample(batch_size, rng)
+    eps = rng.standard_normal((batch_size, field.d))
+    v0 = field(eps, 1.0)
+    feats = step_features(eps, v0, 1.0)
+    raw, alpha, beta, acts = tpm_params_batch(policy, feats)
+    t1 = alpha / (alpha + beta)
+    x1 = eps + (t1[:, None] - 1.0) * v0
+    v1 = field(x1, t1)
+    g_y = 2.0 * (x1 - t1[:, None] * v1 - x0) / batch_size
+    dl_dt1 = np.zeros(batch_size)
+    for i in range(batch_size):
+        _, g_jx, g_jt = field.velocity_vjp(x1[i:i + 1], t1[i:i + 1], g_y[i:i + 1])
+        dl_dt1[i] = (float(g_y[i] @ v0[i]) - float(g_y[i] @ v1[i])
+                     - float(t1[i]) * (float(g_jx[0] @ v0[i]) + float(g_jt[0])))
+    denom = (alpha + beta) ** 2
+    out_grad = np.stack([dl_dt1 * beta / denom, dl_dt1 * (-alpha) / denom],
+                        axis=1) * shape_grad_wrt_raw(raw)
+    grad, _ = policy.net.backward(feats, out_grad, acts)
+    clip_global_norm(policy.net.unflatten(grad), 1.0)
+    return grad
+
+
+@pytest.mark.parametrize("kind", ["oracle", "learned"])
+def test_naive_step_gradient_matches_per_sample_reference(kind, monkeypatch):
+    if kind == "oracle":
+        field, tol = VelocityField("oracle", target=SHIFTED), 0.0
+    else:
+        net = make_velocity_net(2, (16,), RngStream(63, 2))
+        field, tol = VelocityField("learned", net=net), 1e-12
+    policy = init_policy(2, 0.6, RngStream(63, 0), hidden=(8,))
+    want = naive_step_grad_reference(policy.copy(), field, SHIFTED, RngStream(63, 1), 64)
+    seen, adamw = [], rl.adamw_step
+
+    def recording_adamw(params, grads, state):
+        seen.append(grads[0].copy())
+        return adamw(params, grads, state)
+
+    monkeypatch.setattr(rl, "adamw_step", recording_adamw)
+    train_naive_two_step(policy, field, SHIFTED, steps=1, lr=0.02,
+                         rng=RngStream(63, 1), batch_size=64)
+    assert len(seen) == 1 and np.max(np.abs(seen[0] - want)) <= tol
+    assert np.any(want != 0.0)
 
 
 def test_naive_two_step_aborts_on_divergence():

@@ -1,17 +1,18 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from flowsched.rng import RngStream, mix_stream
 from flowsched.special_math import (_DIGAMMA_COEF, _HALF_LOG_2PI,
                                     _LGAMMA_COEF, SAMPLE_EPS, BetaParams,
                                     beta_kl, beta_log_pdf, beta_sample,
-                                    beta_terms, digamma, log_beta_fn,
-                                    log_gamma, log_gamma_digamma)
+                                    beta_terms, digamma, log_gamma,
+                                    log_gamma_digamma)
 
 # ln Gamma(x) to 50 digits, rounded to the nearest float64.
 LOG_GAMMA_REFS = [
@@ -42,6 +43,14 @@ DIGAMMA_REFS = [
     (1000000.0, 13.815510057964191),
 ]
 
+
+class BetaArrays(NamedTuple):
+    """Shape arrays in the form beta_kl reads from BetaParams."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
 shapes = st.floats(min_value=1.0001, max_value=50.0, allow_nan=False,
                    allow_infinity=False)
 
@@ -69,13 +78,12 @@ def test_log_gamma_domain_errors():
 
 
 def test_log_gamma_vectorized_matches_scalar():
-    # scalar branch uses libm log, array branch the vectorized log; a few
-    # ulp of drift between the two is expected
     xs = np.array([0.5, 1.7, 42.0, 9999.0])
     out = log_gamma(xs)
     assert out.shape == xs.shape
     for x, v in zip(xs, out):
-        assert math.isclose(v, log_gamma(float(x)), rel_tol=1e-14, abs_tol=1e-14)
+        got = log_gamma(float(x))
+        assert type(got) is float and got == v
 
 
 def test_digamma_reference_values():
@@ -167,7 +175,6 @@ def test_beta_terms_equal_separate_calls():
         lb, psi_a, psi_b, psi_ab = beta_terms(a, b)
         want_lb = _separate_log_gamma(a) + _separate_log_gamma(b) - _separate_log_gamma(a + b)
         assert np.array_equal(lb, want_lb)
-        assert np.array_equal(lb, log_beta_fn(a, b))
         assert np.array_equal(psi_a, digamma(a))
         assert np.array_equal(psi_b, digamma(b))
         assert np.array_equal(psi_ab, digamma(a + b))
@@ -270,9 +277,15 @@ def test_beta_kl_identical_is_zero():
 
 
 def kl_quadrature(p: BetaParams, q: BetaParams) -> float:
+    """KL(p || q) by quadrature of log-densities normalized by scipy's betaln,
+    independent of the package's kernel."""
+    lb_p = float(special.betaln(p.alpha, p.beta))
+    lb_q = float(special.betaln(q.alpha, q.beta))
+
     def integrand(r):
-        lp = beta_log_pdf(r, p.alpha, p.beta)
-        lq = beta_log_pdf(r, q.alpha, q.beta)
+        log_r, log_1mr = math.log(r), math.log1p(-r)
+        lp = (p.alpha - 1.0) * log_r + (p.beta - 1.0) * log_1mr - lb_p
+        lq = (q.alpha - 1.0) * log_r + (q.beta - 1.0) * log_1mr - lb_q
         return math.exp(lp) * (lp - lq)
 
     # oracle only needs to resolve 1e-6 agreement
@@ -310,10 +323,25 @@ def test_beta_kl_nonnegative_property(a1, b1, a2, b2):
     assert beta_kl(BetaParams(a1, b1), BetaParams(a2, b2)) >= -1e-10
 
 
-def test_log_beta_fn_symmetry():
-    assert log_beta_fn(2.3, 4.5) == pytest.approx(log_beta_fn(4.5, 2.3), abs=1e-12)
+def test_log_beta_symmetry():
+    assert beta_terms(2.3, 4.5)[0] == pytest.approx(beta_terms(4.5, 2.3)[0], abs=1e-12)
     # B(1,1) = 1
-    assert log_beta_fn(1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert beta_terms(1.0, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_beta_log_pdf_and_kl_on_arrays_equal_float_calls():
+    rng = np.random.default_rng(12)
+    r = rng.uniform(SAMPLE_EPS, 1.0 - SAMPLE_EPS, 200)
+    a1, b1, a2, b2 = 1.01 + 20.0 * rng.random((4, 200))
+    lp = beta_log_pdf(r, a1, b1)
+    kl = beta_kl(BetaArrays(a1, b1), BetaArrays(a2, b2))
+    assert lp.shape == kl.shape == r.shape
+    for i in range(r.size):
+        want_lp = beta_log_pdf(float(r[i]), float(a1[i]), float(b1[i]))
+        want_kl = beta_kl(BetaParams(float(a1[i]), float(b1[i])),
+                          BetaParams(float(a2[i]), float(b2[i])))
+        assert type(want_lp) is float and type(want_kl) is float
+        assert lp[i] == want_lp and kl[i] == want_kl
 
 
 def test_rng_stream_determinism():
