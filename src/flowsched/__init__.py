@@ -13,7 +13,7 @@ from .flow import (TargetSpec, VelocityField, interpolate, oracle_velocity,
 from .nn import DenseNet, OptimizerState, adamw_step, clip_global_norm
 from .policy import TimePolicy, init_policy, next_time, predict_decay
 from .rl import (RLConfig, Rollouts, discounted_reward, ppo_loss, rloo_advantages,
-                 toy_reward, train_tpm, traj_log_prob)
+                 toy_reward, train_tpm)
 from .rng import RngStream
 from .sampler import (ScheduleConfig, Trajectory, quantize_times, roll_lanes,
                       sample_adaptive, sample_fixed)

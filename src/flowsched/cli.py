@@ -24,10 +24,10 @@ from .flow import (TargetSpec, VelocityField, make_velocity_net,
                    ring_mixture_target, train_flow)
 from .nn import load_checkpoint, save_checkpoint, write_atomic
 from .policy import TimePolicy, init_policy, load_policy, save_policy
-from .rl import (discounted_reward, step_log_probs, toy_reward, train_tpm,
+from .rl import (discounted_reward, step_log_pdf, toy_reward, train_tpm,
                  write_metrics_csv)
 from .rng import RngStream
-from .sampler import ScheduleConfig, roll_lanes, rollout_batch, trajectory_to_csv
+from .sampler import ScheduleConfig, roll_lanes, trajectory_to_csv
 from .svg import polyline_plot
 
 logger = logging.getLogger(__name__)
@@ -87,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed_type, default=None)
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--preset", choices=("desk", "paper"), default="desk")
-        p.add_argument("--deterministic-inference", action="store_true",
-                       help="use the Beta mode instead of sampling at evaluation")
+        if name in ("sample", "sweep-gamma", "compare-baselines", "complexity-sweep"):
+            p.add_argument("--deterministic-inference", action="store_true",
+                           help="use the Beta mode instead of sampling at evaluation")
         if name == "sample":
             p.add_argument("--n-trajectories", type=int, default=4)
         if name == "sweep-gamma":
@@ -214,21 +215,29 @@ def cmd_train_tpm(cfg: ExperimentConfig) -> None:
 
 def cmd_sample(cfg: ExperimentConfig, n_trajectories: int,
                deterministic: bool) -> None:
+    if n_trajectories < 1:
+        raise ValueError(f"--n-trajectories must be at least 1, got {n_trajectories}")
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     policy = _load_or_init_policy(cfg, out)
-    trajs = rollout_batch(policy, fields[0], cfg.schedule,
-                          RngStream(cfg.seed, STREAM_SAMPLE), n_trajectories,
-                          deterministic)
-    for j, traj in enumerate(trajs):
-        trajectory_to_csv(traj, step_log_probs(policy, traj),
-                          out / f"trajectory_{j}.csv")
+    rng = RngStream(cfg.seed, STREAM_SAMPLE)
+    lanes = roll_lanes(fields[0], cfg.schedule,
+                       [rng.child(j) for j in range(n_trajectories)],
+                       policy=policy, deterministic=deterministic)
+    log_probs = np.zeros(0)
+    if lanes.rates is not None:  # fixed schedules keep no predictions
+        # every kept rate of every lane scored in one forward, then split by lane
+        log_probs = step_log_pdf(policy, *lanes.kept()[:2])
+    for j, lane_log_probs in enumerate(np.split(log_probs, np.cumsum(lanes.n_kept)[:-1])):
+        trajectory_to_csv(lanes, j, lane_log_probs, out / f"trajectory_{j}.csv")
 
 
 def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
                     deterministic: bool) -> None:
+    if not gammas:
+        raise ValueError("--gammas needs at least one value")
     if any(not 0.0 < g < 1.0 for g in gammas):
-        raise ValueError("gamma values must lie in (0, 1)")
+        raise ValueError("--gammas values must lie in (0, 1)")
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     rows = []
@@ -288,7 +297,10 @@ def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
 def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
                          deterministic: bool) -> None:
     if any(lv < 1 for lv in levels):
-        raise ValueError("complexity levels must be positive")
+        raise ValueError("--levels must be positive")
+    if len(set(levels)) < 2:
+        # one level has no complexity spread to correlate step counts with
+        raise ValueError(f"--levels needs at least two distinct levels, got {levels}")
     out = write_run_stamp(cfg, cfg.out_dir)
     targets = [ring_mixture_target(lv) for lv in levels]
     fields = []

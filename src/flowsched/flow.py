@@ -288,16 +288,6 @@ def fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
     return loss, grad
 
 
-def eval_fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
-                 t: np.ndarray) -> float:
-    """Loss of any field (oracle included) on a fixed batch, no gradients."""
-    xt = interpolate(x0, eps, t)
-    u = eps - x0
-    v = field(xt, t)
-    resid = v - u
-    return float(np.mean(np.sum(resid * resid, axis=1)))
-
-
 def train_flow(field: VelocityField, target: TargetSpec, steps: int,
                rng: RngStream, batch_size: int = 256,
                lr: float = 1e-3) -> tuple[VelocityField, np.ndarray]:

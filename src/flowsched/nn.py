@@ -13,7 +13,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,26 +39,10 @@ class DenseNet:
     (net.weights[0][...] = w); rebinding a layer raises TypeError.
     """
 
-    def __init__(self, sizes: list[int], weights: Optional[Sequence[np.ndarray]] = None,
-                 biases: Optional[Sequence[np.ndarray]] = None):
+    def __init__(self, sizes: list[int]):
+        """A net of zeros; init_random, copy and load_checkpoint fill theta."""
         self.sizes = list(sizes)
         self.theta = np.zeros(_param_count(self.sizes))
-        if weights is None and biases is None:
-            return
-        n_layers = len(self.sizes) - 1
-        for name, given, views in (("weight", weights, self._weights),
-                                   ("bias", biases, self._biases)):
-            given = [] if given is None else list(given)
-            if len(given) < n_layers:
-                raise ValueError(f"layer {len(given)}: {name} missing (sizes {self.sizes})")
-            if len(given) > n_layers:
-                raise ValueError(f"layer {n_layers}: {name} given, but sizes {self.sizes} "
-                                 f"have {n_layers} layers")
-            for k, (arr, view) in enumerate(zip(given, views)):
-                if np.shape(arr) != view.shape:
-                    raise ValueError(f"layer {k}: {name} shape {np.shape(arr)}, "
-                                     f"expected {view.shape}")
-                view[...] = arr
 
     @classmethod
     def init_random(cls, sizes: list[int], rng: RngStream) -> "DenseNet":

@@ -21,7 +21,7 @@ from .nn import OptimizerState, adamw_step, clip_global_norm, write_atomic
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
-from .sampler import Lanes, ScheduleConfig, Trajectory, roll_lanes
+from .sampler import Lanes, ScheduleConfig, roll_lanes
 from .special_math import beta_log_pdf, beta_terms, kl_from_terms, log_pdf_from_terms
 
 logger = logging.getLogger(__name__)
@@ -103,8 +103,9 @@ def _policy_terms(policy: TimePolicy, feats: np.ndarray) -> tuple:
     return (acts, alpha, beta, *beta_terms(alpha, beta))
 
 
-def _step_log_pdf(policy: TimePolicy, feats: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Log-density under policy of each rate at its feature row."""
+def step_log_pdf(policy: TimePolicy, feats: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Log-density under policy of each rate at its feature row, in one
+    forward over the stack (as Lanes.kept returns it)."""
     _, alpha, beta, _ = tpm_params_batch(policy, feats)
     return beta_log_pdf(rates, alpha, beta)
 
@@ -137,9 +138,8 @@ class Rollouts:
         with terminal scores ir. Old log-probs are scored in one forward over
         the stack ppo_loss reads, so the first inner epoch's ratios are exactly
         1 (a forward over another batch can differ in the last bits)."""
-        mask = np.arange(lanes.rates.shape[1]) < lanes.n_kept[:, None]
-        feats, rates, lane = lanes.feats[mask], lanes.rates[mask], np.nonzero(mask)[0]
-        old_lp = np.bincount(lane, weights=_step_log_pdf(policy, feats, rates),
+        feats, rates, lane = lanes.kept()
+        old_lp = np.bincount(lane, weights=step_log_pdf(policy, feats, rates),
                              minlength=len(lanes.n_kept))
         reward = discounted_reward(ir, lanes.n_steps, gamma).reshape(-1, k)
         return cls(lanes.n_steps.reshape(-1, k), np.reshape(ir, (-1, k)), reward,
@@ -160,18 +160,6 @@ class Rollouts:
         return terms
 
 
-def step_log_probs(policy: TimePolicy, traj: Trajectory) -> np.ndarray:
-    """Beta log-density under policy of each kept prediction of traj."""
-    return _step_log_pdf(policy, np.reshape(traj.features, (-1, policy.net.sizes[0])),
-                         np.asarray(traj.decay_rates, dtype=float))
-
-
-def traj_log_prob(policy: TimePolicy, traj: Trajectory) -> float:
-    """Log-probability of the whole schedule under policy: the sum of
-    per-prediction Beta log-densities (forced jumps contribute nothing)."""
-    return float(np.sum(step_log_probs(policy, traj)))
-
-
 @dataclass
 class PpoLossResult:
     loss: float
@@ -182,7 +170,7 @@ class PpoLossResult:
 
 def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, rollouts: Rollouts,
              cfg: RLConfig) -> PpoLossResult:
-    """Trajectory-as-action PPO loss over a whole record, with exact gradients.
+    """PPO loss over a whole record, each trajectory one action, with exact gradients.
 
     loss = mean over groups of the mean over the group's kept trajectories of
     -(surrogate_i - kl_weight * KL_i), so a kept trajectory weighs

@@ -9,11 +9,15 @@ update, so the schedule policy adds only its own small forward pass.
 Termination: the Beta decay never reaches 0 exactly, so once a predicted time
 falls below t_min (or the step budget is hit) the sampler takes a forced final
 jump straight to t=0. The forced jump is a real Euler step counted in N, but
-the prediction that triggered it is discarded, so len(decay_rates) = N - 1
-unless the discrete grid terminated exactly at 0.
+the prediction that triggered it is discarded, so a lane keeps N - 1
+predictions unless the discrete grid terminated exactly at 0.
 
-Each kept rate is recorded with its features and scored afterwards by the one
-array log-density path in rl (Rollouts.from_lanes, step_log_probs).
+A batch of trajectories is one Lanes record of padded arrays: training,
+evaluation, the acceptance checks (Lanes.validate) and the CSV export
+(trajectory_to_csv) all read it. Each kept rate is recorded with its features;
+Lanes.kept stacks them lane by lane, and rl scores that stack afterwards with
+its one array log-density (step_log_pdf). Trajectory, a list view of one lane,
+is only what the one-lane wrappers sample_adaptive and sample_fixed return.
 """
 
 from __future__ import annotations
@@ -78,21 +82,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def validate(self) -> None:
-        if self.times[0] != 1.0 or self.times[-1] != 0.0:
-            raise ValueError("times must start at 1 and end at 0")
-        if any(b <= a for a, b in zip(self.times[1:], self.times[:-1])):
-            raise ValueError("times must be strictly decreasing")
-        if len(self.states) != len(self.times):
-            raise ValueError("one state per time required")
-        if not all(np.all(np.isfinite(s)) for s in self.states):
-            raise ValueError("non-finite state in trajectory")
-        n_pred = len(self.decay_rates)
-        if len(self.features) != n_pred:
-            raise ValueError("decay_rates and features must align")
-        if n_pred != 0 and n_pred not in (self.n_steps - 1, self.n_steps):
-            raise ValueError("prediction count must be N-1 (forced jump) or N")
-
 
 def quantize_times(t: np.ndarray, grid_size: int,
                    prev_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +144,36 @@ class Lanes:
                      else np.concatenate([getattr(p, f.name) for p in parts])
                      for f in fields(cls)))
 
+    def kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept predictions of adaptive lanes stacked lane by lane (row
+        major): (feats, rates, lane), lane holding each row's lane index."""
+        mask = np.arange(self.rates.shape[1]) < self.n_kept[:, None]
+        return self.feats[mask], self.rates[mask], np.nonzero(mask)[0]
+
+    def validate(self) -> None:
+        """Raise ValueError unless each lane's first n_steps + 1 times run from
+        1 strictly down to 0 over finite states, and, in adaptive lanes, the
+        lane kept 0, N - 1 (a forced jump) or N finite predictions."""
+        n = self.n_steps
+        if np.any(self.times[:, 0] != 1.0) or np.any(self.times[np.arange(len(n)), n] != 0.0):
+            raise ValueError("times must start at 1 and end at 0")
+        visited = np.arange(self.times.shape[1]) <= n[:, None]
+        if np.any(visited[:, 1:] & ~(np.diff(self.times, axis=1) < 0.0)):
+            raise ValueError("times must be strictly decreasing")
+        if not np.all(np.isfinite(self.states[visited])):
+            raise ValueError("non-finite state in trajectory")
+        if self.rates is None:
+            return
+        p = self.n_kept
+        if np.any((p != 0) & (p != n - 1) & (p != n)):
+            raise ValueError("prediction count must be N-1 (forced jump) or N")
+        feats, rates, _ = self.kept()
+        if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(feats))):
+            raise ValueError("kept rates and features must be finite")
+
     def trajectories(self) -> list[Trajectory]:
-        """One Trajectory per lane, over views of the padded paths."""
+        """One Trajectory per lane, over views of the padded paths: the return
+        value of the one-lane wrappers sample_adaptive and sample_fixed."""
         adaptive = self.rates is not None
         return [Trajectory(self.times[i, :n + 1].tolist(), list(self.states[i, :n + 1]),
                            self.rates[i, :p].tolist() if adaptive else [],
@@ -274,14 +291,6 @@ def sample_fixed(velocity_field: VelocityField, cfg: ScheduleConfig,
     return roll_lanes(velocity_field, cfg, [rng], noise).trajectories()[0]
 
 
-def rollout_batch(policy: TimePolicy, velocity_field: VelocityField,
-                  cfg: ScheduleConfig, rng: RngStream, n: int,
-                  deterministic: bool = False) -> list[Trajectory]:
-    """n independent adaptive rollouts, one child stream per trajectory."""
-    return roll_lanes(velocity_field, cfg, [rng.child(i) for i in range(n)],
-                      policy=policy, deterministic=deterministic).trajectories()
-
-
 def transport_uniform(velocity_field: VelocityField, n_samples: int,
                       n_steps: int, rng: RngStream) -> np.ndarray:
     """Uniform-schedule Euler transport of a noise batch to t=0."""
@@ -290,24 +299,25 @@ def transport_uniform(velocity_field: VelocityField, n_samples: int,
     return roll_lanes(velocity_field, cfg, noise=noise).finals
 
 
-def trajectory_to_csv(traj: Trajectory, log_probs: Sequence[float],
+def trajectory_to_csv(lanes: Lanes, i: int, log_probs: Sequence[float],
                       path: str | Path) -> None:
-    """One row per visited time; r/log_prob blank where no prediction exists
-    (step 0 and a forced final jump). log_probs holds one score per kept
-    prediction (rl.step_log_probs)."""
-    if len(log_probs) != len(traj.decay_rates):
-        raise ValueError(f"{len(log_probs)} log-probs for "
-                         f"{len(traj.decay_rates)} predictions")
-    d = traj.states[0].shape[0]
+    """Lane i of lanes, one row per visited time; r/log_prob blank where no
+    prediction exists (step 0 and a forced final jump). log_probs holds one
+    score per kept prediction of the lane (rl.step_log_pdf)."""
+    n, p = int(lanes.n_steps[i]), int(lanes.n_kept[i])
+    if len(log_probs) != p:
+        raise ValueError(f"{len(log_probs)} log-probs for {p} predictions")
+    rates = [] if lanes.rates is None else lanes.rates[i, :p].tolist()
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["step", "t"] + [f"x{i}" for i in range(d)] + ["r", "log_prob"])
-    for k, (t, x) in enumerate(zip(traj.times, traj.states)):
-        has_pred = 1 <= k <= len(traj.decay_rates)
+    writer.writerow(["step", "t"] + [f"x{c}" for c in range(lanes.states.shape[2])]
+                    + ["r", "log_prob"])
+    for k, (t, x) in enumerate(zip(lanes.times[i, :n + 1].tolist(),
+                                   lanes.states[i, :n + 1].tolist())):
         writer.writerow(
             [k, repr(t)]
-            + [repr(float(c)) for c in x]
-            + ([repr(traj.decay_rates[k - 1]), repr(float(log_probs[k - 1]))]
-               if has_pred else ["", ""])
+            + [repr(c) for c in x]
+            + ([repr(rates[k - 1]), repr(float(log_probs[k - 1]))]
+               if 1 <= k <= p else ["", ""])
         )
     write_atomic(path, buf.getvalue())

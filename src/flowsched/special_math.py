@@ -120,14 +120,6 @@ class BetaParams:
         if self.alpha <= 1.0 or self.beta <= 1.0:
             raise ValueError(f"Beta shapes must exceed 1, got ({self.alpha}, {self.beta})")
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def mode(self) -> float:
-        return (self.alpha - 1.0) / (self.alpha + self.beta - 2.0)
-
 
 def log_pdf_from_terms(log_r, log_1mr, terms):
     """Beta log-density from log r, log(1 - r) and terms (alpha, beta, ln B, ...)."""

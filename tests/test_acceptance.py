@@ -28,8 +28,7 @@ from flowsched.rl import (RLConfig, discounted_reward, ppo_loss,
                           rloo_advantages, rollout_group, train_naive_two_step,
                           train_tpm)
 from flowsched.rng import RngStream
-from flowsched.sampler import (ScheduleConfig, rollout_batch,
-                               transport_uniform)
+from flowsched.sampler import ScheduleConfig, roll_lanes, transport_uniform
 from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf,
                                     digamma, log_gamma)
 
@@ -81,6 +80,11 @@ def _central_diff(loss_fn, params, h=1e-6):
             gf[i] = (hi - lo) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def _roll(policy, field, sched, rng, n):
+    """n adaptive rollouts, lane i drawing from rng.child(i)."""
+    return roll_lanes(field, sched, [rng.child(i) for i in range(n)], policy=policy)
 
 
 def _jitter_policy(policy, scale, rng):
@@ -225,13 +229,11 @@ def _criterion_transport():
     var = finals.var(axis=0)
 
     policy = init_policy(2, 0.75, RngStream(SEED, 32))
-    cont = rollout_batch(policy, field, ScheduleConfig(mode="adaptive"),
-                         RngStream(SEED, 33), 10_000)
-    disc = rollout_batch(policy, field,
-                         ScheduleConfig(mode="discrete-adaptive", grid_size=1000),
-                         RngStream(SEED, 33), 10_000)
-    mean_cont = np.stack([t.final_sample for t in cont]).mean(axis=0)
-    mean_disc = np.stack([t.final_sample for t in disc]).mean(axis=0)
+    cont = _roll(policy, field, ScheduleConfig(mode="adaptive"), RngStream(SEED, 33), 10_000)
+    disc = _roll(policy, field, ScheduleConfig(mode="discrete-adaptive", grid_size=1000),
+                 RngStream(SEED, 33), 10_000)
+    mean_cont = cont.finals.mean(axis=0)
+    mean_disc = disc.finals.mean(axis=0)
 
     values = {
         "mean_norm": float(np.linalg.norm(mean)),
@@ -254,19 +256,19 @@ def _criterion_schedule_invariants():
     policy = _jitter_policy(init_policy(2, 0.75, RngStream(SEED, 41)),
                             0.05, RngStream(SEED, 42))
     sched = ScheduleConfig(mode="adaptive")
-    trajs = rollout_batch(policy, field, sched, RngStream(SEED, 43), 10_000)
-    for traj in trajs:
-        traj.validate()
-        times = np.asarray(traj.times)
-        assert times[0] == 1.0 and times[-1] == 0.0
-        assert np.all(np.diff(times) < 0.0)
-        assert traj.n_steps <= sched.n_max
-    feats = np.concatenate([np.reshape(t.features, (-1, 6)) for t in trajs])
+    lanes = _roll(policy, field, sched, RngStream(SEED, 43), 10_000)
+    lanes.validate()
+    ns = lanes.n_steps
+    rows = np.arange(len(ns))
+    visited = np.arange(lanes.times.shape[1]) <= ns[:, None]
+    assert np.all(lanes.times[:, 0] == 1.0) and np.all(lanes.times[rows, ns] == 0.0)
+    assert np.all(np.diff(lanes.times, axis=1)[visited[:, 1:]] < 0.0)
+    assert np.all(ns <= sched.n_max)
+    feats, _, _ = lanes.kept()
     _, alpha, beta, _ = tpm_params_batch(policy, feats)
     min_shape = min(alpha.min(), beta.min())
-    ns = np.array([t.n_steps for t in trajs])
     values = {
-        "n_rollouts": len(trajs),
+        "n_rollouts": len(ns),
         "min_shape": float(min_shape),
         "max_n": int(ns.max()),
         "n_hist": np.bincount(ns),
@@ -365,8 +367,7 @@ def _criterion_negative_control():
     sched = ScheduleConfig()
 
     def mean_n(policy):
-        trajs = rollout_batch(policy, field, sched, RngStream(SEED, 3), 300)
-        return float(np.mean([t.n_steps for t in trajs]))
+        return float(np.mean(_roll(policy, field, sched, RngStream(SEED, 3), 300).n_steps))
 
     naive = init_policy(2, 0.6, RngStream(SEED, 1))
     naive, _ = train_naive_two_step(naive, field, target, 500, 0.02,

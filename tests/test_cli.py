@@ -47,7 +47,11 @@ def read_csv(path):
 
 def test_usage_errors_exit_one():
     for argv in ([], ["not-a-command"], ["train-flow", "--bogus"],
-                 ["sample", "--seed", "-3"], ["sample", "--seed", "x"]):
+                 ["sample", "--seed", "-3"], ["sample", "--seed", "x"],
+                 # only the commands that roll a policy take the flag
+                 ["train-flow", "--deterministic-inference"],
+                 ["train-tpm", "--deterministic-inference"],
+                 ["export-plots", "--deterministic-inference"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -58,6 +62,25 @@ def test_runtime_errors_exit_two(tmp_path):
     cfg = reduced_config(tmp_path / "run", field_source="learned")
     rc = main(["train-tpm", "--config", save_config(cfg, tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sample", "--n-trajectories", "0"], "--n-trajectories"),
+    (["sample", "--n-trajectories", "-3"], "--n-trajectories"),
+    (["sweep-gamma", "--gammas", ""], "--gammas"),
+    (["complexity-sweep", "--levels", ""], "--levels"),
+    (["complexity-sweep", "--levels", "4"], "--levels"),
+    (["complexity-sweep", "--levels", "4,4"], "--levels"),
+], ids=["no trajectories", "negative trajectories", "no gammas", "no levels",
+        "one level", "one distinct level"])
+def test_degenerate_counts_and_lists_exit_two_before_the_run_stamp(argv, name, tmp_path,
+                                                                   caplog):
+    out = tmp_path / "run"
+    with caplog.at_level("ERROR", logger="flowsched.cli"):
+        rc = main(argv + ["--config", save_config(reduced_config(out), tmp_path)])
+    assert rc == 2
+    assert name in caplog.text
+    assert not out.exists()
 
 
 def test_parser_lists_all_commands():
@@ -139,6 +162,17 @@ def test_sample_writes_requested_trajectories(tmp_path):
         assert header == "step,t,x0,x1,r,log_prob"
         assert rows[0][1] == "1.0" and rows[-1][1] == "0.0"
     assert not (out / "trajectory_3.csv").exists()
+
+
+def test_sample_fixed_schedule_leaves_r_and_log_prob_blank(tmp_path):
+    out = tmp_path / "run"
+    cfg = reduced_config(out, schedule=ScheduleConfig(mode="fixed-uniform", fixed_n=5))
+    rc = main(["sample", "--config", save_config(cfg, tmp_path), "--n-trajectories", "2"])
+    assert rc == 0
+    for j in range(2):
+        _, rows = read_csv(out / f"trajectory_{j}.csv")
+        assert [r[1] for r in rows] == ["1.0", "0.8", "0.6", "0.4", "0.2", "0.0"]
+        assert all(r[4:] == ["", ""] for r in rows)
 
 
 @pytest.mark.parametrize("command", ["sample", "compare-baselines"])

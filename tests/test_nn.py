@@ -43,28 +43,6 @@ def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-8):
         assert float(rel.max()) <= rel_tol, f"max rel err {rel.max():.3e}"
 
 
-def test_constructor_rejects_missing_bias_list():
-    # without the check this net ran zero layers and echoed its 3-vector input
-    with pytest.raises(ValueError, match="layer 0: bias missing"):
-        DenseNet([3, 4, 2], weights=[np.ones((4, 3)), np.ones((2, 4))])
-
-
-def test_constructor_rejects_wrong_layer_shape():
-    with pytest.raises(ValueError, match=r"layer 1: weight shape \(2, 5\), expected \(2, 4\)"):
-        DenseNet([3, 4, 2], weights=[np.ones((4, 3)), np.ones((2, 5))],
-                 biases=[np.zeros(4), np.zeros(2)])
-    with pytest.raises(ValueError, match="layer 1: weight given"):
-        DenseNet([3, 2], weights=[np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2))],
-                 biases=[np.zeros(2)])
-
-
-def test_constructor_copies_layers_into_theta():
-    w, b = np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0])
-    net = DenseNet([3, 2], weights=[w], biases=[b])
-    assert np.array_equal(net.theta, [0, 1, 2, 3, 4, 5, 7, 8])
-    assert not np.shares_memory(net.theta, w)
-
-
 def assert_views_share_theta(net):
     views = [*net.weights, *net.biases, *net.parameters()]
     assert all(np.shares_memory(v, net.theta) for v in views)

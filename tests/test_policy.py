@@ -61,7 +61,8 @@ def test_tpm_params_examples():
     params = beta_params_at(pol, np.zeros(6))
     assert params.alpha == pytest.approx(4.0, abs=1e-12)
     assert params.beta == pytest.approx(2.0, abs=1e-12)
-    assert params.mean == pytest.approx(2.0 / 3.0, abs=1e-12)
+    mean = params.alpha / (params.alpha + params.beta)
+    assert mean == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     pol = constant_output_policy(2, -30.0, 0.0)
     params = beta_params_at(pol, np.zeros(6))
@@ -150,7 +151,8 @@ def test_init_policy_mean_is_state_independent():
         for k in range(8):
             feats = RngStream(5, 1 + k).standard_normal(6) * 3.0
             params = beta_params_at(pol, feats)
-            assert params.mean == pytest.approx(r_target, abs=1e-9)
+            mean = params.alpha / (params.alpha + params.beta)
+            assert mean == pytest.approx(r_target, abs=1e-9)
     with pytest.raises(ValueError):
         init_policy(2, 1.0, RngStream(5, 9))
 

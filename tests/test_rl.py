@@ -11,22 +11,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
 
-from flowsched.cli import evaluate_policy
+from flowsched.cli import evaluate_policy, main
+from flowsched.config import ExperimentConfig
 import flowsched.rl as rl
 from flowsched.flow import (VelocityField, make_velocity_net, ref_log_density,
                             ring_mixture_target, single_gaussian_target,
                             standard_normal_target)
-from flowsched.nn import clip_global_norm
+from flowsched.nn import DenseNet, clip_global_norm
 from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy, raw_to_shape,
                               shape_grad_wrt_raw, step_features, tpm_params_batch)
 from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig, Rollouts,
                           discounted_reward, ppo_loss, rloo_advantages, roll_groups,
-                          rollout_group, step_log_probs, toy_reward,
-                          train_naive_two_step, train_tpm, traj_log_prob,
-                          write_metrics_csv)
+                          rollout_group, step_log_pdf, toy_reward,
+                          train_naive_two_step, train_tpm, write_metrics_csv)
 from flowsched.rng import RngStream
-from flowsched.sampler import (Lanes, ScheduleConfig, roll_lanes, sample_adaptive,
-                               sample_fixed)
+from flowsched.sampler import Lanes, ScheduleConfig, roll_lanes
 from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf, digamma,
                                     log_gamma)
 
@@ -155,34 +154,58 @@ def test_rloo_matches_mean_baseline_form(rewards):
     np.testing.assert_allclose(rloo_advantages(rewards), expected, atol=1e-12)
 
 
-# -------------------------------------------------------------- traj_log_prob
+# ------------------------------------------------------- stacked log-probs
+
+
+def lanes_of(policy, cfg, rng, n, deterministic=False):
+    """n adaptive rollouts, lane i drawing from rng.child(i)."""
+    return roll_lanes(oracle_field(), cfg, [rng.child(i) for i in range(n)],
+                      policy=policy, deterministic=deterministic)
+
+
+def old_log_probs(policy, lanes):
+    """Each lane's schedule log-probability as the record scores it."""
+    return Rollouts.from_lanes(policy, lanes, np.zeros(len(lanes.n_steps)),
+                               len(lanes.n_steps), 0.95).old_log_prob.ravel()
 
 
 def test_traj_log_prob_matches_step_sum():
-    # array scores against the scalar Beta log-density at the 1-D forward's shapes
+    # the stack scorer against the scalar Beta log-density at the 1-D
+    # forward's shapes, row by row and summed per lane
     policy = small_policy(21, jitter=0.05)
-    traj = sample_adaptive(policy, oracle_field(), ScheduleConfig(), RngStream(21, 2))
-    assert traj.decay_rates
-    scalar = [beta_log_pdf(r, *map(float, raw_to_shape(policy.net.forward(f))))
-              for r, f in zip(traj.decay_rates, traj.features)]
-    np.testing.assert_allclose(step_log_probs(policy, traj), scalar, rtol=0, atol=1e-12)
-    assert abs(traj_log_prob(policy, traj) - sum(scalar)) <= 1e-9
+    lanes = lanes_of(policy, ScheduleConfig(), RngStream(21, 2), 5)
+    feats, rates, lane = lanes.kept()
+    assert np.all(lanes.n_kept > 0)
+    scalar = np.array([beta_log_pdf(r, *map(float, raw_to_shape(policy.net.forward(f))))
+                       for r, f in zip(rates, feats)])
+    np.testing.assert_allclose(step_log_pdf(policy, feats, rates), scalar, rtol=0, atol=1e-12)
+    per_lane = [scalar[lane == i].sum() for i in range(5)]
+    np.testing.assert_allclose(old_log_probs(policy, lanes), per_lane, rtol=0, atol=1e-9)
 
 
 def test_traj_log_prob_single_prediction_hand_check():
+    # a budget of two steps: one prediction, then the budget's forced last step
     policy = small_policy(22)
-    cfg = ScheduleConfig(mode="adaptive", t_min=0.1, n_max=3)
-    traj = sample_adaptive(policy, oracle_field(), cfg, RngStream(22, 2))
-    if len(traj.decay_rates) == 1:
-        _, alpha, beta, _ = tpm_params_batch(policy, np.stack(traj.features))
-        expected = beta_log_pdf(traj.decay_rates[0], float(alpha[0]), float(beta[0]))
-        assert abs(traj_log_prob(policy, traj) - expected) <= 1e-12
+    cfg = ScheduleConfig(mode="adaptive", t_min=0.1, n_max=2)
+    lanes = lanes_of(policy, cfg, RngStream(22, 2), 6)
+    single = lanes.n_kept == 1
+    assert single.any()
+    _, alpha, beta, _ = tpm_params_batch(policy, lanes.feats[single, 0])
+    expected = [beta_log_pdf(r, float(a), float(b))
+                for r, a, b in zip(lanes.rates[single, 0], alpha, beta)]
+    np.testing.assert_allclose(old_log_probs(policy, lanes)[single], expected,
+                               rtol=0, atol=1e-12)
 
 
 def test_traj_log_prob_without_predictions_is_zero():
-    cfg = ScheduleConfig(mode="fixed-uniform", fixed_n=4)
-    traj = sample_fixed(oracle_field(), cfg, RngStream(23, 0))
-    assert traj_log_prob(small_policy(23), traj) == 0.0
+    # Beta(2, ~3300): every first prediction lands below t_min and is dropped
+    net = DenseNet([6, 2])
+    net.biases[0][...] = (0.0, 8.1)
+    policy = TimePolicy(net, 2)
+    lanes = lanes_of(policy, ScheduleConfig(), RngStream(23, 0), 3, deterministic=True)
+    assert lanes.n_kept.tolist() == [0, 0, 0]
+    assert step_log_pdf(policy, *lanes.kept()[:2]).shape == (0,)
+    assert old_log_probs(policy, lanes).tolist() == [0.0, 0.0, 0.0]
 
 
 # ------------------------------------------------------------- rollout groups
@@ -192,18 +215,19 @@ def test_rollout_group_shares_noise_and_baselines():
     policy = small_policy(31, jitter=0.05)
     group = rollout_group(policy, oracle_field(), STD2, ScheduleConfig(), 4,
                           RngStream(31, 2), gamma=0.95)
-    trajs = roll_groups(policy, oracle_field(), ScheduleConfig(), 4,
-                        [RngStream(31, 2)]).trajectories()
+    lanes = roll_groups(policy, oracle_field(), ScheduleConfig(), 4, [RngStream(31, 2)])
     assert group.advantage.shape == (1, 4)
-    for traj in trajs:
-        assert np.array_equal(traj.states[0], trajs[0].states[0])
+    for state in lanes.states[:, 0]:
+        assert np.array_equal(state, lanes.states[0, 0])
     assert abs(group.advantage.sum()) <= 1e-12
-    assert group.n_steps.ravel().tolist() == [t.n_steps for t in trajs]
+    assert group.n_steps.ravel().tolist() == lanes.n_steps.tolist()
     for ir, n_steps, discounted in zip(group.ir.ravel(), group.n_steps.ravel(),
                                        group.reward.ravel()):
         assert ir >= IR_CLAMP
         assert abs(discounted - discounted_reward(ir, n_steps, 0.95)) <= 1e-12
-    recomputed = [traj_log_prob(policy, t) for t in trajs]
+    # each lane scored in a forward of its own
+    recomputed = [float(np.sum(step_log_pdf(policy, lanes.feats[i, :p], lanes.rates[i, :p])))
+                  for i, p in enumerate(lanes.n_kept)]
     np.testing.assert_allclose(group.old_log_prob.ravel(), recomputed, atol=1e-9)
 
 
@@ -624,7 +648,7 @@ def test_train_tpm_evaluates_reference_once_per_outer_step(monkeypatch):
     assert calls["live"] == cfg.outer_steps * (cfg.inner_epochs + 1)
 
 
-def test_training_and_evaluation_never_build_trajectories(monkeypatch):
+def test_training_and_evaluation_never_build_trajectories(monkeypatch, tmp_path):
     def forbidden(self):
         raise AssertionError("per-trajectory objects rebuilt")
 
@@ -640,6 +664,13 @@ def test_training_and_evaluation_never_build_trajectories(monkeypatch):
     summary = evaluate_policy(policy, oracle_field(), STD2, ScheduleConfig(), 0.95,
                               RngStream(58, 2), 50, deterministic=False)
     assert summary.n_rollouts == 50
+    config = tmp_path / "config.json"
+    ExperimentConfig(out_dir=str(tmp_path / "run"), policy_hidden=[8],
+                     eval_rollouts=8).save(config)
+    assert main(["sample", "--config", str(config), "--n-trajectories", "3"]) == 0
+    assert (tmp_path / "run" / "trajectory_2.csv").exists()
+    assert main(["compare-baselines", "--config", str(config)]) == 0
+    assert (tmp_path / "run" / "baselines.csv").exists()
 
 
 # -------------------------------------------------------------- training loop

@@ -8,11 +8,10 @@ from flowsched.flow import (VelocityField, make_velocity_net,
 from flowsched.nn import DenseNet
 from flowsched.policy import (TimePolicy, feature_length, init_policy,
                               tpm_params_batch)
-from flowsched.rl import step_log_probs
+from flowsched.rl import step_log_pdf
 from flowsched.rng import RngStream
-from flowsched.sampler import (GridExhausted, ScheduleConfig, Trajectory,
-                               quantize_times, roll_lanes, rollout_batch,
-                               sample_adaptive, sample_fixed, timeshift,
+from flowsched.sampler import (GridExhausted, Lanes, ScheduleConfig, quantize_times,
+                               roll_lanes, sample_adaptive, sample_fixed, timeshift,
                                trajectory_to_csv, transport_uniform)
 from flowsched.special_math import beta_log_pdf
 
@@ -25,6 +24,12 @@ def constant_output_policy(d: int, a: float, b: float) -> TimePolicy:
 
 def oracle_field() -> VelocityField:
     return VelocityField("oracle", target=standard_normal_target(2))
+
+
+def roll(policy, cfg, rng, n, deterministic=False, field=None) -> Lanes:
+    """n adaptive rollouts, lane i drawing from rng.child(i)."""
+    return roll_lanes(field or oracle_field(), cfg, [rng.child(i) for i in range(n)],
+                      policy=policy, deterministic=deterministic)
 
 
 def test_schedule_config_validation():
@@ -73,17 +78,14 @@ def test_adaptive_rollouts_unbiased_with_known_euler_contraction():
     # 200-step uniform transport check reaches [0.9, 1.1]).
     cfg = ScheduleConfig(mode="adaptive")
     policy = init_policy(2, 0.75, RngStream(3, 0))
-    trajs = rollout_batch(policy, oracle_field(), cfg, RngStream(3, 1), 4000)
-    finals = np.stack([t.final_sample for t in trajs])
+    finals = roll(policy, cfg, RngStream(3, 1), 4000).finals
     assert np.all(np.abs(finals.mean(axis=0)) <= 0.05)
     var_stoch = finals.var(axis=0)
     assert np.all(var_stoch >= 0.52) and np.all(var_stoch <= 0.64)
 
     # Beta-mode inference decays at 5/6 per step (~26 steps vs ~15.6):
     # finer schedule, measurably less contraction.
-    det = rollout_batch(policy, oracle_field(), cfg, RngStream(3, 2), 4000,
-                        deterministic=True)
-    var_det = np.stack([t.final_sample for t in det]).var(axis=0)
+    var_det = roll(policy, cfg, RngStream(3, 2), 4000, deterministic=True).finals.var(axis=0)
     assert np.all(var_det >= 0.73) and np.all(var_det <= 0.85)
     assert np.all(var_det > var_stoch + 0.1)
 
@@ -91,18 +93,21 @@ def test_adaptive_rollouts_unbiased_with_known_euler_contraction():
 def test_trajectory_invariants_over_many_rollouts():
     policy = init_policy(2, 0.7, RngStream(4, 0))
     cfg = ScheduleConfig(mode="adaptive", n_max=25)
-    for traj in rollout_batch(policy, oracle_field(), cfg, RngStream(4, 1), 3000):
-        assert traj.times[0] == 1.0 and traj.times[-1] == 0.0
-        assert all(b < a for a, b in zip(traj.times, traj.times[1:]))
-        assert traj.n_steps <= 25
-        assert len(traj.states) == len(traj.times)
-        assert all(np.all(np.isfinite(s)) for s in traj.states)
-        assert len(traj.decay_rates) in (traj.n_steps - 1, traj.n_steps)
-        assert len(traj.features) == len(traj.decay_rates)
-        if traj.features:
-            _, alpha, beta, _ = tpm_params_batch(policy, np.stack(traj.features))
-            assert np.all(alpha > 1.0) and np.all(beta > 1.0)
-        assert np.all(np.isfinite(step_log_probs(policy, traj)))
+    lanes = roll(policy, cfg, RngStream(4, 1), 3000)
+    lanes.validate()
+    ns, visited = lanes.n_steps, np.arange(26) <= lanes.n_steps[:, None]
+    assert np.all(lanes.times[:, 0] == 1.0)
+    assert np.all(lanes.times[np.arange(3000), ns] == 0.0)
+    assert np.all(np.diff(lanes.times, axis=1)[visited[:, 1:]] < 0.0)
+    assert np.all(ns <= 25)
+    assert np.all(np.isfinite(lanes.states[visited]))
+    assert np.all((lanes.n_kept == ns - 1) | (lanes.n_kept == ns))
+    feats, rates, lane = lanes.kept()
+    assert np.array_equal(np.bincount(lane, minlength=3000), lanes.n_kept)
+    assert np.all(np.isfinite(feats)) and np.all(np.isfinite(rates))
+    _, alpha, beta, _ = tpm_params_batch(policy, feats)
+    assert np.all(alpha > 1.0) and np.all(beta > 1.0)
+    assert np.all(np.isfinite(step_log_pdf(policy, feats, rates)))
 
 
 def test_adaptive_fresh_noise_uses_stream():
@@ -194,9 +199,10 @@ def test_discrete_mode_forces_jump_below_t_min_and_drops_prediction():
 def test_discrete_mode_times_live_on_grid():
     policy = init_policy(2, 0.7, RngStream(10, 0))
     cfg = ScheduleConfig(mode="discrete-adaptive", grid_size=1000)
-    for traj in rollout_batch(policy, oracle_field(), cfg, RngStream(10, 1), 200):
-        for t in traj.times:
-            assert abs(t * 1000 - round(t * 1000)) < 1e-9
+    lanes = roll(policy, cfg, RngStream(10, 1), 200)
+    times = lanes.times[np.isfinite(lanes.times)]
+    assert times.size == np.sum(lanes.n_steps + 1)
+    assert np.all(np.abs(times * 1000 - np.round(times * 1000)) < 1e-9)
 
 
 def test_discrete_mode_is_small_perturbation_of_continuous():
@@ -204,14 +210,8 @@ def test_discrete_mode_is_small_perturbation_of_continuous():
     cont = ScheduleConfig(mode="adaptive")
     disc = ScheduleConfig(mode="discrete-adaptive", grid_size=1000)
     field = oracle_field()
-    cont_finals = np.stack([
-        t.final_sample
-        for t in rollout_batch(policy, field, cont, RngStream(11, 1), 10**4)
-    ])
-    disc_finals = np.stack([
-        t.final_sample
-        for t in rollout_batch(policy, field, disc, RngStream(11, 1), 10**4)
-    ])
+    cont_finals = roll(policy, cont, RngStream(11, 1), 10**4, field=field).finals
+    disc_finals = roll(policy, disc, RngStream(11, 1), 10**4, field=field).finals
     mean_gap = np.abs(cont_finals.mean(axis=0) - disc_finals.mean(axis=0))
     assert np.all(mean_gap <= 0.01), f"per-axis mean gap {mean_gap}"
 
@@ -296,38 +296,55 @@ def test_non_finite_velocity_in_one_lane_names_its_time():
     assert str(batched.value) == str(alone.value)
 
 
+def one_lane(times, rates=None, n_kept=0) -> Lanes:
+    """One lane over times with zero states; rates padded with NaN to the
+    step budget, and a feature row of zeros at every given rate."""
+    n = len(times) - 1
+    lane = Lanes(np.array([times], dtype=float), np.zeros((1, n + 1, 2)),
+                 np.array([n]), np.array([n_kept]))
+    if rates is not None:
+        lane.rates = np.full((1, n), np.nan)
+        lane.rates[0, :len(rates)] = rates
+        lane.feats = np.full((1, n, 6), np.nan)
+        lane.feats[0, :len(rates)] = 0.0
+    return lane
+
+
 def test_trajectory_validate_rules():
-    x = np.zeros(2)
+    one_lane([1.0, 0.5, 0.0], [0.5], 1).validate()
     with pytest.raises(ValueError, match="start at 1"):
-        Trajectory([0.9, 0.0], [x, x], [], []).validate()
+        one_lane([0.9, 0.0]).validate()
     with pytest.raises(ValueError, match="strictly decreasing"):
-        Trajectory([1.0, 0.5, 0.5, 0.0], [x] * 4, [], []).validate()
+        one_lane([1.0, 0.5, 0.5, 0.0]).validate()
     with pytest.raises(ValueError, match="prediction count"):
-        Trajectory([1.0, 0.5, 0.0], [x] * 3, [0.5, 0.5, 0.5], [x, x, x]).validate()
-    with pytest.raises(ValueError, match="must align"):
-        Trajectory([1.0, 0.5, 0.0], [x] * 3, [0.5], [x, x]).validate()
+        one_lane([1.0, 0.5, 0.25, 0.125, 0.0], [0.5, 0.5], 2).validate()
+    # a kept prediction without its rate: kept rates and features must align
+    with pytest.raises(ValueError, match="kept rates and features must be finite"):
+        one_lane([1.0, 0.5, 0.0], [0.5], 2).validate()
 
 
 def test_trajectory_to_csv_layout(tmp_path):
     policy = constant_output_policy(2, 0.0, 0.0)
     cfg = ScheduleConfig(mode="adaptive", t_min=0.1)
-    traj = sample_adaptive(policy, oracle_field(), cfg, RngStream(13, 0),
-                           deterministic=True)
+    lanes = roll(policy, cfg, RngStream(13, 0), 2, deterministic=True)
+    feats, rates, lane = lanes.kept()
+    log_probs = step_log_pdf(policy, feats, rates)[lane == 1]
+    n = int(lanes.n_steps[1])
     path = tmp_path / "traj.csv"
-    log_probs = step_log_probs(policy, traj)
-    trajectory_to_csv(traj, log_probs, path)
+    trajectory_to_csv(lanes, 1, log_probs, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "t", "x0", "x1", "r", "log_prob"]
-    assert len(rows) == len(traj.times) + 1
+    assert len(rows) == n + 2
     assert rows[1][4] == "" and rows[1][5] == ""      # no prediction at t0
     assert rows[-1][4] == "" and rows[-1][5] == ""    # forced jump row is blank
-    assert float(rows[2][4]) == traj.decay_rates[0]   # repr round-trips
+    assert float(rows[2][4]) == lanes.rates[1, 0]     # repr round-trips
     assert [float(r[5]) for r in rows[2:-1]] == list(log_probs)
     assert float(rows[2][5]) == pytest.approx(beta_log_pdf(0.5, 2.0, 2.0), abs=1e-12)
-    assert [float(r[1]) for r in rows[1:]] == traj.times
+    assert [float(r[1]) for r in rows[1:]] == lanes.times[1, :n + 1].tolist()
+    assert [[float(c) for c in r[2:4]] for r in rows[1:]] == lanes.states[1, :n + 1].tolist()
     with pytest.raises(ValueError, match="log-probs"):
-        trajectory_to_csv(traj, log_probs[:-1], path)
+        trajectory_to_csv(lanes, 1, log_probs[:-1], path)
 
 
 def test_transport_uniform_deterministic():
