@@ -10,7 +10,6 @@ config file that does not validate.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 from .config import ExperimentConfig, preset_config, write_run_stamp
 from .flow import (TargetSpec, VelocityField, make_velocity_net,
                    ring_mixture_target, train_flow)
-from .nn import load_checkpoint, save_checkpoint, write_atomic
+from .nn import load_checkpoint, save_checkpoint, write_csv
 from .policy import TimePolicy, init_policy, load_policy, save_policy
 from .rl import (discounted_reward, step_log_pdf, toy_reward, train_tpm,
                  write_metrics_csv)
@@ -159,7 +158,6 @@ class EvalSummary:
     mean_ir: float
     mean_reward: float
     n_rollouts: int
-    curve_steps: list[int]
     curve_times: list[float]
     per_rollout_n: list[int]
 
@@ -178,14 +176,8 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
     return EvalSummary(
         mean_n=float(ns.mean()), std_n=float(ns.std()),
         mean_ir=float(irs.mean()), mean_reward=float(rewards.mean()),
-        n_rollouts=n, curve_steps=list(range(len(curve))), curve_times=curve,
-        per_rollout_n=ns.tolist(),
+        n_rollouts=n, curve_times=curve, per_rollout_n=ns.tolist(),
     )
-
-
-def _write_curve_csv(summary: EvalSummary, path: Path) -> None:
-    write_atomic(path, "step,mean_t\n" + "".join(
-        f"{k},{t!r}\n" for k, t in zip(summary.curve_steps, summary.curve_times)))
 
 
 def cmd_train_flow(cfg: ExperimentConfig) -> None:
@@ -193,8 +185,7 @@ def cmd_train_flow(cfg: ExperimentConfig) -> None:
     for i, target in enumerate(cfg.targets):
         velocity_field, losses = _pretrain_field(cfg, target, i)
         save_checkpoint(velocity_field.net, out / f"field_{i}.ckpt")
-        write_atomic(out / f"flow_loss_{i}.csv", "step,loss\n" + "".join(
-            f"{k},{float(loss)!r}\n" for k, loss in enumerate(losses)))
+        write_csv(out / f"flow_loss_{i}.csv", ("step", "loss"), enumerate(losses))
         logger.info("target %d: final flow loss %.4f", i, losses[-1])
 
 
@@ -254,10 +245,10 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
         rows.append((gamma, summary))
         logger.info("gamma %.2f: mean N %.2f, mean IR %.4f",
                     gamma, summary.mean_n, summary.mean_ir)
-    write_atomic(out / "sweep_gamma.csv",
-                 "gamma,mean_N,std_N,mean_ir,mean_reward,n_rollouts\n" + "".join(
-                     f"{gamma!r},{s.mean_n!r},{s.std_n!r},{s.mean_ir!r},"
-                     f"{s.mean_reward!r},{s.n_rollouts}\n" for gamma, s in rows))
+    write_csv(out / "sweep_gamma.csv",
+              ("gamma", "mean_N", "std_N", "mean_ir", "mean_reward", "n_rollouts"),
+              [(gamma, s.mean_n, s.std_n, s.mean_ir, s.mean_reward, s.n_rollouts)
+               for gamma, s in rows])
 
 
 def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
@@ -288,8 +279,7 @@ def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
         ("fixed-matched", float(matched), fixed_ir(matched)),
         ("fixed-2x", float(2 * matched), fixed_ir(2 * matched)),
     ]
-    write_atomic(out / "baselines.csv", "name,n_steps,mean_ir\n" + "".join(
-        f"{name},{steps!r},{ir!r}\n" for name, steps, ir in rows))
+    write_csv(out / "baselines.csv", ("name", "n_steps", "mean_ir"), rows)
     for name, steps, ir in rows:
         logger.info("%s: N=%.2f mean IR %.4f", name, steps, ir)
 
@@ -298,9 +288,10 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
                          deterministic: bool) -> None:
     if any(lv < 1 for lv in levels):
         raise ValueError("--levels must be positive")
-    if len(set(levels)) < 2:
-        # one level has no complexity spread to correlate step counts with
-        raise ValueError(f"--levels needs at least two distinct levels, got {levels}")
+    if len(set(levels)) < max(2, len(levels)):
+        # one level has no complexity spread to correlate step counts with, and
+        # a repeated level would overwrite its own checkpoint and curve
+        raise ValueError(f"--levels needs at least two levels, all distinct, got {levels}")
     out = write_run_stamp(cfg, cfg.out_dir)
     targets = [ring_mixture_target(lv) for lv in levels]
     fields = []
@@ -323,28 +314,55 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
         rows.append((level, summary))
         pairs_level.extend([level] * summary.n_rollouts)
         pairs_n.extend(summary.per_rollout_n)
-        _write_curve_csv(summary, out / f"schedule_curve_level_{level}.csv")
+        write_csv(out / f"schedule_curve_level_{level}.csv", ("step", "mean_t"),
+                  enumerate(summary.curve_times))
         logger.info("complexity %d: mean N %.2f", level, summary.mean_n)
     corr = float(np.corrcoef(np.array(pairs_level, dtype=float),
                              np.array(pairs_n, dtype=float))[0, 1])
-    write_atomic(out / "complexity.csv", "level,mean_N,std_N,mean_ir,n_rollouts\n" + "".join(
-        f"{level},{s.mean_n!r},{s.std_n!r},{s.mean_ir!r},{s.n_rollouts}\n"
-        for level, s in rows))
-    write_atomic(out / "correlation.csv",
-                 f"pearson_r,n_samples\n{corr!r},{len(pairs_n)}\n")
+    write_csv(out / "complexity.csv", ("level", "mean_N", "std_N", "mean_ir", "n_rollouts"),
+              [(level, s.mean_n, s.std_n, s.mean_ir, s.n_rollouts) for level, s in rows])
+    write_csv(out / "correlation.csv", ("pearson_r", "n_samples"), [(corr, len(pairs_n))])
     logger.info("complexity/step-count correlation %.3f over %d rollouts",
                 corr, len(pairs_n))
 
 
-def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    if not path.exists():
-        raise FileNotFoundError(f"expected CSV {path} is missing")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if len(rows) < 2:
-        raise RuntimeError(f"{path}: no data rows to plot")
-    return rows[0], rows[1:]
+def _read_columns(path: Path, x: str, y: str) -> tuple[list[float], list[float]]:
+    """Columns x and y of a CSV table as floats; ValueError naming path if it has
+    no data rows or no such column, or a row of the wrong length or a non-number."""
+    table = [line.split(",") for line in path.read_text().splitlines() if line]
+    if len(table) < 2:
+        raise ValueError(f"{path}: no data rows to plot")
+    header, rows = table[0], table[1:]
+    for name in (x, y):
+        if name not in header:
+            raise ValueError(f"{path}: no column {name!r} in header {','.join(header)}")
+    xs, ys = [], []
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {i} has {len(row)} cells, the header {len(header)}")
+        for values, name in ((xs, x), (ys, y)):
+            cell = row[header.index(name)]
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}: data row {i}, column {name!r}: "
+                                 f"{cell!r} is not a number") from None
+    return xs, ys
+
+
+# one SVG per (CSV matching glob, y column): glob, x column, y columns, then the
+# series label, title, x label, y label and SVG name, where {y} stands for the
+# y column and {stem} for the CSV's file stem
+PLOTS = (
+    ("metrics.csv", "outer_step", ("mean_reward", "mean_N", "mean_kl"),
+     "{y}", "training {y}", "outer step", "{y}", "metrics_{y}.svg"),
+    ("flow_loss_*.csv", "step", ("loss",),
+     "fm_loss", "{stem}", "step", "loss", "{stem}.svg"),
+    ("sweep_gamma.csv", "gamma", ("mean_N",),
+     "mean_N", "discount vs step count", "gamma", "mean N", "sweep_gamma.svg"),
+    ("complexity.csv", "level", ("mean_N",),
+     "mean_N", "complexity vs step count", "level", "mean N", "complexity.svg"),
+)
 
 
 def cmd_export_plots(out_dir: str) -> None:
@@ -352,50 +370,23 @@ def cmd_export_plots(out_dir: str) -> None:
     if not out.is_dir():
         raise FileNotFoundError(f"run directory {out} does not exist")
     made = 0
-
-    def columns(header, rows, x_name, y_name):
-        xi, yi = header.index(x_name), header.index(y_name)
-        xs = [float(r[xi]) for r in rows]
-        ys = [float(r[yi]) for r in rows]
-        return xs, ys
-
-    for path in sorted(out.glob("metrics.csv")):
-        header, rows = _read_csv_rows(path)
-        for col in ("mean_reward", "mean_N", "mean_kl"):
-            xs, ys = columns(header, rows, "outer_step", col)
-            polyline_plot([(col, xs, ys)], f"training {col}", "outer step", col,
-                          out / f"metrics_{col}.svg")
-            made += 1
-    for path in sorted(out.glob("flow_loss_*.csv")):
-        header, rows = _read_csv_rows(path)
-        xs, ys = columns(header, rows, "step", "loss")
-        polyline_plot([("fm_loss", xs, ys)], path.stem, "step", "loss",
-                      out / f"{path.stem}.svg")
-        made += 1
-    schedule_series = []
-    for path in sorted(out.glob("schedule_curve_*.csv")):
-        header, rows = _read_csv_rows(path)
-        xs, ys = columns(header, rows, "step", "mean_t")
-        schedule_series.append((path.stem.replace("schedule_curve_", ""), xs, ys))
-    for path in sorted(out.glob("trajectory_*.csv")):
-        header, rows = _read_csv_rows(path)
-        xs, ys = columns(header, rows, "step", "t")
-        schedule_series.append((path.stem, xs, ys))
+    for pattern, x, ys, *texts in PLOTS:
+        for path in sorted(out.glob(pattern)):
+            for y in ys:
+                label, title, x_label, y_label, svg = (
+                    text.format(y=y, stem=path.stem) for text in texts)
+                polyline_plot([(label, *_read_columns(path, x, y))], title,
+                              x_label, y_label, out / svg)
+                made += 1
+    # every schedule curve and sampled trajectory overlaid in one plot
+    schedule_series = (
+        [(p.stem.replace("schedule_curve_", ""), *_read_columns(p, "step", "mean_t"))
+         for p in sorted(out.glob("schedule_curve_*.csv"))]
+        + [(p.stem, *_read_columns(p, "step", "t"))
+           for p in sorted(out.glob("trajectory_*.csv"))])
     if schedule_series:
         polyline_plot(schedule_series, "diffusion time vs step", "step", "t",
                       out / "schedules.svg")
-        made += 1
-    for path in sorted(out.glob("sweep_gamma.csv")):
-        header, rows = _read_csv_rows(path)
-        xs, ys = columns(header, rows, "gamma", "mean_N")
-        polyline_plot([("mean_N", xs, ys)], "discount vs step count", "gamma",
-                      "mean N", out / "sweep_gamma.svg")
-        made += 1
-    for path in sorted(out.glob("complexity.csv")):
-        header, rows = _read_csv_rows(path)
-        xs, ys = columns(header, rows, "level", "mean_N")
-        polyline_plot([("mean_N", xs, ys)], "complexity vs step count", "level",
-                      "mean N", out / "complexity.svg")
         made += 1
     if made == 0:
         raise FileNotFoundError(f"no plottable CSV files found in {out}")

@@ -76,7 +76,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        data["targets"] = [TargetSpec.from_dict(t) for t in data.get("targets", [])]
+        if "targets" in data:
+            data["targets"] = [TargetSpec.from_dict(t) for t in data["targets"]]
         if "schedule" in data:
             data["schedule"] = _from_fields(ScheduleConfig, data["schedule"], " in 'schedule'")
         if "rl" in data:
@@ -143,5 +144,5 @@ def write_run_stamp(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "resolved_config.json")
-    (out / "version.txt").write_text(version_string() + "\n")
+    write_atomic(out / "version.txt", version_string() + "\n")
     return out

@@ -13,7 +13,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -273,6 +273,23 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
+    return repr(float(v))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table through write_atomic: the header row, then one line
+    per row, each ending in a newline (LF, no CR). A None cell is blank, a str
+    or an integer is written with str, anything else as repr(float(v)), the
+    shortest text that float() reads back exactly."""
+    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[DenseNet, bytes]:

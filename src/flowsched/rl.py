@@ -10,14 +10,14 @@ step count, which is what makes shorter schedules pay off.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import astuple, dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .flow import TargetSpec, VelocityField, ref_log_density, row_dot
-from .nn import OptimizerState, adamw_step, clip_global_norm, write_atomic
+from .nn import OptimizerState, adamw_step, clip_global_norm, write_csv
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
@@ -330,10 +330,8 @@ def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField
 
 
 def write_metrics_csv(metrics: Sequence[MetricsRow], path: str | Path) -> None:
-    rows = "".join(f"{row.outer_step},{row.mean_reward!r},{row.mean_ir!r},"
-                   f"{row.mean_n!r},{row.mean_kl!r},{row.grad_norm!r}\n"
-                   for row in metrics)
-    write_atomic(path, "outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n" + rows)
+    write_csv(path, ("outer_step", "mean_reward", "mean_ir", "mean_N", "mean_kl", "grad_norm"),
+              map(astuple, metrics))
 
 
 def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,

@@ -22,8 +22,6 @@ is only what the one-lane wrappers sample_adaptive and sample_fixed return.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flow import VelocityField
-from .nn import write_atomic
+from .nn import write_csv
 from .policy import (TimePolicy, feature_length, next_time, predict_decay_batch,
                      step_features)
 from .rng import RngStream
@@ -308,16 +306,8 @@ def trajectory_to_csv(lanes: Lanes, i: int, log_probs: Sequence[float],
     if len(log_probs) != p:
         raise ValueError(f"{len(log_probs)} log-probs for {p} predictions")
     rates = [] if lanes.rates is None else lanes.rates[i, :p].tolist()
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["step", "t"] + [f"x{c}" for c in range(lanes.states.shape[2])]
-                    + ["r", "log_prob"])
-    for k, (t, x) in enumerate(zip(lanes.times[i, :n + 1].tolist(),
-                                   lanes.states[i, :n + 1].tolist())):
-        writer.writerow(
-            [k, repr(t)]
-            + [repr(c) for c in x]
-            + ([repr(rates[k - 1]), repr(float(log_probs[k - 1]))]
-               if 1 <= k <= p else ["", ""])
-        )
-    write_atomic(path, buf.getvalue())
+    header = ["step", "t"] + [f"x{c}" for c in range(lanes.states.shape[2])] + ["r", "log_prob"]
+    write_csv(path, header, (
+        [k, t, *x, *((rates[k - 1], log_probs[k - 1]) if 1 <= k <= p else (None, None))]
+        for k, (t, x) in enumerate(zip(lanes.times[i, :n + 1].tolist(),
+                                       lanes.states[i, :n + 1].tolist()))))

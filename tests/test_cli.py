@@ -71,8 +71,9 @@ def test_runtime_errors_exit_two(tmp_path):
     (["complexity-sweep", "--levels", ""], "--levels"),
     (["complexity-sweep", "--levels", "4"], "--levels"),
     (["complexity-sweep", "--levels", "4,4"], "--levels"),
+    (["complexity-sweep", "--levels", "1,1,2"], "--levels"),
 ], ids=["no trajectories", "negative trajectories", "no gammas", "no levels",
-        "one level", "one distinct level"])
+        "one level", "one distinct level", "repeated level"])
 def test_degenerate_counts_and_lists_exit_two_before_the_run_stamp(argv, name, tmp_path,
                                                                    caplog):
     out = tmp_path / "run"
@@ -316,6 +317,24 @@ def seed_plot_csvs(out):
         "level,mean_N,std_N,mean_ir,n_rollouts\n1,10.0,1.0,0.1,30\n4,14.0,1.0,0.05,30\n")
 
 
+def test_run_directory_csvs_end_lines_in_lf_and_round_trip_every_number(tmp_path):
+    out = tmp_path / "run"
+    path = save_config(reduced_config(out, eval_rollouts=8), tmp_path)
+    for argv in (["train-tpm"], ["sample", "--n-trajectories", "2"], ["compare-baselines"]):
+        assert main(argv + ["--config", path]) == 0
+    tables = sorted(p.name for p in out.glob("*.csv"))
+    assert tables == ["baselines.csv", "metrics.csv", "trajectory_0.csv", "trajectory_1.csv"]
+    for name in tables:
+        data = (out / name).read_bytes()
+        assert b"\r" not in data, name
+        for line in data.decode().splitlines()[1:]:
+            for cell in line.split(","):
+                if cell in ("", "adaptive", "fixed-matched", "fixed-2x"):
+                    continue  # no value, or a baseline's name
+                number = int(cell) if cell.lstrip("-").isdigit() else float(cell)
+                assert repr(number) == cell, (name, cell)
+
+
 def test_export_plots_renders_every_csv_family(tmp_path):
     out = tmp_path / "run"
     seed_plot_csvs(out)
@@ -341,14 +360,22 @@ def test_export_plots_missing_dir_exits_two(tmp_path):
     assert main(["export-plots", "--out", str(tmp_path / "nope")]) == 2
 
 
-def test_export_plots_empty_csv_exits_two_naming_file(tmp_path, caplog):
+@pytest.mark.parametrize("text, names", [
+    ("outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n", ["no data rows"]),
+    ("outer_step,mean_reward,mean_ir,mean_kl,grad_norm\n0,0.1,0.05,0.01,1.0\n",
+     ["'mean_N'"]),
+    ("outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n"
+     "0,0.1,0.05,14.0,0.01,1.0\n1,0.2\n", ["data row 2"]),
+    ("outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n"
+     "0,0.1,0.05,,0.01,1.0\n", ["data row 1", "'mean_N'"]),
+], ids=["no data rows", "missing column", "short row", "blank cell"])
+def test_export_plots_empty_csv_exits_two_naming_file(text, names, tmp_path, caplog):
     out = tmp_path / "run"
     out.mkdir()
-    (out / "metrics.csv").write_text(
-        "outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n")
+    (out / "metrics.csv").write_text(text)
     with caplog.at_level("ERROR"):
         assert main(["export-plots", "--out", str(out)]) == 2
-    assert "metrics.csv" in caplog.text
+    assert all(name in caplog.text for name in [str(out / "metrics.csv")] + names)
 
 
 def test_export_plots_without_csvs_exits_two(tmp_path):
@@ -389,6 +416,13 @@ def test_config_rejects_bad_documents():
         mutate(doc)
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(doc)
+
+
+def test_config_omitted_targets_take_the_default():
+    cfg = ExperimentConfig.from_dict({"version": 1})
+    assert cfg.to_json() == ExperimentConfig().to_json()
+    with pytest.raises(ValueError, match="at least one target"):
+        ExperimentConfig.from_dict({"version": 1, "targets": []})
 
 
 def test_config_names_unknown_section_keys(tmp_path):
@@ -461,4 +495,3 @@ def test_evaluate_policy_summary_is_consistent():
     assert summary.mean_n == pytest.approx(np.mean(summary.per_rollout_n))
     assert summary.curve_times[0] == 1.0
     assert all(0.0 <= t <= 1.0 for t in summary.curve_times)
-    assert summary.curve_steps == list(range(len(summary.curve_times)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from flowsched.nn import (CHECKPOINT_MAGIC, DenseNet, OptimizerState,
                           adamw_step, clip_global_norm, global_norm,
-                          load_checkpoint, save_checkpoint)
+                          load_checkpoint, save_checkpoint, write_csv)
 from flowsched.rng import RngStream
 
 
@@ -404,3 +404,30 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
     loaded, _ = load_checkpoint(path)
     assert all(np.array_equal(a, b) for a, b in zip(old.parameters(), loaded.parameters()))
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ("x", "n", "blank", "name", "y"),
+              [(np.float64(0.5), np.int64(5), None, "adaptive", 0.1),
+               (1e-300, 2, None, "", float(3))])
+    assert path.read_bytes() == b"x,n,blank,name,y\n0.5,5,,adaptive,0.1\n1e-300,2,,,3.0\n"
+    write_csv(path, ("step", "loss"), [])
+    assert path.read_bytes() == b"step,loss\n"
+
+
+def test_write_csv_is_atomic(tmp_path, monkeypatch):
+    import flowsched.nn as nn
+
+    path = tmp_path / "table.csv"
+    write_csv(path, ("step", "loss"), [(0, 0.5)])
+    before = path.read_bytes()
+
+    def killed(src, dst):
+        raise KeyboardInterrupt  # the run dies between the write and the rename
+
+    monkeypatch.setattr(nn.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(path, ("step", "loss"), [(1, 0.25)] * 3)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
