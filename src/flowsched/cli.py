@@ -140,6 +140,14 @@ def _load_or_init_policy(cfg: ExperimentConfig, out: Path) -> TimePolicy:
     return _init_policy(cfg, cfg.targets[0].d)
 
 
+def _remove_stale(out: Path, *patterns: str) -> None:
+    """Delete the numbered files a previous run left in out under patterns, so
+    a rerun that writes fewer of them leaves none for export-plots to plot."""
+    for pattern in patterns:
+        for path in out.glob(pattern):
+            path.unlink()
+
+
 def _pretrain_field(cfg: ExperimentConfig, target: TargetSpec,
                     stream: int) -> tuple[VelocityField, np.ndarray]:
     """Flow-match a fresh velocity net on target; stream indexes the child
@@ -182,6 +190,7 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
 
 def cmd_train_flow(cfg: ExperimentConfig) -> None:
     out = write_run_stamp(cfg, cfg.out_dir)
+    _remove_stale(out, "field_[0-9]*.ckpt", "flow_loss_*.csv")
     for i, target in enumerate(cfg.targets):
         velocity_field, losses = _pretrain_field(cfg, target, i)
         save_checkpoint(velocity_field.net, out / f"field_{i}.ckpt")
@@ -211,6 +220,7 @@ def cmd_sample(cfg: ExperimentConfig, n_trajectories: int,
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     policy = _load_or_init_policy(cfg, out)
+    _remove_stale(out, "trajectory_*.csv")
     rng = RngStream(cfg.seed, STREAM_SAMPLE)
     lanes = roll_lanes(fields[0], cfg.schedule,
                        [rng.child(j) for j in range(n_trajectories)],
@@ -257,9 +267,8 @@ def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
     policy = _load_or_init_policy(cfg, out)
     target, velocity_field = cfg.targets[0], fields[0]
     n = cfg.eval_rollouts
-    noise = np.array([
-        RngStream(cfg.seed, STREAM_BASELINE_NOISE).child(j).standard_normal(target.d)
-        for j in range(n)])
+    noise_rng = RngStream(cfg.seed, STREAM_BASELINE_NOISE)
+    noise = np.array([noise_rng.child(j).standard_normal(target.d) for j in range(n)])
     decay_rng = RngStream(cfg.seed, STREAM_BASELINE_DECAY)
     adaptive = roll_lanes(velocity_field, cfg.schedule,
                           [decay_rng.child(j) for j in range(n)], noise, policy,
@@ -293,6 +302,7 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
         # a repeated level would overwrite its own checkpoint and curve
         raise ValueError(f"--levels needs at least two levels, all distinct, got {levels}")
     out = write_run_stamp(cfg, cfg.out_dir)
+    _remove_stale(out, "schedule_curve_level_*.csv", "field_level_*.ckpt")
     targets = [ring_mixture_target(lv) for lv in levels]
     fields = []
     for i, target in enumerate(targets):

@@ -59,19 +59,28 @@ class TargetSpec:
         return self.means.tobytes() + self.sigmas.tobytes() + self.weights.tobytes()
 
     def log_density(self, x: np.ndarray) -> np.ndarray | float:
-        """log of the mixture density; x is (d,) or (n, d)."""
+        """log of the mixture density; x is (d,) or (n, d).
+
+        Components-major: one row of n values per component, the squared
+        distance summed over the dimensions one column at a time, left to
+        right (the order numpy's sum takes for fewer than 8 terms), and only
+        the sum over the K components taken as a last-axis reduction of a
+        contiguous (n, K) array."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         if pts.shape[1] != self.d:
             raise ValueError(f"point dimension {pts.shape[1]} != target dimension {self.d}")
-        diff = pts[:, None, :] - self.means[None, :, :]
-        sq = np.sum(diff * diff, axis=2) / (self.sigmas**2)[None, :]
+        sq = 0.0
+        for col, mean_col in zip(pts.T, self.means.T):
+            diff = col[None, :] - mean_col[:, None]
+            sq = sq + diff * diff
         log_comp = (
-            np.log(self.weights)[None, :]
-            - 0.5 * self.d * (LOG_2PI + 2.0 * np.log(self.sigmas))[None, :]
-            - 0.5 * sq
+            np.log(self.weights)[:, None]
+            - 0.5 * self.d * (LOG_2PI + 2.0 * np.log(self.sigmas))[:, None]
+            - 0.5 * (sq / (self.sigmas**2)[:, None])
         )
-        peak = log_comp.max(axis=1, keepdims=True)
-        out = peak[:, 0] + np.log(np.sum(np.exp(log_comp - peak), axis=1))
+        peak = log_comp.max(axis=0)
+        comp = np.ascontiguousarray(np.exp(log_comp - peak).T)
+        out = peak + np.log(np.sum(comp, axis=1))
         return out if np.asarray(x).ndim > 1 else float(out[0])
 
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
@@ -140,7 +149,7 @@ def ref_log_density(target: TargetSpec) -> float:
             digest = hashlib.blake2b(key, digest_size=8).digest()
             rng = RngStream(_REF_MC_SEED, int.from_bytes(digest, "little"))
             pts = target.sample(_REF_MC_SAMPLES, rng)
-            # in row blocks, so the (rows, K, d) intermediates stay small;
+            # in row blocks, so the (K, rows) intermediates stay small;
             # every row's value, and so the mean, is unchanged by blocking
             val = float(np.mean(np.concatenate([
                 target.log_density(pts[i:i + _REF_BLOCK_ROWS])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .nn import DenseNet, load_checkpoint, save_checkpoint
 from .rng import RngStream
-from .special_math import BetaParams, beta_sample
+from .special_math import beta_sample_lanes
 
 RAW_PARAM_CLAMP = 30.0
 FEATURE_LAYOUT = "state,velocity,t,t_squared"
@@ -91,8 +91,7 @@ def predict_decay_batch(policy: TimePolicy, feats: np.ndarray,
         raise ValueError("Beta shapes must be finite")
     if deterministic:
         return (alpha - 1.0) / (alpha + beta - 2.0)
-    return np.array([beta_sample(BetaParams(a, b), rng)
-                     for a, b, rng in zip(alpha.tolist(), beta.tolist(), rngs)], dtype=float)
+    return beta_sample_lanes(alpha, beta, rngs)
 
 
 def predict_decay(policy: TimePolicy, feats: np.ndarray, rng: RngStream,

@@ -2,14 +2,21 @@
 
 Every stochastic component owns an RngStream identified by a (seed, stream)
 pair of 64-bit integers. Streams are backed by the counter-based Philox
-generator, so the draw sequence for a given pair is bit-identical across
-runs, platforms, and scheduling orders. Parallel work splits the key space
-instead of sharing a mutable generator.
+generator keyed by that pair, so the draw sequence for a given pair is
+bit-identical across runs, platforms, and scheduling orders. Parallel work
+splits the key space instead of sharing a mutable generator.
+
+A stream builds its generator lazily, on its first draw, straight from its
+key: Philox reads its key from a key-only seed sequence, so no OS entropy is
+gathered and the draws are those of Philox(key=(seed, stream)). A stream that
+only derives children never builds one. The seed and stream are checked to be
+integers when the stream is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,6 +40,23 @@ def mix_stream(stream: int, *indices: int) -> int:
     return acc
 
 
+@cache
+def _key_seed_type() -> type:
+    """The type of a seed sequence that is only a Philox key: Philox asks it
+    for generate_state(2, uint64) and gets the key itself. Made on first use,
+    so importing flowsched does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySeed
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A named, reproducible random stream.
@@ -43,12 +67,15 @@ class RngStream:
 
     seed: int
     stream: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        object.__setattr__(self, "_gen", gen)
+        # masked here, so a seed or stream that is not an integer raises now
+        object.__setattr__(self, "_key", (self.seed & _MASK64, self.stream & _MASK64))
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(
+            _key_seed_type()(np.array(self._key, dtype=np.uint64))))
 
     def child(self, *indices: int) -> "RngStream":
         """Derive an independent substream; deterministic in the indices."""

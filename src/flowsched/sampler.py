@@ -219,11 +219,12 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
         lanes.rates = np.full((n, budget), np.nan)
         lanes.feats = np.full((n, budget, feature_length(d)), np.nan)
 
-    # the running lanes: their ids, states, times, grid indices and streams
+    # the running lanes: their ids, states, times and grid indices; the
+    # running lanes' streams are lane_streams[idx]
     idx = np.arange(n)
     t = np.full(n, table[0] if fixed else 1.0)
     grid = np.full(n, cfg.grid_size)
-    live_streams = streams
+    lane_streams = None if streams is None else np.array(streams, dtype=object)
     for k in range(budget):
         v = velocity_field(x, t)
         _check_finite(v, "velocity field produced a non-finite value at t={}", t)
@@ -233,7 +234,9 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
             t_next = np.zeros(len(idx))  # the budget's last step, no policy
         else:
             feats = step_features(x, v, t)
-            r = predict_decay_batch(policy, feats, live_streams, deterministic)
+            r = predict_decay_batch(policy, feats,
+                                    None if deterministic else lane_streams[idx],
+                                    deterministic)
             t_next = next_time(t, r)
             if cfg.mode == "discrete-adaptive":
                 t_next, grid = quantize_times(t_next, cfg.grid_size, grid)
@@ -255,8 +258,6 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
         if not live.any():
             break
         idx, x, t, grid = idx[live], x[live], t_next[live], grid[live]
-        if live_streams is not None:
-            live_streams = [s for s, keep in zip(live_streams, live) if keep]
     return lanes
 
 

@@ -1,8 +1,9 @@
 """Special functions and the Beta distribution.
 
 Only what the decay-rate policy needs: ln Gamma and digamma (for the Beta
-normalizer and KL), exact Beta sampling, log-density, and the closed-form
-Beta-Beta KL divergence, all array-first (a float input returns a float).
+normalizer and KL), exact Beta sampling (one lane-batch draw, one stream per
+lane), log-density, and the closed-form Beta-Beta KL divergence, all
+array-first (a float input returns a float).
 One fused kernel computes ln Gamma and digamma by argument-shift recurrences
 into the region where the Stirling series converges fast; it is verified
 against high-precision references in the test suite. The log-density and the
@@ -148,17 +149,24 @@ def beta_log_pdf(r, alpha, beta):
                                       (alpha, beta, *beta_terms(alpha, beta))))
 
 
-def beta_sample(params: BetaParams, rng) -> float:
-    """Draw r ~ Beta(alpha, beta) via the two-Gamma ratio construction.
+def beta_sample_lanes(alpha, beta, rngs) -> np.ndarray:
+    """Draw r_i ~ Beta(alpha[i], beta[i]) from stream rngs[i], for each lane i,
+    via the two-Gamma ratio construction.
 
-    The draw is clamped to [SAMPLE_EPS, 1 - SAMPLE_EPS]; with both shapes
-    above 1 the clamped mass is negligible and downstream log-densities
-    stay finite.
+    Lane by lane, stream i draws gamma(alpha[i]) and then gamma(beta[i]), so a
+    stream that appears twice draws for its lanes in lane order. The ratios are
+    clamped to [SAMPLE_EPS, 1 - SAMPLE_EPS]; with both shapes above 1 the
+    clamped mass is negligible and downstream log-densities stay finite.
     """
-    x = rng.gamma(params.alpha)
-    y = rng.gamma(params.beta)
-    r = x / (x + y)
-    return min(max(r, SAMPLE_EPS), 1.0 - SAMPLE_EPS)
+    xy = np.array([(rng.gamma(a), rng.gamma(b)) for a, b, rng in
+                   zip(np.asarray(alpha, float).tolist(),
+                       np.asarray(beta, float).tolist(), rngs)]).reshape(-1, 2)
+    return np.clip(xy[:, 0] / (xy[:, 0] + xy[:, 1]), SAMPLE_EPS, 1.0 - SAMPLE_EPS)
+
+
+def beta_sample(params: BetaParams, rng) -> float:
+    """One draw r ~ Beta(alpha, beta) from rng: beta_sample_lanes on one lane."""
+    return float(beta_sample_lanes([params.alpha], [params.beta], [rng])[0])
 
 
 def beta_kl(p, q):

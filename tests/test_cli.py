@@ -3,10 +3,15 @@ rerun determinism, and the fixed-schedule comparison's quality clauses."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowsched
 from flowsched.cli import build_parser, evaluate_policy, main
 from flowsched.config import (DESK_EVAL_ROLLOUTS, ExperimentConfig,
                               preset_config, write_run_stamp)
@@ -91,6 +96,19 @@ def test_parser_lists_all_commands():
     assert all(name in text for name in names)
 
 
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_study_script_help_exits_zero(script):
+    src = str(Path(flowsched.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
+                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage:")
+
+
 # ------------------------------------------------------------------ train-flow
 
 
@@ -108,6 +126,12 @@ def test_train_flow_writes_fields_and_losses(tmp_path):
         assert all(np.isfinite(float(r[1])) for r in rows)
     assert (out / "resolved_config.json").exists()
     assert (out / "version.txt").read_text().startswith("flowsched-")
+    # a rerun with one target removes the second target's outputs, not complexity-sweep's
+    (out / "field_level_1.ckpt").write_text("complexity-sweep output\n")
+    cfg.targets = cfg.targets[:1]
+    assert main(["train-flow", "--config", save_config(cfg, tmp_path)]) == 0
+    assert sorted(p.name for p in out.glob("f*")) == ["field_0.ckpt", "field_level_1.ckpt",
+                                                      "flow_loss_0.csv"]
 
 
 def test_train_flow_rerun_is_byte_identical(tmp_path):
@@ -163,6 +187,18 @@ def test_sample_writes_requested_trajectories(tmp_path):
         assert header == "step,t,x0,x1,r,log_prob"
         assert rows[0][1] == "1.0" and rows[-1][1] == "0.0"
     assert not (out / "trajectory_3.csv").exists()
+
+
+def test_sample_rerun_with_fewer_trajectories_removes_the_old_ones(tmp_path):
+    out = tmp_path / "run"
+    config = save_config(reduced_config(out), tmp_path)
+    assert main(["sample", "--config", config, "--n-trajectories", "3"]) == 0
+    assert main(["sample", "--config", config, "--n-trajectories", "1", "--seed", "5"]) == 0
+    assert sorted(p.name for p in out.glob("trajectory_*.csv")) == ["trajectory_0.csv"]
+    fresh = tmp_path / "fresh"
+    assert main(["sample", "--config", config, "--n-trajectories", "1", "--seed", "5",
+                 "--out", str(fresh)]) == 0
+    assert (out / "trajectory_0.csv").read_bytes() == (fresh / "trajectory_0.csv").read_bytes()
 
 
 def test_sample_fixed_schedule_leaves_r_and_log_prob_blank(tmp_path):
@@ -272,9 +308,14 @@ def test_compare_baselines_beats_matched_fixed_schedule(tmp_path):
 def test_complexity_sweep_reduced_outputs(tmp_path):
     out = tmp_path / "run"
     cfg = reduced_config(out, flow_steps=300, eval_rollouts=30)
+    out.mkdir()
+    for stale in ("schedule_curve_level_8.csv", "field_level_8.ckpt"):
+        (out / stale).write_text("from an earlier run\n")
     rc = main(["complexity-sweep", "--config", save_config(cfg, tmp_path),
                "--levels", "1,2"])
     assert rc == 0
+    assert not (out / "schedule_curve_level_8.csv").exists()
+    assert not (out / "field_level_8.ckpt").exists()
     header, rows = read_csv(out / "complexity.csv")
     assert header == "level,mean_N,std_N,mean_ir,n_rollouts"
     assert [r[0] for r in rows] == ["1", "2"]

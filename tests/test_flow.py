@@ -44,6 +44,39 @@ def test_target_log_density_matches_hand_formula():
     assert mix.log_density(pt) == pytest.approx(np.log(sum(comps)), abs=1e-12)
 
 
+def broadcast_log_density(target, x):
+    """TargetSpec.log_density as an (n, K, d) broadcast: the reference formula
+    the components-major version must equal bit for bit when d < 8."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    diff = pts[:, None, :] - target.means[None, :, :]
+    sq = np.sum(diff * diff, axis=2) / (target.sigmas**2)[None, :]
+    log_comp = (
+        np.log(target.weights)[None, :]
+        - 0.5 * target.d * (flow.LOG_2PI + 2.0 * np.log(target.sigmas))[None, :]
+        - 0.5 * sq
+    )
+    peak = log_comp.max(axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.sum(np.exp(log_comp - peak), axis=1))
+
+
+def test_log_density_equals_broadcast_formula_bit_for_bit():
+    gen = np.random.default_rng(7)
+    for d in (1, 2, 3, 7):
+        for k in (1, 4, 8, 9):
+            weights = gen.uniform(0.1, 1.0, k)
+            target = TargetSpec(gen.standard_normal((k, d)) * 2.0,
+                                gen.uniform(0.2, 2.0, k), weights / weights.sum())
+            pts = gen.standard_normal((257, d)) * 3.0
+            assert np.array_equal(target.log_density(pts), broadcast_log_density(target, pts))
+            assert target.log_density(pts[0]) == broadcast_log_density(target, pts[0])[0]
+
+
+def test_ref_log_density_of_rings_is_unchanged(monkeypatch):
+    monkeypatch.setattr(flow, "_REF_LOG_DENSITY_CACHE", {})
+    assert ref_log_density(ring_mixture_target(4)) == -2.124602693433635
+    assert ref_log_density(ring_mixture_target(8)) == -2.7387383062649473
+
+
 def test_target_sample_moments():
     target = single_gaussian_target([2.0, -1.0], 0.5)
     pts = target.sample(20000, RngStream(1, 0))

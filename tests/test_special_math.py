@@ -11,8 +11,8 @@ from flowsched.rng import RngStream, mix_stream
 from flowsched.special_math import (_DIGAMMA_COEF, _HALF_LOG_2PI,
                                     _LGAMMA_COEF, SAMPLE_EPS, BetaParams,
                                     beta_kl, beta_log_pdf, beta_sample,
-                                    beta_terms, digamma, log_gamma,
-                                    log_gamma_digamma)
+                                    beta_sample_lanes, beta_terms, digamma,
+                                    log_gamma, log_gamma_digamma)
 
 # ln Gamma(x) to 50 digits, rounded to the nearest float64.
 LOG_GAMMA_REFS = [
@@ -230,16 +230,17 @@ def test_beta_log_pdf_always_finite(r, alpha, beta):
 
 
 def test_beta_sample_moments():
-    rng = RngStream(42, 1)
-    n = 10**6
-    draws = np.array([beta_sample(BetaParams(3.0, 3.0), rng) for _ in range(n)])
-    stderr = draws.std() / math.sqrt(n)
-    assert abs(draws.mean() - 0.5) <= 3.0 * stderr
-
-    rng = RngStream(42, 2)
-    draws = np.array([beta_sample(BetaParams(2.0, 6.0), rng) for _ in range(n)])
-    stderr = draws.std() / math.sqrt(n)
-    assert abs(draws.mean() - 0.25) <= 3.0 * stderr
+    # one stream repeated over the lanes of each call: the draws of n scalar
+    # beta_sample calls (test_beta_sample_lanes_equals_per_lane_scalar_draws),
+    # made 10**5 at a time to keep the per-lane lists small
+    n, chunk = 10**6, 10**5
+    for stream, shapes, mean in ((1, (3.0, 3.0), 0.5), (2, (2.0, 6.0), 0.25)):
+        rng = RngStream(42, stream)
+        draws = np.concatenate([
+            beta_sample_lanes(np.full(chunk, shapes[0]), np.full(chunk, shapes[1]), [rng] * chunk)
+            for _ in range(n // chunk)])
+        stderr = draws.std() / math.sqrt(n)
+        assert abs(draws.mean() - mean) <= 3.0 * stderr
 
 
 def test_beta_sample_determinism_and_bounds():
@@ -256,7 +257,7 @@ def test_beta_sample_goodness_of_fit():
     params = BetaParams(2.5, 1.7)
     rng = RngStream(20240801, 5)
     n = 10**5
-    draws = np.array([beta_sample(params, rng) for _ in range(n)])
+    draws = beta_sample_lanes(np.full(n, params.alpha), np.full(n, params.beta), [rng] * n)
     edges = np.linspace(0.0, 1.0, 41)
     observed, _ = np.histogram(draws, bins=edges)
     expected = np.array([
@@ -267,6 +268,21 @@ def test_beta_sample_goodness_of_fit():
     stat = float(np.sum((observed - expected) ** 2 / expected))
     p_value = stats.chi2.sf(stat, df=len(observed) - 1)
     assert p_value > 1e-3, f"chi2={stat:.2f}, p={p_value:.2e}"
+
+
+def test_beta_sample_lanes_equals_per_lane_scalar_draws():
+    # lanes 1, 3 and 4 share one stream, which must draw lane after lane; the
+    # last two shape pairs put the draw past the clamp at 1 - SAMPLE_EPS
+    alpha = [2.5, 1.2, 7.0, 3.3, 1e7, 1.5]
+    beta = [4.0, 9.0, 1.5, 3.3, 1.001, 2.0]
+    keys = [2, 1, 3, 1, 1, 4]
+    for _ in range(2):  # a second round draws from streams already in use
+        lanes, scalar = ({k: RngStream(9, k) for k in keys} for _ in range(2))
+        batch = beta_sample_lanes(np.array(alpha), np.array(beta), [lanes[k] for k in keys])
+        want = [beta_sample(BetaParams(a, b), scalar[k]) for a, b, k in zip(alpha, beta, keys)]
+        assert batch.tolist() == want
+        assert batch[4] == 1.0 - SAMPLE_EPS
+    assert beta_sample_lanes([], [], []).shape == (0,)
 
 
 def test_beta_kl_identical_is_zero():
@@ -358,6 +374,31 @@ def test_rng_child_streams_are_stable_and_distinct():
     assert np.array_equal(u1, u2)
     assert not np.array_equal(u1, base.child(3, 2).uniform(size=4))
     assert mix_stream(1, 2, 3) != mix_stream(1, 3, 2)
+
+
+def test_rng_key_built_generator_draws_as_philox_key():
+    for seed, stream in ((0, 0), (5, 2**64 - 1), (2**63 + 11, 12345), (-1, 7)):
+        ours = RngStream(seed, stream)
+        key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        assert ours.gamma(2.5) == ref.gamma(2.5)
+        assert np.array_equal(ours.standard_normal((3, 2)), ref.standard_normal((3, 2)))
+        assert np.array_equal(ours.uniform(size=5), ref.uniform(size=5))
+        assert [ours.gamma(a) for a in (1.01, 7.0, 0.3)] == [ref.gamma(a) for a in (1.01, 7.0, 0.3)]
+        assert ours.uniform() == ref.uniform()
+
+
+def test_rng_stream_builds_its_generator_on_first_draw_and_checks_integers():
+    parent = RngStream(3, 4)
+    child = parent.child(1, 2)
+    assert "_gen" not in vars(parent) and "_gen" not in vars(child)
+    child.uniform()
+    assert "_gen" in vars(child) and "_gen" not in vars(parent)
+    for seed, stream in ((1.5, 0), (1, 2.5), ("1", 0)):
+        with pytest.raises(TypeError):
+            RngStream(seed, stream)
+    with pytest.raises(TypeError):
+        RngStream(1.5)
 
 
 def test_rng_choice_respects_weights():
