@@ -141,8 +141,8 @@ def _load_or_init_policy(cfg: ExperimentConfig, out: Path) -> TimePolicy:
 
 
 def _remove_stale(out: Path, *patterns: str) -> None:
-    """Delete the numbered files a previous run left in out under patterns, so
-    a rerun that writes fewer of them leaves none for export-plots to plot."""
+    """Delete the files a previous run left in out under patterns, so a rerun
+    that writes fewer of them leaves none behind (nor a plot of one)."""
     for pattern in patterns:
         for path in out.glob(pattern):
             path.unlink()
@@ -225,10 +225,8 @@ def cmd_sample(cfg: ExperimentConfig, n_trajectories: int,
     lanes = roll_lanes(fields[0], cfg.schedule,
                        [rng.child(j) for j in range(n_trajectories)],
                        policy=policy, deterministic=deterministic)
-    log_probs = np.zeros(0)
-    if lanes.rates is not None:  # fixed schedules keep no predictions
-        # every kept rate of every lane scored in one forward, then split by lane
-        log_probs = step_log_pdf(policy, *lanes.kept()[:2])
+    # every kept rate of every lane scored in one forward, then split by lane
+    log_probs = step_log_pdf(policy, *lanes.kept()[:2])
     for j, lane_log_probs in enumerate(np.split(log_probs, np.cumsum(lanes.n_kept)[:-1])):
         trajectory_to_csv(lanes, j, lane_log_probs, out / f"trajectory_{j}.csv")
 
@@ -277,9 +275,7 @@ def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
     matched = max(1, int(round(mean_n)))
 
     def fixed_ir(n_steps: int) -> float:
-        sched = ScheduleConfig(mode="fixed-uniform", fixed_n=n_steps,
-                               t_min=cfg.schedule.t_min, n_max=max(2, n_steps + 1),
-                               grid_size=cfg.schedule.grid_size)
+        sched = ScheduleConfig(mode="fixed-uniform", fixed_n=n_steps)
         lanes = roll_lanes(velocity_field, sched, noise=noise)
         return float(np.mean(toy_reward(lanes.finals, target)))
 
@@ -337,9 +333,12 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
 
 
 def _read_columns(path: Path, x: str, y: str) -> tuple[list[float], list[float]]:
-    """Columns x and y of a CSV table as floats; ValueError naming path if it has
-    no data rows or no such column, or a row of the wrong length or a non-number."""
-    table = [line.split(",") for line in path.read_text().splitlines() if line]
+    """Columns x and y of a CSV table as floats; ValueError naming path if it is
+    not UTF-8, has no data rows or no such column, or a bad row or cell."""
+    try:
+        table = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines() if line]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if len(table) < 2:
         raise ValueError(f"{path}: no data rows to plot")
     header, rows = table[0], table[1:]
@@ -381,6 +380,8 @@ def cmd_export_plots(out_dir: str) -> None:
         raise FileNotFoundError(f"run directory {out} does not exist")
     made = 0
     for pattern, x, ys, *texts in PLOTS:
+        # every SVG the name can stand for, so a CSV that is gone leaves no plot
+        _remove_stale(out, texts[-1].format(y="*", stem=Path(pattern).stem))
         for path in sorted(out.glob(pattern)):
             for y in ys:
                 label, title, x_label, y_label, svg = (
@@ -389,6 +390,7 @@ def cmd_export_plots(out_dir: str) -> None:
                               x_label, y_label, out / svg)
                 made += 1
     # every schedule curve and sampled trajectory overlaid in one plot
+    _remove_stale(out, "schedules.svg")
     schedule_series = (
         [(p.stem.replace("schedule_curve_", ""), *_read_columns(p, "step", "mean_t"))
          for p in sorted(out.glob("schedule_curve_*.csv"))]

@@ -69,8 +69,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["targets"] = [t.to_dict() for t in self.targets]
-        out["schedule"] = dataclasses.asdict(self.schedule)
-        out["rl"] = dataclasses.asdict(self.rl)
         return out
 
     @classmethod
@@ -96,10 +94,9 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        """The config at path; a bad document raises a ValueError naming path."""
-        text = Path(path).read_text()
+        """The config at path; a bad or non-UTF-8 document raises a ValueError naming path."""
         try:
-            return cls.from_json(text)
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"invalid config {path}: {type(exc).__name__}: {exc}") from exc
 

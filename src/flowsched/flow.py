@@ -253,10 +253,8 @@ class VelocityField:
         if self.kind == "oracle":
             return oracle_velocity(x, t, self.target)
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.net.forward(np.concatenate([x, [float(t)]]))
-        tv = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        return self.net.forward(np.concatenate([x, tv[:, None]], axis=1))
+        tv = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])[..., None]
+        return self.net.forward(np.concatenate([x, tv], axis=-1))
 
     def velocity_vjp(self, x: np.ndarray, t: np.ndarray,
                      g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

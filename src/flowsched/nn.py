@@ -8,10 +8,10 @@ policy need, so there is no general autodiff graph.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +21,9 @@ from .rng import RngStream
 
 CHECKPOINT_MAGIC = b"FSNET\x00"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.99
+ADAM_EPS = 1e-8
 
 
 def _param_count(sizes: list[int]) -> int:
@@ -96,12 +99,6 @@ class DenseNet:
         theta is rebound, so callers may key caches on their identity."""
         return list(self._params)
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        """Bind a fresh theta holding params, given in parameters() order."""
-        if [np.shape(p) for p in params] != [p.shape for p in self._params]:
-            raise ValueError(f"parameter shapes do not match sizes {self.sizes}")
-        self.theta = np.concatenate([np.ravel(p) for p in params])
-
     def copy(self) -> "DenseNet":
         net = DenseNet(self.sizes)
         net.theta = self._theta.copy()
@@ -168,36 +165,24 @@ class DenseNet:
         return a
 
 
-@dataclass
+@dataclasses.dataclass
 class OptimizerState:
-    """AdamW accumulators; shapes mirror the parameter list."""
+    """Adam accumulators; shapes mirror the parameter list."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.99
-    weight_decay: float = 0.0
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-5,
-                   betas: tuple[float, float] = (0.9, 0.99),
-                   weight_decay: float = 0.0) -> "OptimizerState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            lr=lr,
-            beta1=betas[0],
-            beta2=betas[1],
-            weight_decay=weight_decay,
-        )
+    def for_params(cls, params: list[np.ndarray], lr: float = 1e-5) -> "OptimizerState":
+        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params], lr=lr)
 
 
 def adamw_step(params: list[np.ndarray], grads: list[np.ndarray],
                state: OptimizerState) -> tuple[list[np.ndarray], OptimizerState]:
-    """One AdamW update with bias correction and decoupled weight decay.
+    """One Adam update with bias correction (AdamW with zero weight decay,
+    the only value any caller used), betas (ADAM_BETA1, ADAM_BETA2).
 
     Pure: returns fresh parameter arrays and a fresh state.
     """
@@ -207,22 +192,16 @@ def adamw_step(params: list[np.ndarray], grads: list[np.ndarray],
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient passed to adamw_step")
     t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p = p - state.lr * (update + state.weight_decay * p)
-        new_params.append(p)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        new_params.append(p - state.lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)))
         new_m.append(m)
         new_v.append(v)
-    new_state = OptimizerState(
-        m=new_m, v=new_v, step=t, lr=state.lr, beta1=state.beta1,
-        beta2=state.beta2, weight_decay=state.weight_decay, eps=state.eps,
-    )
-    return new_params, new_state
+    return new_params, dataclasses.replace(state, m=new_m, v=new_v, step=t)
 
 
 def global_norm(grads: list[np.ndarray]) -> float:

@@ -269,8 +269,8 @@ def rollout_group(policy: TimePolicy, velocity_field: VelocityField,
     return Rollouts.from_lanes(policy, lanes, toy_reward(lanes.finals, target), k, gamma)
 
 
-def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField],
-              targets: TargetSpec | Sequence[TargetSpec], cfg: RLConfig,
+def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
+              targets: Sequence[TargetSpec], cfg: RLConfig,
               sched: ScheduleConfig, rng: RngStream,
               checkpoint_path: Optional[str | Path] = None,
               ) -> tuple[TimePolicy, list[MetricsRow]]:
@@ -282,15 +282,11 @@ def train_tpm(policy: TimePolicy, fields: VelocityField | Sequence[VelocityField
     leaving the last finite checkpoint on disk when a path is given, and
     returns the last-good policy.
     """
-    if isinstance(fields, VelocityField):
-        fields = [fields]
-    if isinstance(targets, TargetSpec):
-        targets = [targets]
     if len(fields) != len(targets):
         raise ValueError("need one velocity field per target")
     ref_policy = policy.copy()
     net = policy.net
-    state = OptimizerState.for_params([net.theta], lr=cfg.lr, betas=(0.9, 0.99))
+    state = OptimizerState.for_params([net.theta], lr=cfg.lr)
     n_groups = cfg.batch_size // cfg.group_size
     metrics: list[MetricsRow] = []
     last_good = policy.copy()
@@ -348,7 +344,7 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
     reconstruction is best, collapsing inference to very few steps.
     """
     d, net = velocity_field.d, policy.net
-    state = OptimizerState.for_params([net.theta], lr=lr, betas=(0.9, 0.99))
+    state = OptimizerState.for_params([net.theta], lr=lr)
     losses = np.zeros(steps)
     for step in range(steps):
         x0 = target.sample(batch_size, rng)

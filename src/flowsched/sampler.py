@@ -73,10 +73,6 @@ class Trajectory:
     features: list[np.ndarray]
 
     @property
-    def final_sample(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
     def n_steps(self) -> int:
         return len(self.times) - 1
 
@@ -121,15 +117,15 @@ class Lanes:
     """n trajectories rolled in lockstep, padded with NaN. Lane i took
     n_steps[i] Euler steps through times[i, :n_steps[i] + 1] and
     states[i, :n_steps[i] + 1], and kept its first n_kept[i] predictions,
-    rates[i, :n_kept[i]] at features feats[i, :n_kept[i]] (None in fixed
-    modes)."""
+    rates[i, :n_kept[i]] at features feats[i, :n_kept[i]]. Fixed modes keep
+    none: their rates and feats have zero width, (n, 0) and (n, 0, 2d+2)."""
 
     times: np.ndarray
     states: np.ndarray
     n_steps: np.ndarray
     n_kept: np.ndarray
-    rates: Optional[np.ndarray] = None
-    feats: Optional[np.ndarray] = None
+    rates: np.ndarray
+    feats: np.ndarray
 
     @property
     def finals(self) -> np.ndarray:
@@ -138,20 +134,19 @@ class Lanes:
     @classmethod
     def concat(cls, parts: Sequence["Lanes"]) -> "Lanes":
         """The lanes of parts in order, which must share one step budget."""
-        return cls(*(None if getattr(parts[0], f.name) is None
-                     else np.concatenate([getattr(p, f.name) for p in parts])
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
                      for f in fields(cls)))
 
     def kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kept predictions of adaptive lanes stacked lane by lane (row
-        major): (feats, rates, lane), lane holding each row's lane index."""
+        """The kept predictions stacked lane by lane (row major), empty in
+        fixed modes: (feats, rates, lane), lane holding each row's lane index."""
         mask = np.arange(self.rates.shape[1]) < self.n_kept[:, None]
         return self.feats[mask], self.rates[mask], np.nonzero(mask)[0]
 
     def validate(self) -> None:
         """Raise ValueError unless each lane's first n_steps + 1 times run from
-        1 strictly down to 0 over finite states, and, in adaptive lanes, the
-        lane kept 0, N - 1 (a forced jump) or N finite predictions."""
+        1 strictly down to 0 over finite states, and the lane kept 0, N - 1
+        (a forced jump) or N finite predictions (fixed lanes keep 0)."""
         n = self.n_steps
         if np.any(self.times[:, 0] != 1.0) or np.any(self.times[np.arange(len(n)), n] != 0.0):
             raise ValueError("times must start at 1 and end at 0")
@@ -160,8 +155,6 @@ class Lanes:
             raise ValueError("times must be strictly decreasing")
         if not np.all(np.isfinite(self.states[visited])):
             raise ValueError("non-finite state in trajectory")
-        if self.rates is None:
-            return
         p = self.n_kept
         if np.any((p != 0) & (p != n - 1) & (p != n)):
             raise ValueError("prediction count must be N-1 (forced jump) or N")
@@ -172,10 +165,8 @@ class Lanes:
     def trajectories(self) -> list[Trajectory]:
         """One Trajectory per lane, over views of the padded paths: the return
         value of the one-lane wrappers sample_adaptive and sample_fixed."""
-        adaptive = self.rates is not None
         return [Trajectory(self.times[i, :n + 1].tolist(), list(self.states[i, :n + 1]),
-                           self.rates[i, :p].tolist() if adaptive else [],
-                           list(self.feats[i, :p]) if adaptive else [])
+                           self.rates[i, :p].tolist(), list(self.feats[i, :p]))
                 for i, (n, p) in enumerate(zip(self.n_steps.tolist(),
                                                self.n_kept.tolist()))]
 
@@ -212,12 +203,11 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
         raise ValueError("stochastic adaptive lanes need one stream per lane")
     table = _time_table(cfg) if fixed else None
     budget = cfg.fixed_n if fixed else cfg.n_max
+    width = 0 if fixed else budget  # the predictions a lane can keep
     lanes = Lanes(np.full((n, budget + 1), np.nan), np.full((n, budget + 1, d), np.nan),
-                  np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+                  np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                  np.full((n, width), np.nan), np.full((n, width, feature_length(d)), np.nan))
     lanes.times[:, 0], lanes.states[:, 0] = 1.0, x
-    if not fixed:
-        lanes.rates = np.full((n, budget), np.nan)
-        lanes.feats = np.full((n, budget, feature_length(d)), np.nan)
 
     # the running lanes: their ids, states, times and grid indices; the
     # running lanes' streams are lane_streams[idx]
@@ -306,7 +296,7 @@ def trajectory_to_csv(lanes: Lanes, i: int, log_probs: Sequence[float],
     n, p = int(lanes.n_steps[i]), int(lanes.n_kept[i])
     if len(log_probs) != p:
         raise ValueError(f"{len(log_probs)} log-probs for {p} predictions")
-    rates = [] if lanes.rates is None else lanes.rates[i, :p].tolist()
+    rates = lanes.rates[i, :p].tolist()
     header = ["step", "t"] + [f"x{c}" for c in range(lanes.states.shape[2])] + ["r", "log_prob"]
     write_csv(path, header, (
         [k, t, *x, *((rates[k - 1], log_probs[k - 1]) if 1 <= k <= p else (None, None))]

@@ -373,7 +373,7 @@ def _criterion_negative_control():
     naive, _ = train_naive_two_step(naive, field, target, 500, 0.02,
                                     RngStream(SEED, 2), batch_size=64)
     disc = init_policy(2, 0.6, RngStream(SEED, 1))
-    disc, _ = train_tpm(disc, field, target, RLConfig(gamma=0.95, **DESK_RL),
+    disc, _ = train_tpm(disc, [field], [target], RLConfig(gamma=0.95, **DESK_RL),
                         sched, RngStream(SEED, 4))
     values = {"naive_mean_n": mean_n(naive), "discounted_mean_n": mean_n(disc)}
     return values, _digest(sorted(values.items()),

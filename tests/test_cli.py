@@ -397,6 +397,21 @@ def test_export_plots_rerun_is_byte_identical(tmp_path):
     assert (out / "schedules.svg").read_bytes() == first
 
 
+def test_export_plots_removes_the_plots_of_csvs_a_rerun_removed(tmp_path):
+    out = tmp_path / "run"
+    cfg = reduced_config(out, targets=[standard_normal_target(2),
+                                       single_gaussian_target([0.5, -0.5], 1.5)])
+    assert main(["train-flow", "--config", save_config(cfg, tmp_path)]) == 0
+    assert main(["export-plots", "--out", str(out)]) == 0
+    assert (out / "flow_loss_1.svg").exists()
+    # the overlay of trajectories whose CSVs are gone, too
+    (out / "schedules.svg").write_text("<svg/>\n")
+    cfg.targets = cfg.targets[:1]
+    assert main(["train-flow", "--config", save_config(cfg, tmp_path)]) == 0
+    assert main(["export-plots", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.svg")) == ["flow_loss_0.svg"]
+
+
 def test_export_plots_missing_dir_exits_two(tmp_path):
     assert main(["export-plots", "--out", str(tmp_path / "nope")]) == 2
 
@@ -409,11 +424,12 @@ def test_export_plots_missing_dir_exits_two(tmp_path):
      "0,0.1,0.05,14.0,0.01,1.0\n1,0.2\n", ["data row 2"]),
     ("outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n"
      "0,0.1,0.05,,0.01,1.0\n", ["data row 1", "'mean_N'"]),
-], ids=["no data rows", "missing column", "short row", "blank cell"])
+    ("\xffouter_step,mean_N\n0,14.0\n", ["not UTF-8"]),
+], ids=["no data rows", "missing column", "short row", "blank cell", "not UTF-8"])
 def test_export_plots_empty_csv_exits_two_naming_file(text, names, tmp_path, caplog):
     out = tmp_path / "run"
     out.mkdir()
-    (out / "metrics.csv").write_text(text)
+    (out / "metrics.csv").write_text(text, encoding="latin-1")
     with caplog.at_level("ERROR"):
         assert main(["export-plots", "--out", str(out)]) == 2
     assert all(name in caplog.text for name in [str(out / "metrics.csv")] + names)
@@ -482,6 +498,8 @@ def _bad_config_text(case: str) -> str:
     doc = preset_config("desk").to_dict()
     if case == "not json":
         return "{not json"
+    if case == "not UTF-8":  # byte 0xff once written as Latin-1
+        return "\xff" + json.dumps(doc)
     if case == "target without sigmas":
         del doc["targets"][0]["sigmas"]
     elif case == "n_max not a number":
@@ -492,10 +510,11 @@ def _bad_config_text(case: str) -> str:
 
 
 @pytest.mark.parametrize("case", ["not json", "target without sigmas",
-                                  "n_max not a number", "top level is a list"])
+                                  "n_max not a number", "top level is a list",
+                                  "not UTF-8"])
 def test_bad_config_file_exits_two_naming_path(case, tmp_path, caplog):
     path = tmp_path / "bad.json"
-    path.write_text(_bad_config_text(case))
+    path.write_text(_bad_config_text(case), encoding="latin-1")
     with caplog.at_level("ERROR"):
         assert main(["train-tpm", "--config", str(path)]) == 2
     assert str(path) in caplog.text

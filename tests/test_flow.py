@@ -385,7 +385,7 @@ def test_ref_log_density_blocks_equal_one_unblocked_pass(monkeypatch):
 
 def per_layer_train_flow(field, target, steps, rng, batch_size, lr):
     """train_flow as a per-layer loop: the forward repeated inside backward,
-    AdamW over the list of layer arrays, and set_parameters every step."""
+    AdamW over the list of layer arrays, and theta rebound every step."""
     net = field.net
     params = net.parameters()
     state = OptimizerState.for_params(params, lr=lr)
@@ -399,7 +399,7 @@ def per_layer_train_flow(field, target, steps, rng, batch_size, lr):
         losses[step] = float(np.mean(np.sum(resid * resid, axis=1)))
         grad, _ = net.backward(inp, 2.0 * resid / batch_size)
         params, state = adamw_step(params, net.unflatten(grad), state)
-        net.set_parameters(params)
+        net.theta = np.concatenate([p.ravel() for p in params])
     return losses
 
 

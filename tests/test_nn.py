@@ -66,7 +66,7 @@ def test_layer_views_share_theta_through_every_writer(tmp_path):
     assert not np.shares_memory(twin.theta, net.theta)
     twin.weights[0][...] = 1.0
     assert not np.any(net.weights[0] == 1.0)
-    net.set_parameters([2.0 * p for p in net.parameters()])
+    net.theta = 2.0 * net.theta
     assert_views_share_theta(net)
 
     field = VelocityField("learned", net=make_velocity_net(2, (6,), RngStream(15, 1)))
@@ -75,7 +75,7 @@ def test_layer_views_share_theta_through_every_writer(tmp_path):
     target = standard_normal_target(2)
     cfg = RLConfig(group_size=2, batch_size=4, inner_epochs=2, outer_steps=2)
     policy, _ = train_tpm(init_policy(2, 0.7, RngStream(15, 3), hidden=(4,)),
-                          VelocityField("oracle", target=target), target, cfg,
+                          [VelocityField("oracle", target=target)], [target], cfg,
                           ScheduleConfig(), RngStream(15, 4))
     assert_views_share_theta(policy.net)
 
@@ -219,11 +219,43 @@ def test_adamw_zero_grad_zero_decay_is_identity():
         assert np.array_equal(p, q)
 
 
-def test_adamw_decoupled_weight_decay():
-    params = [np.array([2.0])]
-    state = OptimizerState.for_params(params, lr=0.1, weight_decay=0.5)
-    new_params, _ = adamw_step(params, [np.zeros(1)], state)
-    assert new_params[0][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
+def reference_adamw_step(params, grads, m, v, step, lr, weight_decay=0.0,
+                         beta1=0.9, beta2=0.99, eps=1e-8):
+    """The AdamW update with decoupled weight decay as it stood before weight
+    decay was dropped; at weight_decay=0.0 it is the reference for adamw_step."""
+    t = step + 1
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    out_p, out_m, out_v = [], [], []
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i = beta1 * m_i + (1.0 - beta1) * g
+        v_i = beta2 * v_i + (1.0 - beta2) * g * g
+        update = (m_i / bc1) / (np.sqrt(v_i / bc2) + eps)
+        out_p.append(p - lr * (update + weight_decay * p))
+        out_m.append(m_i)
+        out_v.append(v_i)
+    return out_p, out_m, out_v, t
+
+
+def test_adamw_equals_zero_decay_reference_bit_for_bit():
+    """Dropping the weight-decay term moves no bit, signed zeros included:
+    parameters at +0.0 and -0.0 under zero and non-zero gradients, a step
+    with all-zero gradients, and ordinary values over several steps."""
+    gen = np.random.default_rng(5)
+    params = [np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.5]), gen.standard_normal((3, 4))]
+    steps = [[np.array([0.0, 0.0, -0.0, -0.0, 0.3, -0.2]), gen.standard_normal((3, 4))],
+             [np.zeros(6), np.zeros((3, 4))],
+             [-np.zeros(6), -np.zeros((3, 4))],
+             [gen.standard_normal(6), gen.standard_normal((3, 4)) * 1e-3]]
+    for lr in (1e-3, 0.1):
+        p, state = params, OptimizerState.for_params(params, lr=lr)
+        ref_p, ref_m, ref_v, ref_t = params, state.m, state.v, 0
+        for grads in steps:
+            p, state = adamw_step(p, grads, state)
+            ref_p, ref_m, ref_v, ref_t = reference_adamw_step(ref_p, grads, ref_m, ref_v,
+                                                              ref_t, lr)
+            assert state.step == ref_t and state.lr == lr
+            for got, want in zip(p + state.m + state.v, ref_p + ref_m + ref_v):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_adamw_deterministic():

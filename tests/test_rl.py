@@ -45,7 +45,7 @@ def small_policy(seed: int, r_target: float = 0.7, jitter: float = 0.0) -> TimeP
         jrng = RngStream(seed, 1)
         params = [p + jitter * jrng.standard_normal(p.shape)
                   for p in policy.net.parameters()]
-        policy.net.set_parameters(params)
+        policy.net.theta = np.concatenate([p.ravel() for p in params])
     return policy
 
 
@@ -339,7 +339,7 @@ def test_ppo_loss_kl_term_matches_scalar_oracle():
     policy = small_policy(44, jitter=0.05)
     params = [p + 0.05 * RngStream(44, 7).child(i).standard_normal(p.shape)
               for i, p in enumerate(policy.net.parameters())]
-    policy.net.set_parameters(params)
+    policy.net.theta = np.concatenate([p.ravel() for p in params])
     group = make_group(ref, 44)
     group.advantage[...] = 0.0
     res = ppo_loss(policy, ref, group, RLConfig(kl_weight=1.0, clip=0.2))
@@ -362,7 +362,7 @@ def test_ppo_loss_gradients_match_finite_differences():
     policy = small_policy(45, jitter=0.05)
     bump = [p + 0.03 * RngStream(45, 7).child(i).standard_normal(p.shape)
             for i, p in enumerate(policy.net.parameters())]
-    policy.net.set_parameters(bump)
+    policy.net.theta = np.concatenate([p.ravel() for p in bump])
     group = make_group(ref, 45)
     cfg = RLConfig(kl_weight=0.3, clip=0.2)
     res = ppo_loss(policy, ref, group, cfg)
@@ -378,9 +378,9 @@ def test_ppo_loss_gradients_match_finite_differences():
             for delta in (h, -h):
                 trial = [q.copy() for q in params]
                 trial[idx].ravel()[j] = orig + delta
-                policy.net.set_parameters(trial)
+                policy.net.theta = np.concatenate([q.ravel() for q in trial])
                 fd_vals.append(ppo_loss(policy, ref, group, cfg).loss)
-            policy.net.set_parameters(params)
+            policy.net.theta = np.concatenate([q.ravel() for q in params])
             fd = (fd_vals[0] - fd_vals[1]) / (2 * h)
             assert abs(fd - flat_g[j]) <= 1e-3 * max(1.0, abs(fd)), (
                 f"param block {idx}, entry {j}: fd={fd}, grad={flat_g[j]}")
@@ -558,8 +558,9 @@ def separate_call_ppo_loss(policy, ref_policy, group, cfg):
 
 def perturbed(policy: TimePolicy, seed: int, scale: float = 0.5) -> TimePolicy:
     out = policy.copy()
-    out.net.set_parameters([p + scale * RngStream(seed, 7).child(i).standard_normal(p.shape)
-                            for i, p in enumerate(out.net.parameters())])
+    out.net.theta = np.concatenate([
+        (p + scale * RngStream(seed, 7).child(i).standard_normal(p.shape)).ravel()
+        for i, p in enumerate(out.net.parameters())])
     return out
 
 
@@ -623,7 +624,7 @@ def test_ppo_loss_recomputes_reference_terms_for_new_reference():
     assert_matches_separate_calls(policy, ref, group, cfg)
     assert_matches_separate_calls(policy, other, group, cfg)
     # same object, new parameter arrays
-    other.net.set_parameters(perturbed(other, 80).net.parameters())
+    other.net.theta = perturbed(other, 80).net.theta
     assert_matches_separate_calls(policy, other, group, cfg)
 
 
@@ -640,7 +641,7 @@ def test_train_tpm_evaluates_reference_once_per_outer_step(monkeypatch):
         return tpm_params_batch(pol, feats)
 
     monkeypatch.setattr(rl, "tpm_params_batch", counting)
-    _, metrics = train_tpm(policy, oracle_field(), STD2, cfg, ScheduleConfig(),
+    _, metrics = train_tpm(policy, [oracle_field()], [STD2], cfg, ScheduleConfig(),
                            RngStream(81, 1))
     assert len(metrics) == cfg.outer_steps
     assert calls["other"] == cfg.outer_steps
@@ -680,7 +681,7 @@ def test_train_tpm_high_kl_weight_pins_policy_to_reference():
     cfg = RLConfig(gamma=0.95, kl_weight=1e3, clip=0.2, group_size=4,
                    batch_size=16, inner_epochs=2, lr=3e-3, outer_steps=10)
     policy = init_policy(2, 0.75, RngStream(51, 0), hidden=(16,))
-    trained, metrics = train_tpm(policy, oracle_field(), STD2, cfg,
+    trained, metrics = train_tpm(policy, [oracle_field()], [STD2], cfg,
                                  ScheduleConfig(), RngStream(51, 1))
     assert len(metrics) == 10
     assert metrics[-1].mean_kl < 0.01
@@ -691,7 +692,7 @@ def test_train_tpm_is_deterministic():
         cfg = RLConfig(gamma=0.95, kl_weight=0.2, clip=0.2, group_size=4,
                        batch_size=8, inner_epochs=2, lr=3e-3, outer_steps=5)
         policy = init_policy(2, 0.7, RngStream(52, 0), hidden=(8,))
-        return train_tpm(policy, oracle_field(), STD2, cfg, ScheduleConfig(),
+        return train_tpm(policy, [oracle_field()], [STD2], cfg, ScheduleConfig(),
                          RngStream(52, 1))
 
     p1, m1 = run()
@@ -707,7 +708,7 @@ def test_train_tpm_writes_checkpoint(tmp_path):
                    outer_steps=2)
     policy = init_policy(2, 0.7, RngStream(53, 0), hidden=(8,))
     path = tmp_path / "policy.bin"
-    train_tpm(policy, oracle_field(), STD2, cfg, ScheduleConfig(),
+    train_tpm(policy, [oracle_field()], [STD2], cfg, ScheduleConfig(),
               RngStream(53, 1), checkpoint_path=path)
     assert path.exists() and path.stat().st_size > 0
 

@@ -139,7 +139,7 @@ def test_sample_fixed_shift_one_is_uniform():
                            ScheduleConfig(mode="fixed-shifted", fixed_n=6, shift=1.0),
                            RngStream(7, 0), initial_noise=noise)
     assert np.allclose(uniform.times, shifted.times, atol=1e-15)
-    assert np.allclose(uniform.final_sample, shifted.final_sample, atol=1e-15)
+    assert np.allclose(uniform.states[-1], shifted.states[-1], atol=1e-15)
 
 
 def test_timeshift_examples():
@@ -193,7 +193,7 @@ def test_discrete_mode_forces_jump_below_t_min_and_drops_prediction():
     assert traj.times == [1.0, 0.5, 0.25, 0.125, 0.063, 0.032, 0.016, 0.0]
     assert traj.decay_rates == [0.5] * 6 and len(traj.features) == 6
     x, t = traj.states[-2], traj.times[-2]
-    assert np.array_equal(traj.final_sample, x + (0.0 - t) * field(x, t))
+    assert np.array_equal(traj.states[-1], x + (0.0 - t) * field(x, t))
 
 
 def test_discrete_mode_times_live_on_grid():
@@ -262,14 +262,29 @@ def test_lane_chunks_do_not_change_draws_or_step_counts(mode, deterministic):
 
 
 @pytest.mark.parametrize("mode", ["fixed-uniform", "fixed-shifted"])
-def test_fixed_modes_with_given_noise_draw_nothing(mode):
+def test_fixed_modes_with_given_noise_draw_nothing(mode, tmp_path):
     streams = [RngStream(16, 1).child(i) for i in range(5)]
     noise = RngStream(16, 0).standard_normal((5, 2))
     lanes = roll_lanes(oracle_field(), ScheduleConfig(mode=mode, fixed_n=6),
                        streams, noise)
-    assert lanes.n_steps.tolist() == [6] * 5 and lanes.rates is None
+    assert lanes.n_steps.tolist() == [6] * 5 and lanes.n_kept.tolist() == [0] * 5
     for i, stream in enumerate(streams):
         assert stream.standard_normal() == RngStream(16, 1).child(i).standard_normal()
+    # fixed lanes keep no predictions: zero-width rates and feats, empty stacks
+    assert lanes.rates.shape == (5, 0) and lanes.feats.shape == (5, 0, 6)
+    feats, rates, lane = lanes.kept()
+    assert feats.shape == (0, 6) and rates.shape == (0,) and lane.shape == (0,)
+    lanes.validate()
+    both = Lanes.concat([lanes, lanes])
+    assert both.rates.shape == (10, 0) and both.feats.shape == (10, 0, 6)
+    assert np.array_equal(both.states[5:], lanes.states, equal_nan=True)
+    both.validate()
+    path = tmp_path / "fixed.csv"
+    trajectory_to_csv(lanes, 3, [], path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 7 and all(r[4:] == ["", ""] for r in rows[1:])
+    assert [float(r[1]) for r in rows[1:]] == lanes.times[3].tolist()
 
 
 def test_non_finite_velocity_in_one_lane_names_its_time():
@@ -298,14 +313,15 @@ def test_non_finite_velocity_in_one_lane_names_its_time():
 
 def one_lane(times, rates=None, n_kept=0) -> Lanes:
     """One lane over times with zero states; rates padded with NaN to the
-    step budget, and a feature row of zeros at every given rate."""
+    step budget, and a feature row of zeros at every given rate. Without
+    rates it is a fixed-schedule lane: zero-width rates and feats."""
     n = len(times) - 1
+    width = 0 if rates is None else n
     lane = Lanes(np.array([times], dtype=float), np.zeros((1, n + 1, 2)),
-                 np.array([n]), np.array([n_kept]))
+                 np.array([n]), np.array([n_kept]),
+                 np.full((1, width), np.nan), np.full((1, width, 6), np.nan))
     if rates is not None:
-        lane.rates = np.full((1, n), np.nan)
         lane.rates[0, :len(rates)] = rates
-        lane.feats = np.full((1, n, 6), np.nan)
         lane.feats[0, :len(rates)] = 0.0
     return lane
 
