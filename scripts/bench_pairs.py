@@ -1,0 +1,126 @@
+"""Paired benchmark runs of a parent commit against the working tree.
+
+For each workload and seed, runs `benchmark/run.py --trace 0` once on a
+`git archive` copy of the parent commit and once on the working tree,
+alternating which side runs first, and reads each run's result.json. Writes
+one JSON file: per workload and end-to-end metric, each side's values,
+median and quartiles (statistics.quantiles, n=4), and in how many pairs the
+change was better (BENCHMARK.json's "better"); with the environment stamp of
+the runs, the commits and the seeds. Nothing in it is typed by hand.
+
+    python3 scripts/bench_pairs.py --parent HEAD --seeds 501-510 \\
+        --workload train-flow-ring4 --seconds 30 --out BENCH.json
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'501-505' or '501,503,507' (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `benchmark/run.py` run in the checkout at root; its result.json."""
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads((root / ".bench_runs" / f"{workload}-seed{seed}-trace0"
+                       / "result.json").read_text())
+
+
+def summarize(values: dict[str, list[float]], better: str) -> dict:
+    """Per side the values, median and quartiles, and the change's wins: the
+    pairs (same seed) in which its value is strictly better."""
+    out = {}
+    for side in SIDES:
+        vals = values[side]
+        q1, med, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
+        out[side] = {"values": vals, "median": med, "q1": q1, "q3": q3}
+    sign = -1.0 if better == "lower" else 1.0
+    out["change_wins"] = sum(sign * (c - p) > 0.0
+                             for p, c in zip(values["parent"], values["change"]))
+    out["pairs"] = len(values["change"])
+    parent_median = out["parent"]["median"]
+    out["median_change"] = (out["change"]["median"] / parent_median - 1.0
+                            if parent_median else None)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", required=True, help="commit to compare the working tree with")
+    ap.add_argument("--seeds", required=True, type=parse_seeds,
+                    help="seeds, e.g. 501-510 or 501,507")
+    ap.add_argument("--workload", action="append",
+                    help="workload to run (repeatable; default: every one in BENCHMARK.json)")
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--work-dir", help="where to unpack the parent (default: a temporary directory)")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    parent = git("rev-parse", args.parent)
+    with tempfile.TemporaryDirectory(dir=args.work_dir) as tmp:
+        parent_root = Path(tmp) / "parent"
+        parent_root.mkdir()
+        tar = Path(tmp) / "parent.tar"
+        git("archive", "-o", str(tar), parent)
+        subprocess.run(["tar", "-xf", str(tar), "-C", str(parent_root)], check=True)
+        roots = {"parent": parent_root, "change": ROOT}
+        results, env = {}, None
+        for workload in workloads:
+            values = {name: {side: [] for side in SIDES} for name in metrics}
+            failed = {side: 0 for side in SIDES}
+            for i, seed in enumerate(args.seeds):
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    res = run_bench(roots[side], workload, seed, args.seconds)
+                    failed[side] += not res["correct"]
+                    for name in metrics:
+                        values[name][side].append(res["metrics"][name][0])
+                    env = env or {k: v for k, v in res["env"].items()
+                                  if k not in ("seed", "configs", "git_commit")}
+                    print(f"{workload} seed {seed} {side}: wall_s "
+                          f"{res['metrics']['wall_s'][0]:.4g}", flush=True)
+            results[workload] = {
+                "incorrect_runs": failed,
+                "metrics": {name: {"unit": m["unit"], "better": m["better"],
+                                   **summarize(values[name], m["better"])}
+                            for name, m in metrics.items()},
+            }
+    Path(args.out).write_text(json.dumps({
+        "command": f"benchmark/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "parent": parent,
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "uncommitted": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "order": "alternating: even seed index runs the parent first",
+        "seeds": args.seeds, "env": env, "workloads": results,
+    }, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -219,14 +219,17 @@ def cmd_sample(cfg: ExperimentConfig, n_trajectories: int,
         raise ValueError(f"--n-trajectories must be at least 1, got {n_trajectories}")
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
-    policy = _load_or_init_policy(cfg, out)
+    # a fixed schedule draws nothing from a policy, so none is loaded
+    fixed = cfg.schedule.mode.startswith("fixed")
+    policy = None if fixed else _load_or_init_policy(cfg, out)
     _remove_stale(out, "trajectory_*.csv")
     rng = RngStream(cfg.seed, STREAM_SAMPLE)
     lanes = roll_lanes(fields[0], cfg.schedule,
                        [rng.child(j) for j in range(n_trajectories)],
                        policy=policy, deterministic=deterministic)
-    # every kept rate of every lane scored in one forward, then split by lane
-    log_probs = step_log_pdf(policy, *lanes.kept()[:2])
+    # every kept rate of every lane scored in one forward, then split by lane;
+    # fixed lanes keep none, so their r and log_prob cells stay blank
+    log_probs = np.empty(0) if fixed else step_log_pdf(policy, *lanes.kept()[:2])
     for j, lane_log_probs in enumerate(np.split(log_probs, np.cumsum(lanes.n_kept)[:-1])):
         trajectory_to_csv(lanes, j, lane_log_probs, out / f"trajectory_{j}.csv")
 

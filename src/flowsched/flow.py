@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nn import DenseNet, OptimizerState, adamw_step
+from .nn import DenseNet, OptimizerState, Workspace, adamw_step
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -272,10 +272,11 @@ class VelocityField:
 
 
 def fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
-            t: np.ndarray) -> tuple[float, np.ndarray]:
+            t: np.ndarray, work: Optional[Workspace] = None) -> tuple[float, np.ndarray]:
     """Conditional flow-matching loss and its gradient, laid out like theta.
 
-    loss = mean over the batch of ||v(x_t, t) - (eps - x0)||^2.
+    loss = mean over the batch of ||v(x_t, t) - (eps - x0)||^2. work, when
+    given, is the net's workspace for the batch size (DenseNet.workspace).
     """
     if field.kind != "learned":
         raise ValueError("fm_loss trains learned fields only")
@@ -288,10 +289,10 @@ def fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
     xt = interpolate(x0, eps, t)
     u = eps - x0
     inp = np.concatenate([xt, t[:, None]], axis=1)
-    acts = field.net.forward_acts(inp)
+    acts = field.net.forward_acts(inp, work)
     resid = acts[-1] - u
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
-    grad, _ = field.net.backward(inp, 2.0 * resid / n, acts)
+    grad, _ = field.net.backward(inp, 2.0 * resid / n, acts, work)
     return loss, grad
 
 
@@ -301,18 +302,20 @@ def train_flow(field: VelocityField, target: TargetSpec, steps: int,
     """Regress the velocity field on conditional flow-matching targets.
 
     Returns the trained field and the per-step loss curve. A non-finite loss
-    aborts immediately rather than writing junk parameters.
+    aborts immediately rather than writing junk parameters. Every step reuses
+    one workspace for the net's activations and backward buffers.
     """
     if field.kind != "learned":
         raise ValueError("train_flow needs a learned field")
     d, net = field.d, field.net
     state = OptimizerState.for_params([net.theta], lr=lr)
+    work = net.workspace(batch_size)
     losses = np.zeros(steps)
     for step in range(steps):
         x0 = target.sample(batch_size, rng)
         eps = rng.standard_normal((batch_size, d))
         t = rng.uniform(size=batch_size)
-        loss, grad = fm_loss(field, x0, eps, t)
+        loss, grad = fm_loss(field, x0, eps, t, work)
         if not np.isfinite(loss):
             raise RuntimeError(f"flow training diverged at step {step}: loss={loss}")
         [net.theta], state = adamw_step([net.theta], [grad], state)

@@ -104,14 +104,28 @@ class DenseNet:
         net.theta = self._theta.copy()
         return net
 
-    def forward_acts(self, x: np.ndarray) -> list[np.ndarray]:
+    def workspace(self, n: int) -> "Workspace":
+        """Buffers for forward_acts and backward over batches of n rows, for a
+        caller that repeats them at one batch size (train_flow)."""
+        return Workspace(self.sizes, n,
+                         [np.empty((n, o)) for o in self.sizes[1:]],
+                         [np.empty((n, i)) for i in self.sizes[:-1]],
+                         [np.empty((n, h)) for h in self.sizes[1:-1]])
+
+    def forward_acts(self, x: np.ndarray,
+                     work: Optional["Workspace"] = None) -> list[np.ndarray]:
         """Activations [input, hidden..., output] of forward, each (batch, width)
-        even for a single input (fan_in,); backward can reuse them."""
+        even for a single input (fan_in,); backward can reuse them.
+
+        Every activation after the input is written into work.acts, so with
+        a workspace they are views the next call on it overwrites; without
+        one (out=None) numpy makes each fresh."""
         a = self._check_input(x)
+        outs = self._fresh() if work is None else self._check_work(work, a.shape[0]).acts
         acts = [a]
         last = len(self._weights) - 1
-        for k, (w, b) in enumerate(zip(self._weights, self._biases)):
-            a = a @ w.T
+        for k, (w, b, out) in enumerate(zip(self._weights, self._biases, outs)):
+            a = np.matmul(a, w.T, out=out)
             a += b
             if k != last:
                 np.tanh(a, out=a)
@@ -124,16 +138,25 @@ class DenseNet:
         return out if np.ndim(x) > 1 else out[0]
 
     def backward(self, x: np.ndarray, output_grad: np.ndarray,
-                 acts: Optional[list[np.ndarray]] = None):
+                 acts: Optional[list[np.ndarray]] = None,
+                 work: Optional["Workspace"] = None):
         """Exact reverse-mode gradients of forward.
 
         Returns (grad, input_grad) where grad is laid out like theta (views
         by unflatten). Batched inputs sum parameter gradients over the batch.
         acts, when given, must be forward_acts(x) at the current theta; the
-        forward pass is then not repeated.
+        forward pass is then not repeated. The products delta @ W and the
+        tanh-gradient terms are written into work as forward_acts writes its
+        activations, so with a workspace input_grad is a view of it that the
+        next call overwrites; grad is always a fresh vector.
         """
         if acts is None:
-            acts = self.forward_acts(x)
+            acts = self.forward_acts(x, work)
+        if work is None:
+            deltas = squares = self._fresh()
+        else:
+            work = self._check_work(work, acts[0].shape[0])
+            deltas, squares = work.deltas, work.squares
         out_g = np.asarray(output_grad, dtype=float)
         if out_g.ndim == 1:
             out_g = out_g[None, :]
@@ -147,13 +170,23 @@ class DenseNet:
         for k in range(len(self._weights) - 1, -1, -1):
             np.matmul(delta.T, acts[k], out=views[2 * k])
             np.sum(delta, axis=0, out=views[2 * k + 1])
-            delta = delta @ self._weights[k]
+            delta = np.matmul(delta, self._weights[k], out=deltas[k])
             if k > 0:
-                tanh_grad = acts[k] ** 2
+                tanh_grad = np.square(acts[k], out=squares[k - 1])
                 np.subtract(1.0, tanh_grad, out=tanh_grad)
                 delta *= tanh_grad
         input_grad = delta if np.ndim(x) > 1 else delta[0]
         return grad, input_grad
+
+    def _fresh(self) -> list[None]:
+        """One out=None per layer: numpy makes each buffer fresh."""
+        return [None] * len(self._weights)
+
+    def _check_work(self, work: "Workspace", n: int) -> "Workspace":
+        if work.n != n or work.sizes != self.sizes:
+            raise ValueError(f"workspace for {work.n} rows of sizes {work.sizes} "
+                             f"used with {n} rows of sizes {self.sizes}")
+        return work
 
     def _check_input(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=float)
@@ -163,6 +196,28 @@ class DenseNet:
         if a.ndim != 2 or a.shape[1] != self.sizes[0]:
             raise ValueError(f"input shape {np.shape(x)} does not match input size {self.sizes[0]}")
         return a
+
+
+@dataclasses.dataclass(frozen=True)
+class Workspace:
+    """Buffers of DenseNet.forward_acts and backward for batches of n rows
+    (DenseNet.workspace makes them), per layer k:
+
+    acts[k]     (n, sizes[k + 1])  the output of layer k;
+    deltas[k]   (n, sizes[k])      backward's product delta @ W_k;
+    squares[k]  (n, sizes[k + 1])  acts[k] ** 2 of hidden layer k, the
+                                   tanh-gradient term.
+
+    Reusing one across calls saves allocating arrays that, at batch 256 and
+    width 64, sit exactly at glibc malloc's 128 KiB trim threshold, so each
+    fresh one costs page faults; the arithmetic is the same.
+    """
+
+    sizes: list[int]
+    n: int
+    acts: list[np.ndarray]
+    deltas: list[np.ndarray]
+    squares: list[np.ndarray]
 
 
 @dataclasses.dataclass

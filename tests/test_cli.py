@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 import flowsched
-from flowsched.cli import build_parser, evaluate_policy, main
+from flowsched.cli import (STREAM_SAMPLE, _build_fields, _init_policy, build_parser,
+                           evaluate_policy, main)
 from flowsched.config import (DESK_EVAL_ROLLOUTS, ExperimentConfig,
                               preset_config, write_run_stamp)
 from flowsched.flow import (VelocityField, ring_mixture_target,
                             single_gaussian_target, standard_normal_target)
 from flowsched.policy import init_policy
-from flowsched.rl import RLConfig
+from flowsched.rl import RLConfig, step_log_pdf
 from flowsched.rng import RngStream
-from flowsched.sampler import ScheduleConfig
+from flowsched.sampler import ScheduleConfig, roll_lanes, trajectory_to_csv
 
 
 def reduced_config(out_dir, **overrides) -> ExperimentConfig:
@@ -210,6 +211,26 @@ def test_sample_fixed_schedule_leaves_r_and_log_prob_blank(tmp_path):
         _, rows = read_csv(out / f"trajectory_{j}.csv")
         assert [r[1] for r in rows] == ["1.0", "0.8", "0.6", "0.4", "0.2", "0.0"]
         assert all(r[4:] == ["", ""] for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["fixed-uniform", "fixed-shifted"])
+def test_fixed_sample_loads_no_policy_and_writes_the_same_bytes(tmp_path, caplog, mode):
+    out = tmp_path / "run"
+    cfg = reduced_config(out, schedule=ScheduleConfig(mode=mode, fixed_n=5))
+    with caplog.at_level("WARNING", logger="flowsched.cli"):
+        rc = main(["sample", "--config", save_config(cfg, tmp_path), "--n-trajectories", "3"])
+    assert rc == 0
+    assert not caplog.records
+    # the files sample wrote when it scored fixed lanes with an untrained policy
+    policy = _init_policy(cfg, 2)
+    rng = RngStream(cfg.seed, STREAM_SAMPLE)
+    lanes = roll_lanes(_build_fields(cfg, out)[0], cfg.schedule,
+                       [rng.child(j) for j in range(3)], policy=policy)
+    log_probs = step_log_pdf(policy, *lanes.kept()[:2])
+    assert log_probs.shape == (0,)
+    for j in range(3):
+        trajectory_to_csv(lanes, j, log_probs, tmp_path / "want.csv")
+        assert (out / f"trajectory_{j}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["sample", "compare-baselines"])

@@ -413,3 +413,51 @@ def test_train_flow_equals_per_layer_loop_bit_for_bit():
     (losses, theta), (ref_losses, ref_theta) = runs
     assert np.array_equal(losses, ref_losses)
     assert np.array_equal(theta, ref_theta)
+
+
+def reference_train_flow(field, target, steps, rng, batch_size, lr):
+    """train_flow as it was before its workspace: every layer's activation,
+    delta @ W product and tanh-gradient term a fresh array each step."""
+    net = field.net
+    state = OptimizerState.for_params([net.theta], lr=lr)
+    losses = np.zeros(steps)
+    for step in range(steps):
+        x0 = target.sample(batch_size, rng)
+        eps = rng.standard_normal((batch_size, field.d))
+        t = rng.uniform(size=batch_size)
+        a = np.concatenate([flow.interpolate(x0, eps, t), t[:, None]], axis=1)
+        acts = [a]
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            a = a @ w.T
+            a += b
+            if k != len(net.weights) - 1:
+                np.tanh(a, out=a)
+            acts.append(a)
+        resid = acts[-1] - (eps - x0)
+        losses[step] = float(np.mean(np.sum(resid * resid, axis=1)))
+        grad = np.empty(net.n_params)
+        views = net.unflatten(grad)
+        delta = 2.0 * resid / batch_size
+        for k in range(len(net.weights) - 1, -1, -1):
+            np.matmul(delta.T, acts[k], out=views[2 * k])
+            np.sum(delta, axis=0, out=views[2 * k + 1])
+            delta = delta @ net.weights[k]
+            if k > 0:
+                tanh_grad = acts[k] ** 2
+                np.subtract(1.0, tanh_grad, out=tanh_grad)
+                delta *= tanh_grad
+        [net.theta], state = adamw_step([net.theta], [grad], state)
+    return losses
+
+
+@pytest.mark.parametrize("batch_size", [256, 1])
+def test_train_flow_equals_allocating_reference_bit_for_bit(batch_size):
+    target = ring_mixture_target(4)
+    runs = []
+    for train in (lambda f, r: train_flow(f, target, 30, r, batch_size, 1e-3)[1],
+                  lambda f, r: reference_train_flow(f, target, 30, r, batch_size, 1e-3)):
+        field = VelocityField("learned", net=make_velocity_net(2, (64, 64), RngStream(22, 0)))
+        runs.append((train(field, RngStream(22, 1)), field.net.theta))
+    (losses, theta), (ref_losses, ref_theta) = runs
+    assert losses.tobytes() == ref_losses.tobytes()
+    assert theta.tobytes() == ref_theta.tobytes()

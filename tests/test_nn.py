@@ -106,6 +106,42 @@ def test_backward_with_forward_acts_equals_recompute():
         assert np.array_equal(got_in, want_in)
 
 
+@pytest.mark.parametrize("sizes", [[3, 7, 5, 2], [3, 6, 4, 5, 2]])
+def test_workspace_calls_equal_fresh_calls_bit_for_bit(sizes):
+    net = DenseNet.init_random(sizes, RngStream(19, len(sizes)))
+    rng = RngStream(19, 0)
+    for rows in ((), (6,)):
+        work = net.workspace(rows[0] if rows else 1)
+        # two calls on one workspace with different inputs: nothing stale survives
+        for _ in range(2):
+            x = rng.standard_normal((*rows, sizes[0]))
+            g = rng.standard_normal((*rows, sizes[-1]))
+            want_acts = net.forward_acts(x)
+            want_grad, want_in = net.backward(x, g)
+            acts = net.forward_acts(x, work)
+            assert all(np.array_equal(a, b) for a, b in zip(acts, want_acts))
+            for got_grad, got_in in (net.backward(x, g, acts, work), net.backward(x, g, work=work)):
+                assert np.array_equal(got_grad, want_grad)
+                assert np.array_equal(got_in, want_in)
+                assert got_in.shape == want_in.shape
+            # the documented views: activations and input_grad live in the workspace
+            assert all(a is b for a, b in zip(acts[1:], work.acts))
+            assert np.shares_memory(got_in, work.deltas[0])
+
+
+def test_workspace_of_another_batch_size_raises_naming_both():
+    net = DenseNet.init_random([3, 5, 2], RngStream(20, 0))
+    work = net.workspace(4)
+    x, g = np.zeros((6, 3)), np.zeros((6, 2))
+    for call in (lambda: net.forward_acts(x, work), lambda: net.backward(x, g, work=work),
+                 lambda: net.backward(x, g, net.forward_acts(x), work),
+                 lambda: net.forward_acts(np.zeros(3), work)):
+        with pytest.raises(ValueError, match=r"workspace for 4 rows .* used with [61] rows"):
+            call()
+    with pytest.raises(ValueError, match="sizes"):
+        DenseNet([3, 6, 2]).forward_acts(np.zeros((4, 3)), work)
+
+
 def test_forward_identity_linear_layer():
     net = DenseNet([2, 2])
     net.weights[0][...] = np.eye(2)
