@@ -6,7 +6,10 @@ alternating which side runs first, and reads each run's result.json. Writes
 one JSON file: per workload and end-to-end metric, each side's values,
 median and quartiles (statistics.quantiles, n=4), and in how many pairs the
 change was better (BENCHMARK.json's "better"); with the environment stamp of
-the runs, the commits and the seeds. Nothing in it is typed by hand.
+the runs, the commits and the seeds. After the workloads it runs the Tier-1
+suite once on each side, the parent first as in the first pair, and records
+its wall time and its passed/xfailed/failed counts. Nothing in it is typed by
+hand.
 
     python3 scripts/bench_pairs.py --parent HEAD --seeds 501-510 \\
         --workload train-flow-ring4 --seconds 30 --out BENCH.json
@@ -14,14 +17,19 @@ the runs, the commits and the seeds. Nothing in it is typed by hand.
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_COUNTS = ("passed", "xfailed", "failed")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -47,6 +55,20 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads((root / ".bench_runs" / f"{workload}-seed{seed}-trace0"
                        / "result.json").read_text())
+
+
+def run_tier1(root: Path) -> dict:
+    """The Tier-1 suite of the checkout at root: its wall time and the counts
+    of pytest's summary line (0 for an outcome the line does not name)."""
+    src = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    wall_s = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    found = {name: int(n) for n, name in re.findall(r"(\d+) (\w+)", summary)}
+    return {"wall_s": wall_s, **{name: found.get(name, 0) for name in TIER1_COUNTS},
+            "exit_code": proc.returncode, "summary": summary}
 
 
 def summarize(values: dict[str, list[float]], better: str) -> dict:
@@ -111,6 +133,10 @@ def main(argv=None) -> int:
                                    **summarize(values[name], m["better"])}
                             for name, m in metrics.items()},
             }
+        tier1 = {}
+        for side in SIDES:
+            tier1[side] = run_tier1(roots[side])
+            print(f"tier-1 {side}: {tier1[side]['summary']}", flush=True)
     Path(args.out).write_text(json.dumps({
         "command": f"benchmark/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "parent": parent,
@@ -118,6 +144,7 @@ def main(argv=None) -> int:
                    "uncommitted": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "order": "alternating: even seed index runs the parent first",
         "seeds": args.seeds, "env": env, "workloads": results,
+        "tier1": {"command": "python3 " + " ".join(TIER1) + " (PYTHONPATH=src)", **tier1},
     }, indent=2) + "\n")
     return 0
 

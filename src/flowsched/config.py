@@ -3,24 +3,26 @@
 The schema is versioned and round-trips bit-exactly (floats serialize via
 repr, which json preserves). Every run writes its resolved config and a
 version string next to its outputs so run directories are self-describing.
+Every check on a config value lives here, in the dataclasses of the schema
+(ExperimentConfig and its sections ScheduleConfig and RLConfig), so reading
+or writing a config loads only this module, flow, nn and rng.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import subprocess
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from . import __version__ as PACKAGE_VERSION
 from .flow import TargetSpec
 from .nn import write_atomic
-from .rl import RLConfig
-from .sampler import ScheduleConfig
 
 CONFIG_VERSION = 1
-PACKAGE_VERSION = "0.1.0"
+MODES = ("adaptive", "fixed-uniform", "fixed-shifted", "discrete-adaptive")
 
 # Desk preset: small enough to iterate at a desk while keeping the training
 # dynamics intact. The full-scale optimizer step of 1e-5 is far too small to
@@ -31,6 +33,57 @@ DESK_RL = dict(batch_size=64, outer_steps=60, lr=3e-3, kl_weight=0.2)
 DESK_EVAL_ROLLOUTS = 500
 PAPER_RL = dict(batch_size=256, outer_steps=200, lr=1e-5)
 PAPER_EVAL_ROLLOUTS = 5000
+
+
+@dataclass(frozen=True)
+class ScheduleConfig:
+    mode: str = "adaptive"
+    t_min: float = 0.01
+    n_max: int = 40
+    fixed_n: Optional[int] = None
+    shift: float = 3.0
+    grid_size: int = 1000
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0.0 < self.t_min <= 0.1:
+            raise ValueError(f"t_min={self.t_min} outside (0, 0.1]")
+        if self.n_max < 2:
+            raise ValueError("n_max must be >= 2")
+        if self.grid_size < 10:
+            raise ValueError("grid_size must be >= 10")
+        if self.mode.startswith("fixed") and (self.fixed_n is None or self.fixed_n < 1):
+            raise ValueError("fixed modes need fixed_n >= 1")
+        if self.shift <= 0.0:
+            raise ValueError("shift must be positive")
+
+
+@dataclass(frozen=True)
+class RLConfig:
+    gamma: float = 0.95
+    kl_weight: float = 0.01
+    clip: float = 0.2          # 0 disables clipping (plain importance ratio)
+    group_size: int = 4
+    batch_size: int = 256
+    inner_epochs: int = 4
+    lr: float = 1e-5
+    max_grad_norm: float = 1.0
+    outer_steps: int = 200
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError("gamma must lie in (0, 1]")
+        if self.kl_weight < 0.0 or self.clip < 0.0:
+            raise ValueError("kl_weight and clip must be >= 0")
+        if self.group_size < 2:
+            raise ValueError("group_size must be >= 2 for a leave-one-out baseline")
+        if self.batch_size < self.group_size or self.batch_size % self.group_size:
+            raise ValueError("batch_size must be a positive multiple of group_size")
+        if self.inner_epochs < 1 or self.outer_steps < 1:
+            raise ValueError("inner_epochs and outer_steps must be >= 1")
+        if self.lr <= 0.0 or self.max_grad_norm <= 0.0:
+            raise ValueError("lr and max_grad_norm must be positive")
 
 
 @dataclass
@@ -57,6 +110,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {self.version}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
         if self.field_source not in ("oracle", "learned"):
             raise ValueError("field_source must be 'oracle' or 'learned'")
         if not self.targets:
@@ -65,6 +120,13 @@ class ExperimentConfig:
             raise ValueError("init_r_target must lie in (0, 1)")
         if self.eval_rollouts < 1:
             raise ValueError("eval_rollouts must be positive")
+        if self.flow_steps < 1 or self.flow_batch < 1:
+            raise ValueError("flow_steps and flow_batch must be >= 1")
+        if not (math.isfinite(self.flow_lr) and self.flow_lr > 0.0):
+            raise ValueError("flow_lr must be positive and finite")
+        for name in ("flow_hidden", "policy_hidden"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ValueError(f"{name} widths must be >= 1")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -123,6 +185,8 @@ def preset_config(preset: str) -> ExperimentConfig:
 
 def version_string() -> str:
     """Package version plus a git describe of the working tree when available."""
+    import subprocess  # here, not at the top: only a run stamp starts git
+
     root = Path(__file__).resolve().parents[2]
     try:
         described = subprocess.run(

@@ -7,7 +7,6 @@ field is u = eps - x0 and Euler steps with negative time increments denoise.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -146,6 +145,8 @@ def ref_log_density(target: TargetSpec) -> float:
             s2 = float(target.sigmas[0]) ** 2
             val = -0.5 * target.d * (LOG_2PI + np.log(s2) + 1.0)
         else:
+            import hashlib  # here, not at the top: only mixture targets need it
+
             digest = hashlib.blake2b(key, digest_size=8).digest()
             rng = RngStream(_REF_MC_SEED, int.from_bytes(digest, "little"))
             pts = target.sample(_REF_MC_SAMPLES, rng)

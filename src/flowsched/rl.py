@@ -16,44 +16,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import RLConfig, ScheduleConfig
 from .flow import TargetSpec, VelocityField, ref_log_density, row_dot
 from .nn import OptimizerState, adamw_step, clip_global_norm, write_csv
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
-from .sampler import Lanes, ScheduleConfig, roll_lanes
+from .sampler import Lanes, roll_lanes
 from .special_math import beta_log_pdf, beta_terms, kl_from_terms, log_pdf_from_terms
 
 logger = logging.getLogger(__name__)
 
 IR_CLAMP = -10.0
-
-
-@dataclass(frozen=True)
-class RLConfig:
-    gamma: float = 0.95
-    kl_weight: float = 0.01
-    clip: float = 0.2          # 0 disables clipping (plain importance ratio)
-    group_size: int = 4
-    batch_size: int = 256
-    inner_epochs: int = 4
-    lr: float = 1e-5
-    max_grad_norm: float = 1.0
-    outer_steps: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.kl_weight < 0.0 or self.clip < 0.0:
-            raise ValueError("kl_weight and clip must be >= 0")
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2 for a leave-one-out baseline")
-        if self.batch_size < self.group_size or self.batch_size % self.group_size:
-            raise ValueError("batch_size must be a positive multiple of group_size")
-        if self.inner_epochs < 1 or self.outer_steps < 1:
-            raise ValueError("inner_epochs and outer_steps must be >= 1")
-        if self.lr <= 0.0 or self.max_grad_norm <= 0.0:
-            raise ValueError("lr and max_grad_norm must be positive")
 
 
 def toy_reward(y: np.ndarray, target: TargetSpec) -> float | np.ndarray:

@@ -28,41 +28,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import ScheduleConfig
 from .flow import VelocityField
 from .nn import write_csv
 from .policy import (TimePolicy, feature_length, next_time, predict_decay_batch,
                      step_features)
 from .rng import RngStream
 
-MODES = ("adaptive", "fixed-uniform", "fixed-shifted", "discrete-adaptive")
-
 
 class GridExhausted(RuntimeError):
     """Raised when the discrete time grid cannot decrease further."""
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    mode: str = "adaptive"
-    t_min: float = 0.01
-    n_max: int = 40
-    fixed_n: Optional[int] = None
-    shift: float = 3.0
-    grid_size: int = 1000
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.t_min <= 0.1:
-            raise ValueError(f"t_min={self.t_min} outside (0, 0.1]")
-        if self.n_max < 2:
-            raise ValueError("n_max must be >= 2")
-        if self.grid_size < 10:
-            raise ValueError("grid_size must be >= 10")
-        if self.mode.startswith("fixed") and (self.fixed_n is None or self.fixed_n < 1):
-            raise ValueError("fixed modes need fixed_n >= 1")
-        if self.shift <= 0.0:
-            raise ValueError("shift must be positive")
 
 
 @dataclass

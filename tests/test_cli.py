@@ -527,18 +527,48 @@ def _bad_config_text(case: str) -> str:
         doc["schedule"]["n_max"] = "x"
     elif case == "top level is a list":
         doc = [1, 2]
+    elif case in BAD_VALUES:
+        key, value = BAD_VALUES[case]
+        doc[key] = value
     return json.dumps(doc)
+
+
+# values the schema rejects at load time: case -> (key, bad value)
+BAD_VALUES = {
+    "seed below zero": ("seed", -5),
+    "seed of 2**64": ("seed", 2**64),
+    "no flow steps": ("flow_steps", 0),
+    "no flow batch": ("flow_batch", 0),
+    "negative flow_lr": ("flow_lr", -1.0),
+    "infinite flow_lr": ("flow_lr", float("inf")),
+    "NaN flow_lr": ("flow_lr", float("nan")),
+    "zero flow_hidden width": ("flow_hidden", [64, 0]),
+    "zero policy_hidden width": ("policy_hidden", [0]),
+}
 
 
 @pytest.mark.parametrize("case", ["not json", "target without sigmas",
                                   "n_max not a number", "top level is a list",
-                                  "not UTF-8"])
+                                  "not UTF-8", *BAD_VALUES])
 def test_bad_config_file_exits_two_naming_path(case, tmp_path, caplog):
     path = tmp_path / "bad.json"
     path.write_text(_bad_config_text(case), encoding="latin-1")
     with caplog.at_level("ERROR"):
         assert main(["train-tpm", "--config", str(path)]) == 2
     assert str(path) in caplog.text
+    if case in BAD_VALUES:
+        assert BAD_VALUES[case][0] in caplog.text
+
+
+def test_importing_config_loads_only_what_the_schema_needs():
+    src = str(Path(flowsched.__file__).resolve().parents[1])
+    code = ("import sys, flowsched.config; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('flowsched', 'subprocess', 'hashlib')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["flowsched", "flowsched.config", "flowsched.flow",
+                                     "flowsched.nn", "flowsched.rng"]
 
 
 def test_preset_values():
