@@ -9,7 +9,8 @@ change was better (BENCHMARK.json's "better"); with the environment stamp of
 the runs, the commits and the seeds. After the workloads it runs the Tier-1
 suite once on each side, the parent first as in the first pair, and records
 its wall time and its passed/xfailed/failed counts. Nothing in it is typed by
-hand.
+hand. Each run's directory under .bench_runs/ is deleted once its result.json
+is read; the directory of a failed run is kept and its path printed.
 
     python3 scripts/bench_pairs.py --parent HEAD --seeds 501-510 \\
         --workload train-flow-ring4 --seconds 30 --out BENCH.json
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,14 +49,24 @@ def git(*args: str) -> str:
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `benchmark/run.py` run in the checkout at root; its result.json."""
+    """One `benchmark/run.py` run in the checkout at root; its result.json.
+
+    The run's directory is deleted once result.json is read, unless the run
+    failed (a non-zero exit or a result that is not correct): then it is
+    kept, and its path printed."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    run_dir = root / ".bench_runs" / f"{workload}-seed{seed}-trace0"
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads((root / ".bench_runs" / f"{workload}-seed{seed}-trace0"
-                       / "result.json").read_text())
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}; "
+                         f"kept {run_dir}:\n{proc.stderr}")
+    res = json.loads((run_dir / "result.json").read_text())
+    if res["correct"]:
+        shutil.rmtree(run_dir)
+    else:
+        print(f"{workload} seed {seed} in {root}: incorrect run kept in {run_dir}", flush=True)
+    return res
 
 
 def run_tier1(root: Path) -> dict:

@@ -14,20 +14,20 @@ import dataclasses
 import logging
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, preset_config, write_run_stamp
+from .config import ExperimentConfig, ScheduleConfig, preset_config, write_run_stamp
 from .flow import (TargetSpec, VelocityField, make_velocity_net,
                    ring_mixture_target, train_flow)
 from .nn import load_checkpoint, save_checkpoint, write_csv
-from .policy import TimePolicy, init_policy, load_policy, save_policy
-from .rl import (discounted_reward, step_log_pdf, toy_reward, train_tpm,
-                 write_metrics_csv)
 from .rng import RngStream
-from .sampler import ScheduleConfig, roll_lanes, trajectory_to_csv
-from .svg import polyline_plot
+
+# rl, policy, sampler and svg are imported by the commands that use them, so
+# train-flow loads only config, flow, nn and rng
+if TYPE_CHECKING:
+    from .policy import TimePolicy
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +40,9 @@ STREAM_SAMPLE = 3
 STREAM_EVAL = 4
 STREAM_BASELINE_NOISE = 5
 STREAM_BASELINE_DECAY = 6
+
+# the commands that run one policy, whose input size fixes one target dimension
+ONE_POLICY_COMMANDS = ("train-tpm", "sample", "sweep-gamma", "compare-baselines")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,6 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> ExperimentConfig:
     cfg = (ExperimentConfig.load(args.config) if args.config
            else preset_config(args.preset))
+    dims = sorted({target.d for target in cfg.targets})
+    if args.command in ONE_POLICY_COMMANDS and len(dims) > 1:
+        raise ValueError(f"{args.config}: {args.command} needs one target dimension for "
+                         f"its policy, but the targets have dimensions {dims}")
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -128,11 +135,15 @@ def _build_fields(cfg: ExperimentConfig, out: Path) -> list[VelocityField]:
 
 
 def _init_policy(cfg: ExperimentConfig, d: int) -> TimePolicy:
+    from .policy import init_policy
+
     return init_policy(d, cfg.init_r_target, RngStream(cfg.seed, STREAM_POLICY_INIT),
                        hidden=tuple(cfg.policy_hidden))
 
 
 def _load_or_init_policy(cfg: ExperimentConfig, out: Path) -> TimePolicy:
+    from .policy import load_policy
+
     path = Path(cfg.policy_checkpoint) if cfg.policy_checkpoint else out / "policy.ckpt"
     if path.exists():
         return load_policy(path)
@@ -174,6 +185,9 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
                     target: TargetSpec, sched: ScheduleConfig, gamma: float,
                     rng: RngStream, n: int, deterministic: bool) -> EvalSummary:
     """n adaptive rollouts -> step-count/reward summary + mean schedule curve."""
+    from .rl import discounted_reward, toy_reward
+    from .sampler import roll_lanes
+
     lanes = roll_lanes(velocity_field, sched, [rng.child(i) for i in range(n)],
                        policy=policy, deterministic=deterministic)
     ns = lanes.n_steps
@@ -199,6 +213,9 @@ def cmd_train_flow(cfg: ExperimentConfig) -> None:
 
 
 def cmd_train_tpm(cfg: ExperimentConfig) -> None:
+    from .policy import save_policy
+    from .rl import train_tpm, write_metrics_csv
+
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     policy, metrics = train_tpm(
@@ -215,6 +232,9 @@ def cmd_train_tpm(cfg: ExperimentConfig) -> None:
 
 def cmd_sample(cfg: ExperimentConfig, n_trajectories: int,
                deterministic: bool) -> None:
+    from .rl import step_log_pdf
+    from .sampler import roll_lanes, trajectory_to_csv
+
     if n_trajectories < 1:
         raise ValueError(f"--n-trajectories must be at least 1, got {n_trajectories}")
     out = write_run_stamp(cfg, cfg.out_dir)
@@ -236,6 +256,9 @@ def cmd_sample(cfg: ExperimentConfig, n_trajectories: int,
 
 def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
                     deterministic: bool) -> None:
+    from .policy import save_policy
+    from .rl import train_tpm
+
     if not gammas:
         raise ValueError("--gammas needs at least one value")
     if any(not 0.0 < g < 1.0 for g in gammas):
@@ -263,6 +286,9 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
 
 
 def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
+    from .rl import toy_reward
+    from .sampler import roll_lanes
+
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     policy = _load_or_init_policy(cfg, out)
@@ -294,6 +320,8 @@ def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
 
 def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
                          deterministic: bool) -> None:
+    from .rl import train_tpm, write_metrics_csv
+
     if any(lv < 1 for lv in levels):
         raise ValueError("--levels must be positive")
     if len(set(levels)) < max(2, len(levels)):
@@ -378,6 +406,8 @@ PLOTS = (
 
 
 def cmd_export_plots(out_dir: str) -> None:
+    from .svg import polyline_plot
+
     out = Path(out_dir)
     if not out.is_dir():
         raise FileNotFoundError(f"run directory {out} does not exist")

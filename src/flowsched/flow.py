@@ -159,8 +159,9 @@ def ref_log_density(target: TargetSpec) -> float:
     return _REF_LOG_DENSITY_CACHE[key]
 
 
-def interpolate(x0: np.ndarray, eps: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """Noising path x_t = t*eps + (1-t)*x0."""
+def interpolate(x0: np.ndarray, eps: np.ndarray, t: float | np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Noising path x_t = t*eps + (1-t)*x0, written into out when given."""
     x0 = np.asarray(x0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if x0.shape != eps.shape:
@@ -170,7 +171,9 @@ def interpolate(x0: np.ndarray, eps: np.ndarray, t: float | np.ndarray) -> np.nd
         raise ValueError("t must lie in [0, 1]")
     if tv.ndim == 1 and x0.ndim == 2:
         tv = tv[:, None]
-    return tv * eps + (1.0 - tv) * x0
+    xt = np.multiply(tv, eps, out=out)
+    xt += (1.0 - tv) * x0
+    return xt
 
 
 def oracle_velocity(x: np.ndarray, t: float | np.ndarray,
@@ -276,24 +279,34 @@ def fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
             t: np.ndarray, work: Optional[Workspace] = None) -> tuple[float, np.ndarray]:
     """Conditional flow-matching loss and its gradient, laid out like theta.
 
-    loss = mean over the batch of ||v(x_t, t) - (eps - x0)||^2. work, when
-    given, is the net's workspace for the batch size (DenseNet.workspace).
+    loss = mean over the batch of ||v(x_t, t) - (eps - x0)||^2. work is the
+    net's workspace for the batch size (DenseNet.workspace; a fresh one when
+    not given): x_t and t are written into its input rows, the residual and
+    then the cotangent 2*resid/n into its output rows, and the gradient is
+    work.grad, which the next call on work overwrites.
     """
     if field.kind != "learned":
         raise ValueError("fm_loss trains learned fields only")
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = x0.shape[0]
+    n, d = x0.shape[0], field.d
     if n == 0:
         raise ValueError("empty batch")
-    xt = interpolate(x0, eps, t)
-    u = eps - x0
-    inp = np.concatenate([xt, t[:, None]], axis=1)
-    acts = field.net.forward_acts(inp, work)
-    resid = acts[-1] - u
+    if x0.shape[1] != d or t.shape != (n,):
+        raise ValueError(f"x0 of shape {x0.shape} and t of shape {t.shape} do not fit "
+                         f"a batch of (n, {d}) rows and n times")
+    if work is None:
+        work = field.net.workspace(n)
+    interpolate(x0, eps, t, out=work.inp[:, :d])
+    work.inp[:, d] = t
+    acts = field.net.forward_acts(work.inp, work)
+    resid = acts[-1]  # backward reads no output rows, so they hold the residual
+    resid -= eps - x0
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
-    grad, _ = field.net.backward(inp, 2.0 * resid / n, acts, work)
+    resid *= 2.0
+    resid /= n
+    grad, _ = field.net.backward(work.inp, resid, acts, work)
     return loss, grad
 
 
@@ -304,12 +317,14 @@ def train_flow(field: VelocityField, target: TargetSpec, steps: int,
 
     Returns the trained field and the per-step loss curve. A non-finite loss
     aborts immediately rather than writing junk parameters. Every step reuses
-    one workspace for the net's activations and backward buffers.
+    one workspace for the net's input, activations and backward buffers, and
+    AdamW updates theta in place.
     """
     if field.kind != "learned":
         raise ValueError("train_flow needs a learned field")
     d, net = field.d, field.net
-    state = OptimizerState.for_params([net.theta], lr=lr)
+    params = [net.theta]
+    state = OptimizerState.for_params(params, lr=lr)
     work = net.workspace(batch_size)
     losses = np.zeros(steps)
     for step in range(steps):
@@ -319,7 +334,7 @@ def train_flow(field: VelocityField, target: TargetSpec, steps: int,
         loss, grad = fm_loss(field, x0, eps, t, work)
         if not np.isfinite(loss):
             raise RuntimeError(f"flow training diverged at step {step}: loss={loss}")
-        [net.theta], state = adamw_step([net.theta], [grad], state)
+        adamw_step(params, [grad], state)
         losses[step] = loss
     return field, losses
 

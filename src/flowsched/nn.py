@@ -107,10 +107,11 @@ class DenseNet:
     def workspace(self, n: int) -> "Workspace":
         """Buffers for forward_acts and backward over batches of n rows, for a
         caller that repeats them at one batch size (train_flow)."""
-        return Workspace(self.sizes, n,
+        return Workspace(self.sizes, n, np.empty((n, self.sizes[0])),
                          [np.empty((n, o)) for o in self.sizes[1:]],
                          [np.empty((n, i)) for i in self.sizes[:-1]],
-                         [np.empty((n, h)) for h in self.sizes[1:-1]])
+                         [np.empty((n, h)) for h in self.sizes[1:-1]],
+                         np.empty(self.n_params))
 
     def forward_acts(self, x: np.ndarray,
                      work: Optional["Workspace"] = None) -> list[np.ndarray]:
@@ -145,10 +146,12 @@ class DenseNet:
         Returns (grad, input_grad) where grad is laid out like theta (views
         by unflatten). Batched inputs sum parameter gradients over the batch.
         acts, when given, must be forward_acts(x) at the current theta; the
-        forward pass is then not repeated. The products delta @ W and the
-        tanh-gradient terms are written into work as forward_acts writes its
-        activations, so with a workspace input_grad is a view of it that the
-        next call overwrites; grad is always a fresh vector.
+        forward pass is then not repeated. Only acts[:-1] is read, so a loss
+        may build output_grad in place in the output rows acts[-1]. grad, the
+        products delta @ W and the tanh-gradient terms are written into work
+        as forward_acts writes its activations, so with a workspace grad is
+        work.grad and input_grad a view of work.deltas[0], both overwritten
+        by the next call.
         """
         if acts is None:
             acts = self.forward_acts(x, work)
@@ -164,7 +167,7 @@ class DenseNet:
             raise ValueError(
                 f"output_grad shape {output_grad.shape} does not match output size {self.sizes[-1]}"
             )
-        grad = np.empty(self.n_params)
+        grad = np.empty(self.n_params) if work is None else work.grad
         views = self.unflatten(grad)
         delta = out_g
         for k in range(len(self._weights) - 1, -1, -1):
@@ -201,12 +204,14 @@ class DenseNet:
 @dataclasses.dataclass(frozen=True)
 class Workspace:
     """Buffers of DenseNet.forward_acts and backward for batches of n rows
-    (DenseNet.workspace makes them), per layer k:
+    (DenseNet.workspace makes them):
 
+    inp         (n, sizes[0])      input rows a caller may fill and pass as x;
     acts[k]     (n, sizes[k + 1])  the output of layer k;
     deltas[k]   (n, sizes[k])      backward's product delta @ W_k;
     squares[k]  (n, sizes[k + 1])  acts[k] ** 2 of hidden layer k, the
-                                   tanh-gradient term.
+                                   tanh-gradient term;
+    grad        (n_params,)        backward's parameter gradient.
 
     Reusing one across calls saves allocating arrays that, at batch 256 and
     width 64, sit exactly at glibc malloc's 128 KiB trim threshold, so each
@@ -215,19 +220,28 @@ class Workspace:
 
     sizes: list[int]
     n: int
+    inp: np.ndarray
     acts: list[np.ndarray]
     deltas: list[np.ndarray]
     squares: list[np.ndarray]
+    grad: np.ndarray
 
 
 @dataclasses.dataclass
 class OptimizerState:
-    """Adam accumulators; shapes mirror the parameter list."""
+    """Adam accumulators; shapes mirror the parameter list. Two scratch
+    vectors per parameter array, made once here, hold adamw_step's
+    intermediate terms."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
     lr: float = 1e-5
+    scratch: list[tuple[np.ndarray, np.ndarray]] = dataclasses.field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], lr: float = 1e-5) -> "OptimizerState":
@@ -239,24 +253,40 @@ def adamw_step(params: list[np.ndarray], grads: list[np.ndarray],
     """One Adam update with bias correction (AdamW with zero weight decay,
     the only value any caller used), betas (ADAM_BETA1, ADAM_BETA2).
 
-    Pure: returns fresh parameter arrays and a fresh state.
+    In place: every params array, state.m and state.v are overwritten and
+    state.step advances; returns (params, state), the same objects. The
+    gradients are checked first, so a non-finite one raises ValueError with
+    nothing written. Each update runs the ufuncs of
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p - lr*((m/bc1)/(sqrt(v/bc2) + eps)) in that order on the state's
+    scratch vectors, so its bits are those of the expressions.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state length mismatch")
-    for g in grads:
+    for p, g in zip(params, grads):
+        if np.shape(g) != p.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient passed to adamw_step")
-    t = state.step + 1
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        new_params.append(p - state.lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, dataclasses.replace(state, m=new_m, v=new_v, step=t)
+    state.step += 1
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        m += a
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, bc1, out=b)
+        b /= a
+        b *= state.lr
+        p -= b
+    return params, state
 
 
 def global_norm(grads: list[np.ndarray]) -> float:

@@ -260,7 +260,8 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
         raise ValueError("need one velocity field per target")
     ref_policy = policy.copy()
     net = policy.net
-    state = OptimizerState.for_params([net.theta], lr=cfg.lr)
+    params = [net.theta]
+    state = OptimizerState.for_params(params, lr=cfg.lr)
     n_groups = cfg.batch_size // cfg.group_size
     metrics: list[MetricsRow] = []
     last_good = policy.copy()
@@ -287,7 +288,7 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
             if epoch == 0:
                 mean_kl = res.mean_kl
             grad_norm_val = clip_global_norm(net.unflatten(res.grad), cfg.max_grad_norm)
-            [net.theta], state = adamw_step([net.theta], [res.grad], state)
+            adamw_step(params, [res.grad], state)
         if not finite or not np.all(np.isfinite(net.theta)):
             policy = last_good
             break
@@ -318,7 +319,8 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
     reconstruction is best, collapsing inference to very few steps.
     """
     d, net = velocity_field.d, policy.net
-    state = OptimizerState.for_params([net.theta], lr=lr)
+    params = [net.theta]
+    state = OptimizerState.for_params(params, lr=lr)
     losses = np.zeros(steps)
     for step in range(steps):
         x0 = target.sample(batch_size, rng)
@@ -344,5 +346,5 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
         ], axis=1) * shape_grad_wrt_raw(raw)
         grad, _ = net.backward(feats, out_grad, acts)
         clip_global_norm(net.unflatten(grad), 1.0)
-        [net.theta], state = adamw_step([net.theta], [grad], state)
+        adamw_step(params, [grad], state)
     return policy, losses

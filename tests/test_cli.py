@@ -18,6 +18,7 @@ from flowsched.config import (DESK_EVAL_ROLLOUTS, ExperimentConfig,
                               preset_config, write_run_stamp)
 from flowsched.flow import (VelocityField, ring_mixture_target,
                             single_gaussian_target, standard_normal_target)
+from flowsched.nn import load_checkpoint
 from flowsched.policy import init_policy
 from flowsched.rl import RLConfig, step_log_pdf
 from flowsched.rng import RngStream
@@ -88,6 +89,29 @@ def test_degenerate_counts_and_lists_exit_two_before_the_run_stamp(argv, name, t
     assert rc == 2
     assert name in caplog.text
     assert not out.exists()
+
+
+MIXED_DIMENSIONS = [standard_normal_target(2), standard_normal_target(3)]
+
+
+@pytest.mark.parametrize("command", ["train-tpm", "sample", "sweep-gamma", "compare-baselines"])
+def test_mixed_target_dimensions_exit_two_before_the_run_stamp(command, tmp_path, caplog):
+    """One policy serves every target, so its commands refuse targets of two
+    dimensions before writing anything, naming the config and the dimensions."""
+    out = tmp_path / "run"
+    path = save_config(reduced_config(out, targets=MIXED_DIMENSIONS), tmp_path)
+    with caplog.at_level("ERROR", logger="flowsched.cli"):
+        assert main([command, "--config", path]) == 2
+    assert path in caplog.text and "dimensions [2, 3]" in caplog.text
+    assert not out.exists()
+
+
+def test_train_flow_accepts_mixed_target_dimensions(tmp_path):
+    out = tmp_path / "run"
+    cfg = reduced_config(out, targets=MIXED_DIMENSIONS, flow_steps=5)
+    assert main(["train-flow", "--config", save_config(cfg, tmp_path)]) == 0
+    assert [load_checkpoint(out / f"field_{i}.ckpt")[0].sizes for i in range(2)] == [
+        [3, 8, 2], [4, 8, 3]]
 
 
 def test_parser_lists_all_commands():
@@ -560,15 +584,30 @@ def test_bad_config_file_exits_two_naming_path(case, tmp_path, caplog):
         assert BAD_VALUES[case][0] in caplog.text
 
 
-def test_importing_config_loads_only_what_the_schema_needs():
+def _modules_loaded_by(code: str) -> list[str]:
+    """The flowsched, subprocess and hashlib modules that code, run in a fresh
+    interpreter, leaves in sys.modules."""
     src = str(Path(flowsched.__file__).resolve().parents[1])
-    code = ("import sys, flowsched.config; print(*sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('flowsched', 'subprocess', 'hashlib')))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            timeout=120, env={**os.environ, "PYTHONPATH": src})
+    code += ("\nprint(*sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('flowsched', 'subprocess', 'hashlib')))")
+    result = subprocess.run([sys.executable, "-c", "import sys\n" + code], capture_output=True,
+                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["flowsched", "flowsched.config", "flowsched.flow",
-                                     "flowsched.nn", "flowsched.rng"]
+    return result.stdout.split()
+
+
+def test_importing_config_loads_only_what_the_schema_needs(tmp_path):
+    schema = ["flowsched", "flowsched.config", "flowsched.flow", "flowsched.nn",
+              "flowsched.rng"]
+    assert _modules_loaded_by("import flowsched.config") == schema
+    # the command line adds only itself: each command imports what else it runs
+    assert _modules_loaded_by("import flowsched.cli") == sorted([*schema, "flowsched.cli"])
+    cfg = reduced_config(tmp_path / "run", flow_steps=2, flow_batch=4, flow_hidden=[4])
+    argv = ["train-flow", "--config", save_config(cfg, tmp_path)]
+    loaded = _modules_loaded_by(f"from flowsched.cli import main\nassert main({argv!r}) == 0")
+    assert (tmp_path / "run" / "field_0.ckpt").exists()
+    unused = {f"flowsched.{m}" for m in ("rl", "policy", "sampler", "special_math", "svg")}
+    assert not unused & set(loaded)
 
 
 def test_preset_values():

@@ -124,9 +124,13 @@ def test_workspace_calls_equal_fresh_calls_bit_for_bit(sizes):
                 assert np.array_equal(got_grad, want_grad)
                 assert np.array_equal(got_in, want_in)
                 assert got_in.shape == want_in.shape
-            # the documented views: activations and input_grad live in the workspace
+            # the documented views: activations, grad and input_grad live in the workspace
             assert all(a is b for a, b in zip(acts[1:], work.acts))
+            assert got_grad is work.grad
             assert np.shares_memory(got_in, work.deltas[0])
+            # backward reads no output rows, so a loss may overwrite them
+            acts[-1][...] = np.nan
+            assert np.array_equal(net.backward(x, g, acts, work)[0], want_grad)
 
 
 def test_workspace_of_another_batch_size_raises_naming_both():
@@ -249,9 +253,10 @@ def test_adamw_first_step_hand_case():
 
 def test_adamw_zero_grad_zero_decay_is_identity():
     params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+    before = [p.copy() for p in params]
     state = OptimizerState.for_params(params, lr=0.1)
     new_params, _ = adamw_step(params, [np.zeros(2), np.zeros((1, 1))], state)
-    for p, q in zip(params, new_params):
+    for p, q in zip(before, new_params):
         assert np.array_equal(p, q)
 
 
@@ -283,8 +288,11 @@ def test_adamw_equals_zero_decay_reference_bit_for_bit():
              [-np.zeros(6), -np.zeros((3, 4))],
              [gen.standard_normal(6), gen.standard_normal((3, 4)) * 1e-3]]
     for lr in (1e-3, 0.1):
-        p, state = params, OptimizerState.for_params(params, lr=lr)
-        ref_p, ref_m, ref_v, ref_t = params, state.m, state.v, 0
+        p = [a.copy() for a in params]
+        state = OptimizerState.for_params(p, lr=lr)
+        # copies: adamw_step overwrites p, state.m and state.v in place
+        ref_p, ref_m, ref_v = ([a.copy() for a in arrays] for arrays in (p, state.m, state.v))
+        ref_t = 0
         for grads in steps:
             p, state = adamw_step(p, grads, state)
             ref_p, ref_m, ref_v, ref_t = reference_adamw_step(ref_p, grads, ref_m, ref_v,
@@ -295,13 +303,26 @@ def test_adamw_equals_zero_decay_reference_bit_for_bit():
 
 
 def test_adamw_deterministic():
-    params = [np.array([0.3, -0.7])]
     grads = [np.array([0.11, 0.22])]
+    outs = []
+    for _ in range(2):  # two states built identically
+        params = [np.array([0.3, -0.7])]
+        outs.append(adamw_step(params, grads, OptimizerState.for_params(params, lr=1e-3)))
+    (p1, s1), (p2, s2) = outs
+    assert p1[0].tobytes() == p2[0].tobytes()
+    assert s1.m[0].tobytes() == s2.m[0].tobytes() and s1.v[0].tobytes() == s2.v[0].tobytes()
+    assert s1.step == s2.step == 1
+
+
+def test_adamw_updates_in_place_and_returns_its_arguments():
+    params = [np.array([0.3, -0.7]), np.array([[1.5]])]
     state = OptimizerState.for_params(params, lr=1e-3)
-    out1 = adamw_step(params, grads, state)
-    out2 = adamw_step(params, grads, state)
-    assert np.array_equal(out1[0][0], out2[0][0])
-    assert np.array_equal(out1[1].m[0], out2[1].m[0])
+    arrays = [*params, *state.m, *state.v]
+    new_params, new_state = adamw_step(params, [np.array([0.11, 0.22]), np.array([[-0.5]])],
+                                       state)
+    assert new_params is params and new_state is state
+    assert all(a is b for a, b in zip(arrays, [*params, *state.m, *state.v]))
+    assert not np.array_equal(params[0], [0.3, -0.7])
 
 
 def test_adamw_rejects_non_finite_gradients():
@@ -311,6 +332,27 @@ def test_adamw_rejects_non_finite_gradients():
         adamw_step(params, [np.array([float("nan")])], state)
     with pytest.raises(ValueError):
         adamw_step(params, [np.array([float("inf")])], state)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "shape"])
+def test_adamw_bad_gradient_raises_and_writes_nothing(bad):
+    """Every gradient is checked before the first write: a non-finite entry,
+    or a shape that would broadcast, in the last gradient leaves every
+    parameter, m and v and the step count bit-unchanged."""
+    gen = np.random.default_rng(7)
+    params = [gen.standard_normal(5), gen.standard_normal((2, 3))]
+    state = OptimizerState.for_params(params, lr=1e-2)
+    adamw_step(params, [gen.standard_normal(5), gen.standard_normal((2, 3))], state)
+    before = [a.tobytes() for a in (*params, *state.m, *state.v)]
+    grads = [gen.standard_normal(5), gen.standard_normal((2, 3))]
+    if bad == "shape":
+        grads[-1] = grads[-1][:1]
+    else:
+        grads[-1][1, 2] = float(bad)
+    with pytest.raises(ValueError, match="shape" if bad == "shape" else "non-finite"):
+        adamw_step(params, grads, state)
+    assert [a.tobytes() for a in (*params, *state.m, *state.v)] == before
+    assert state.step == 1
 
 
 def test_adamw_step_counter_increases():

@@ -649,6 +649,30 @@ def test_train_tpm_evaluates_reference_once_per_outer_step(monkeypatch):
     assert calls["live"] == cfg.outer_steps * (cfg.inner_epochs + 1)
 
 
+def test_train_tpm_reference_keeps_its_theta_while_the_actor_moves(monkeypatch):
+    """AdamW updates the actor's theta in place, so the frozen reference must
+    own its vector: the one that Rollouts.ref_terms' identity cache keys on
+    keeps every bit over the run, while the actor's moves."""
+    cfg = RLConfig(gamma=0.95, kl_weight=0.2, clip=0.2, group_size=4,
+                   batch_size=8, inner_epochs=2, lr=3e-3, outer_steps=3)
+    policy = init_policy(2, 0.7, RngStream(84, 0), hidden=(8,))
+    start = policy.net.theta.tobytes()
+    seen, ppo = [], rl.ppo_loss
+
+    def recording(actor, ref, record, rl_cfg):
+        seen.append((ref.net.theta, ref.net.theta.tobytes(), actor.net.theta.tobytes()))
+        return ppo(actor, ref, record, rl_cfg)
+
+    monkeypatch.setattr(rl, "ppo_loss", recording)
+    trained, metrics = train_tpm(policy, [oracle_field()], [STD2], cfg, ScheduleConfig(),
+                                 RngStream(84, 1))
+    assert len(metrics) == cfg.outer_steps
+    assert len(seen) == cfg.outer_steps * cfg.inner_epochs
+    assert all(theta is seen[0][0] and ref_bytes == start for theta, ref_bytes, _ in seen)
+    assert seen[0][2] == start and seen[-1][2] != start
+    assert trained.net.theta.tobytes() != start
+
+
 def test_training_and_evaluation_never_build_trajectories(monkeypatch, tmp_path):
     def forbidden(self):
         raise AssertionError("per-trajectory objects rebuilt")
