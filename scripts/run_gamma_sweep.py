@@ -10,13 +10,14 @@ import sys
 from pathlib import Path
 
 from flowsched.cli import main
+from flowsched.config import PRESETS
 
 
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/gamma_sweep")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--preset", choices=("desk", "paper"), default="desk")
+    ap.add_argument("--preset", choices=tuple(PRESETS), default="desk")
     ap.add_argument("--gammas", default="0.85,0.90,0.95")
     args = ap.parse_args(argv)
 

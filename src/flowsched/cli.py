@@ -14,11 +14,12 @@ import dataclasses
 import logging
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, ScheduleConfig, preset_config, write_run_stamp
+from .config import (PRESETS, ExperimentConfig, ScheduleConfig, preset_config,
+                     write_run_stamp)
 from .flow import (TargetSpec, VelocityField, make_velocity_net,
                    ring_mixture_target, train_flow)
 from .nn import load_checkpoint, save_checkpoint, write_csv
@@ -40,9 +41,6 @@ STREAM_SAMPLE = 3
 STREAM_EVAL = 4
 STREAM_BASELINE_NOISE = 5
 STREAM_BASELINE_DECAY = 6
-
-# the commands that run one policy, whose input size fixes one target dimension
-ONE_POLICY_COMMANDS = ("train-tpm", "sample", "sweep-gamma", "compare-baselines")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,42 +68,11 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="flowsched",
-                     description="adaptive diffusion-time schedule experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "train-flow": "pretrain velocity fields on the configured targets",
-        "train-tpm": "RL-train the time policy against frozen fields",
-        "sample": "roll trajectories with a policy and export them as CSV",
-        "sweep-gamma": "train one policy per discount factor and compare step counts",
-        "compare-baselines": "evaluate the trained policy against fixed schedules",
-        "complexity-sweep": "train one policy across target complexities",
-        "export-plots": "render SVG plots from the CSVs in a run directory",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--seed", type=_seed_type, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--preset", choices=("desk", "paper"), default="desk")
-        if name in ("sample", "sweep-gamma", "compare-baselines", "complexity-sweep"):
-            p.add_argument("--deterministic-inference", action="store_true",
-                           help="use the Beta mode instead of sampling at evaluation")
-        if name == "sample":
-            p.add_argument("--n-trajectories", type=int, default=4)
-        if name == "sweep-gamma":
-            p.add_argument("--gammas", type=_float_list, default=[0.85, 0.90, 0.95])
-        if name == "complexity-sweep":
-            p.add_argument("--levels", type=_int_list, default=[1, 4, 8])
-    return parser
-
-
 def _resolve_config(args) -> ExperimentConfig:
     cfg = (ExperimentConfig.load(args.config) if args.config
            else preset_config(args.preset))
     dims = sorted({target.d for target in cfg.targets})
-    if args.command in ONE_POLICY_COMMANDS and len(dims) > 1:
+    if COMMANDS[args.command].one_policy and len(dims) > 1:
         raise ValueError(f"{args.config}: {args.command} needs one target dimension for "
                          f"its policy, but the targets have dimensions {dims}")
     if args.seed is not None:
@@ -202,7 +169,7 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
     )
 
 
-def cmd_train_flow(cfg: ExperimentConfig) -> None:
+def cmd_train_flow(cfg: ExperimentConfig, args) -> None:
     out = write_run_stamp(cfg, cfg.out_dir)
     _remove_stale(out, "field_[0-9]*.ckpt", "flow_loss_*.csv")
     for i, target in enumerate(cfg.targets):
@@ -212,7 +179,7 @@ def cmd_train_flow(cfg: ExperimentConfig) -> None:
         logger.info("target %d: final flow loss %.4f", i, losses[-1])
 
 
-def cmd_train_tpm(cfg: ExperimentConfig) -> None:
+def cmd_train_tpm(cfg: ExperimentConfig, args) -> None:
     from .policy import save_policy
     from .rl import train_tpm, write_metrics_csv
 
@@ -230,43 +197,40 @@ def cmd_train_tpm(cfg: ExperimentConfig) -> None:
                     metrics[-1].mean_n, metrics[-1].mean_reward)
 
 
-def cmd_sample(cfg: ExperimentConfig, n_trajectories: int,
-               deterministic: bool) -> None:
+def cmd_sample(cfg: ExperimentConfig, args) -> None:
     from .rl import step_log_pdf
     from .sampler import roll_lanes, trajectory_to_csv
 
-    if n_trajectories < 1:
-        raise ValueError(f"--n-trajectories must be at least 1, got {n_trajectories}")
+    if args.n_trajectories < 1:
+        raise ValueError(f"--n-trajectories must be at least 1, got {args.n_trajectories}")
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     # a fixed schedule draws nothing from a policy, so none is loaded
-    fixed = cfg.schedule.mode.startswith("fixed")
-    policy = None if fixed else _load_or_init_policy(cfg, out)
+    policy = None if cfg.schedule.fixed else _load_or_init_policy(cfg, out)
     _remove_stale(out, "trajectory_*.csv")
     rng = RngStream(cfg.seed, STREAM_SAMPLE)
     lanes = roll_lanes(fields[0], cfg.schedule,
-                       [rng.child(j) for j in range(n_trajectories)],
-                       policy=policy, deterministic=deterministic)
+                       [rng.child(j) for j in range(args.n_trajectories)],
+                       policy=policy, deterministic=args.deterministic_inference)
     # every kept rate of every lane scored in one forward, then split by lane;
     # fixed lanes keep none, so their r and log_prob cells stay blank
-    log_probs = np.empty(0) if fixed else step_log_pdf(policy, *lanes.kept()[:2])
+    log_probs = np.empty(0) if policy is None else step_log_pdf(policy, *lanes.kept()[:2])
     for j, lane_log_probs in enumerate(np.split(log_probs, np.cumsum(lanes.n_kept)[:-1])):
         trajectory_to_csv(lanes, j, lane_log_probs, out / f"trajectory_{j}.csv")
 
 
-def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
-                    deterministic: bool) -> None:
+def cmd_sweep_gamma(cfg: ExperimentConfig, args) -> None:
     from .policy import save_policy
     from .rl import train_tpm
 
-    if not gammas:
+    if not args.gammas:
         raise ValueError("--gammas needs at least one value")
-    if any(not 0.0 < g < 1.0 for g in gammas):
+    if any(not 0.0 < g < 1.0 for g in args.gammas):
         raise ValueError("--gammas values must lie in (0, 1)")
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     rows = []
-    for gamma in gammas:
+    for gamma in args.gammas:
         rl = dataclasses.replace(cfg.rl, gamma=gamma)
         # identical streams per gamma: only the discount differs
         policy, _ = train_tpm(_init_policy(cfg, cfg.targets[0].d), fields,
@@ -275,7 +239,7 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
         save_policy(policy, out / f"policy_gamma_{gamma!r}.ckpt")
         summary = evaluate_policy(policy, fields[0], cfg.targets[0], cfg.schedule,
                                   gamma, RngStream(cfg.seed, STREAM_EVAL),
-                                  cfg.eval_rollouts, deterministic)
+                                  cfg.eval_rollouts, args.deterministic_inference)
         rows.append((gamma, summary))
         logger.info("gamma %.2f: mean N %.2f, mean IR %.4f",
                     gamma, summary.mean_n, summary.mean_ir)
@@ -285,7 +249,7 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, gammas: Sequence[float],
                for gamma, s in rows])
 
 
-def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
+def cmd_compare_baselines(cfg: ExperimentConfig, args) -> None:
     from .rl import toy_reward
     from .sampler import roll_lanes
 
@@ -299,7 +263,7 @@ def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
     decay_rng = RngStream(cfg.seed, STREAM_BASELINE_DECAY)
     adaptive = roll_lanes(velocity_field, cfg.schedule,
                           [decay_rng.child(j) for j in range(n)], noise, policy,
-                          deterministic)
+                          args.deterministic_inference)
     mean_n = float(np.mean(adaptive.n_steps))
     matched = max(1, int(round(mean_n)))
 
@@ -318,10 +282,10 @@ def cmd_compare_baselines(cfg: ExperimentConfig, deterministic: bool) -> None:
         logger.info("%s: N=%.2f mean IR %.4f", name, steps, ir)
 
 
-def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
-                         deterministic: bool) -> None:
+def cmd_complexity_sweep(cfg: ExperimentConfig, args) -> None:
     from .rl import train_tpm, write_metrics_csv
 
+    levels = args.levels
     if any(lv < 1 for lv in levels):
         raise ValueError("--levels must be positive")
     if len(set(levels)) < max(2, len(levels)):
@@ -347,7 +311,7 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
         summary = evaluate_policy(policy, velocity_field, target, cfg.schedule,
                                   cfg.rl.gamma,
                                   RngStream(cfg.seed, STREAM_EVAL).child(level),
-                                  cfg.eval_rollouts, deterministic)
+                                  cfg.eval_rollouts, args.deterministic_inference)
         rows.append((level, summary))
         pairs_level.extend([level] * summary.n_rollouts)
         pairs_n.extend(summary.per_rollout_n)
@@ -365,7 +329,8 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, levels: Sequence[int],
 
 def _read_columns(path: Path, x: str, y: str) -> tuple[list[float], list[float]]:
     """Columns x and y of a CSV table as floats; ValueError naming path if it is
-    not UTF-8, has no data rows or no such column, or a bad row or cell."""
+    not UTF-8, has no data rows or no such column, or a bad row or a cell that
+    is not a finite number."""
     try:
         table = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines() if line]
     except UnicodeDecodeError as exc:
@@ -383,10 +348,14 @@ def _read_columns(path: Path, x: str, y: str) -> tuple[list[float], list[float]]
         for values, name in ((xs, x), (ys, y)):
             cell = row[header.index(name)]
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ValueError(f"{path}: data row {i}, column {name!r}: "
                                  f"{cell!r} is not a number") from None
+            if not np.isfinite(value):
+                raise ValueError(f"{path}: data row {i}, column {name!r}: "
+                                 f"{cell!r} is not finite")
+            values.append(value)
     return xs, ys
 
 
@@ -405,10 +374,10 @@ PLOTS = (
 )
 
 
-def cmd_export_plots(out_dir: str) -> None:
+def cmd_export_plots(cfg: Optional[ExperimentConfig], args) -> None:
     from .svg import polyline_plot
 
-    out = Path(out_dir)
+    out = Path(args.out or cfg.out_dir)
     if not out.is_dir():
         raise FileNotFoundError(f"run directory {out} does not exist")
     made = 0
@@ -438,29 +407,61 @@ def cmd_export_plots(out_dir: str) -> None:
     logger.info("wrote %d SVG plots to %s", made, out)
 
 
+_DETERMINISTIC = ("--deterministic-inference", dict(
+    action="store_true", help="use the Beta mode instead of sampling at evaluation"))
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[[Optional[ExperimentConfig], argparse.Namespace], None]
+    flags: tuple = ()  # (flag, add_argument keywords) after the four every command takes
+    one_policy: bool = False  # one policy serves every target, so they share one dimension
+
+
+COMMANDS = {
+    "train-flow": Command("pretrain velocity fields on the configured targets",
+                          cmd_train_flow),
+    "train-tpm": Command("RL-train the time policy against frozen fields", cmd_train_tpm,
+                         one_policy=True),
+    "sample": Command("roll trajectories with a policy and export them as CSV", cmd_sample,
+                      (_DETERMINISTIC, ("--n-trajectories", dict(type=int, default=4))),
+                      one_policy=True),
+    "sweep-gamma": Command(
+        "train one policy per discount factor and compare step counts", cmd_sweep_gamma,
+        (_DETERMINISTIC, ("--gammas", dict(type=_float_list, default=[0.85, 0.90, 0.95]))),
+        one_policy=True),
+    "compare-baselines": Command("evaluate the trained policy against fixed schedules",
+                                 cmd_compare_baselines, (_DETERMINISTIC,), one_policy=True),
+    "complexity-sweep": Command(
+        "train one policy across target complexities", cmd_complexity_sweep,
+        (_DETERMINISTIC, ("--levels", dict(type=_int_list, default=[1, 4, 8])))),
+    "export-plots": Command("render SVG plots from the CSVs in a run directory",
+                            cmd_export_plots),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="flowsched",
+                     description="adaptive diffusion-time schedule experiments")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", type=str, default=None, help="JSON config path")
+        p.add_argument("--seed", type=_seed_type, default=None)
+        p.add_argument("--out", type=str, default=None, help="output directory")
+        p.add_argument("--preset", choices=tuple(PRESETS), default="desk")
+        for flag, keywords in command.flags:
+            p.add_argument(flag, **keywords)
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "export-plots":
-            cmd_export_plots(args.out or (_resolve_config(args).out_dir))
-            return 0
-        cfg = _resolve_config(args)
-        if args.command == "train-flow":
-            cmd_train_flow(cfg)
-        elif args.command == "train-tpm":
-            cmd_train_tpm(cfg)
-        elif args.command == "sample":
-            cmd_sample(cfg, args.n_trajectories, args.deterministic_inference)
-        elif args.command == "sweep-gamma":
-            cmd_sweep_gamma(cfg, args.gammas, args.deterministic_inference)
-        elif args.command == "compare-baselines":
-            cmd_compare_baselines(cfg, args.deterministic_inference)
-        elif args.command == "complexity-sweep":
-            cmd_complexity_sweep(cfg, args.levels, args.deterministic_inference)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        # export-plots reads only out_dir from the config, so --out spares it the config
+        cfg = None if args.command == "export-plots" and args.out else _resolve_config(args)
+        COMMANDS[args.command].run(cfg, args)
         return 0
     except Exception as exc:
         logger.error("%s", exc)

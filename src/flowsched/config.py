@@ -31,8 +31,8 @@ MODES = ("adaptive", "fixed-uniform", "fixed-shifted", "discrete-adaptive")
 # interior; the "paper" preset keeps the full-scale numbers.
 DESK_RL = dict(batch_size=64, outer_steps=60, lr=3e-3, kl_weight=0.2)
 DESK_EVAL_ROLLOUTS = 500
-PAPER_RL = dict(batch_size=256, outer_steps=200, lr=1e-5)
-PAPER_EVAL_ROLLOUTS = 5000
+PRESETS = {"desk": (DESK_RL, DESK_EVAL_ROLLOUTS),  # name -> (RLConfig settings, eval_rollouts)
+           "paper": (dict(batch_size=256, outer_steps=200, lr=1e-5), 5000)}
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class ScheduleConfig:
     grid_size: int = 1000
 
     def __post_init__(self):
+        _check_integers(self)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.t_min <= 0.1:
@@ -53,10 +54,15 @@ class ScheduleConfig:
             raise ValueError("n_max must be >= 2")
         if self.grid_size < 10:
             raise ValueError("grid_size must be >= 10")
-        if self.mode.startswith("fixed") and (self.fixed_n is None or self.fixed_n < 1):
+        if self.fixed and (self.fixed_n is None or self.fixed_n < 1):
             raise ValueError("fixed modes need fixed_n >= 1")
         if self.shift <= 0.0:
             raise ValueError("shift must be positive")
+
+    @property
+    def fixed(self) -> bool:
+        """Whether the mode walks a fixed time table instead of asking a policy."""
+        return self.mode.startswith("fixed")
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,7 @@ class RLConfig:
     outer_steps: int = 200
 
     def __post_init__(self):
+        _check_integers(self)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if self.kl_weight < 0.0 or self.clip < 0.0:
@@ -108,6 +115,7 @@ class ExperimentConfig:
     eval_rollouts: int = DESK_EVAL_ROLLOUTS
 
     def __post_init__(self):
+        _check_integers(self)
         if self.version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {self.version}")
         if not 0 <= self.seed < 2**64:
@@ -116,6 +124,10 @@ class ExperimentConfig:
             raise ValueError("field_source must be 'oracle' or 'learned'")
         if not self.targets:
             raise ValueError("at least one target required")
+        paths = self.field_checkpoints
+        if paths is not None and len(paths) != len(self.targets):
+            raise ValueError(f"field_checkpoints lists {len(paths)} paths for "
+                             f"{len(self.targets)} targets; it needs one per target")
         if not 0.0 < self.init_r_target < 1.0:
             raise ValueError("init_r_target must lie in (0, 1)")
         if self.eval_rollouts < 1:
@@ -163,6 +175,24 @@ class ExperimentConfig:
             raise ValueError(f"invalid config {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integers(section) -> None:
+    """Reject, naming the key, a field annotated int whose value is not an int
+    (a bool is not), Optional[int] that is neither null nor an int, or
+    list[int] that is not a list of ints."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if f.type == "list[int]" and not (isinstance(value, list) and all(map(_is_int, value))):
+            raise ValueError(f"{f.name} must be a list of integers, got {value!r}")
+        if f.type == "Optional[int]" and value is None:
+            continue
+        if f.type in ("int", "Optional[int]") and not _is_int(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 def _from_fields(cls, data: dict, where: str):
     """cls(**data), naming any key cls has no field for."""
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
@@ -174,13 +204,10 @@ def _from_fields(cls, data: dict, where: str):
 def preset_config(preset: str) -> ExperimentConfig:
     """Baseline config for a preset; 'desk' is small-scale, 'paper' keeps the
     published batch size, step count, and learning rate."""
-    if preset == "desk":
-        rl = RLConfig(**DESK_RL)
-        return ExperimentConfig(rl=rl, eval_rollouts=DESK_EVAL_ROLLOUTS)
-    if preset == "paper":
-        rl = RLConfig(**PAPER_RL)
-        return ExperimentConfig(rl=rl, eval_rollouts=PAPER_EVAL_ROLLOUTS)
-    raise ValueError(f"unknown preset {preset!r}")
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}")
+    rl, eval_rollouts = PRESETS[preset]
+    return ExperimentConfig(rl=RLConfig(**rl), eval_rollouts=eval_rollouts)
 
 
 def version_string() -> str:

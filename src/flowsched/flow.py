@@ -190,40 +190,27 @@ def oracle_velocity(x: np.ndarray, t: float | np.ndarray,
     tv = np.asarray(t, dtype=float)
     if np.any(tv < 0.0) or np.any(tv > 1.0):
         raise ValueError("t must lie in [0, 1]")
+    if x.ndim == 2 and tv.ndim == 1:
+        tv = tv[:, None]
+    return _oracle_terms(x, tv, target)[0]
+
+
+def _oracle_terms(x: np.ndarray, t: np.ndarray, target: TargetSpec):
+    """(u, c, num, var_t, x - (1-t) mu) of oracle_velocity, c = num / var_t,
+    at x and t broadcast against each other."""
     mu = target.means[0]
     s2 = float(target.sigmas[0]) ** 2
-    var_t = tv**2 + (1.0 - tv) ** 2 * s2
-    c = (tv - (1.0 - tv) * s2) / var_t
-    if x.ndim == 2 and np.ndim(c) == 1:
-        c = c[:, None]
-        tv = tv[:, None]
-    return c * (x - (1.0 - tv) * mu) - mu
+    var_t = t * t + (1.0 - t) ** 2 * s2
+    num = t - (1.0 - t) * s2
+    c = num / var_t
+    centered = x - (1.0 - t) * mu
+    return c * centered - mu, c, num, var_t, centered
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ b[i] for each row i of two (n, d) arrays, bit for bit (a
     row-wise sum or einsum may add the products in another order)."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _oracle_velocity_time_grad(x: np.ndarray, t: np.ndarray,
-                               target: TargetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, du/dx scalar factor, du/dt) of the single-Gaussian oracle field at
-    rows x (n, d) and times t (n,); shapes (n, d), (n, 1) and (n, d).
-
-    du/dx is c(t) * I, so only the scalar c of each row is returned.
-    """
-    mu = target.means[0]
-    s2 = float(target.sigmas[0]) ** 2
-    t = t[:, None]
-    var_t = t * t + (1.0 - t) ** 2 * s2
-    dvar = 2.0 * t - 2.0 * (1.0 - t) * s2
-    num = t - (1.0 - t) * s2
-    c = num / var_t
-    dc = ((1.0 + s2) * var_t - num * dvar) / (var_t * var_t)
-    u = c * (x - (1.0 - t) * mu) - mu
-    du_dt = dc * (x - (1.0 - t) * mu) + c * mu
-    return u, c, du_dt
 
 
 @dataclass
@@ -267,8 +254,12 @@ class VelocityField:
         loss is differentiated through the sampling path itself."""
         x, t, g = (np.asarray(a, dtype=float) for a in (x, t, g))
         if self.kind == "oracle":
-            u, c, du_dt = _oracle_velocity_time_grad(x, t, self.target)
-            return u, c * g, row_dot(g, du_dt)
+            # du/dx is c(t) * I, and du/dt = c'(t) (x - (1-t) mu) + c(t) mu
+            t = t[:, None]
+            u, c, num, var_t, centered = _oracle_terms(x, t, self.target)
+            s2 = float(self.target.sigmas[0]) ** 2
+            dc = ((1.0 + s2) * var_t - num * (2.0 * t - 2.0 * (1.0 - t) * s2)) / (var_t * var_t)
+            return u, c * g, row_dot(g, dc * centered + c * self.target.means[0])
         inp = np.concatenate([x, t[:, None]], axis=1)
         acts = self.net.forward_acts(inp)
         _, input_grad = self.net.backward(inp, g, acts)

@@ -177,14 +177,12 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, rollouts: Rollouts,
     if not kept.any():
         return PpoLossResult(0.0, np.zeros(policy.net.n_params), 0.0, n_dropped)
 
+    # clip 0 is an unbounded window: clipped == unclipped bit for bit (dropped ratios are 0)
+    clip = cfg.clip or np.inf
     unclipped = ratio * advs
-    if cfg.clip > 0.0:
-        clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * advs
-        surrogate = np.minimum(unclipped, clipped)
-        use_unclipped = unclipped <= clipped
-    else:
-        surrogate = unclipped
-        use_unclipped = np.ones_like(ratio, dtype=bool)
+    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip) * advs
+    surrogate = np.minimum(unclipped, clipped)
+    use_unclipped = unclipped <= clipped
 
     kl_per_traj = per_lane(kl_from_terms(ref_terms, terms)) / r.n_pred  # KL(ref || policy)
 

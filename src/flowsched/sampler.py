@@ -163,7 +163,6 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
     table and draw nothing once noise is given.
     """
     d = velocity_field.d
-    fixed = cfg.mode.startswith("fixed")
     if noise is None and streams is None:
         raise ValueError("lanes need initial noise or one stream per lane")
     if noise is None:
@@ -172,13 +171,13 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
     n = len(x)
     if x.shape != (n, d):
         raise ValueError(f"initial noise shape {x.shape} != ({n}, {d})")
-    if not fixed and policy is None:
+    if not cfg.fixed and policy is None:
         raise ValueError(f"mode {cfg.mode!r} needs a policy")
-    if not (fixed or deterministic) and (streams is None or len(streams) != n):
+    if not (cfg.fixed or deterministic) and (streams is None or len(streams) != n):
         raise ValueError("stochastic adaptive lanes need one stream per lane")
-    table = _time_table(cfg) if fixed else None
-    budget = cfg.fixed_n if fixed else cfg.n_max
-    width = 0 if fixed else budget  # the predictions a lane can keep
+    table = _time_table(cfg) if cfg.fixed else None
+    budget = cfg.fixed_n if cfg.fixed else cfg.n_max
+    width = 0 if cfg.fixed else budget  # the predictions a lane can keep
     lanes = Lanes(np.full((n, budget + 1), np.nan), np.full((n, budget + 1, d), np.nan),
                   np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
                   np.full((n, width), np.nan), np.full((n, width, feature_length(d)), np.nan))
@@ -187,13 +186,13 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
     # the running lanes: their ids, states, times and grid indices; the
     # running lanes' streams are lane_streams[idx]
     idx = np.arange(n)
-    t = np.full(n, table[0] if fixed else 1.0)
+    t = np.full(n, table[0] if cfg.fixed else 1.0)
     grid = np.full(n, cfg.grid_size)
     lane_streams = None if streams is None else np.array(streams, dtype=object)
     for k in range(budget):
         v = velocity_field(x, t)
         _check_finite(v, "velocity field produced a non-finite value at t={}", t)
-        if fixed:
+        if cfg.fixed:
             t_next = np.full(len(idx), table[k + 1])
         elif k == cfg.n_max - 1:
             t_next = np.zeros(len(idx))  # the budget's last step, no policy
@@ -238,7 +237,7 @@ def sample_adaptive(policy: TimePolicy, velocity_field: VelocityField,
                     initial_noise: Optional[np.ndarray] = None,
                     deterministic: bool = False) -> Trajectory:
     """Roll one trajectory under the decay policy (continuous or grid mode)."""
-    if cfg.mode not in ("adaptive", "discrete-adaptive"):
+    if cfg.fixed:
         raise ValueError(f"sample_adaptive needs an adaptive mode, got {cfg.mode!r}")
     noise = None if initial_noise is None else np.asarray(initial_noise, dtype=float)[None]
     return roll_lanes(velocity_field, cfg, [rng], noise, policy,
@@ -249,7 +248,7 @@ def sample_fixed(velocity_field: VelocityField, cfg: ScheduleConfig,
                  rng: RngStream,
                  initial_noise: Optional[np.ndarray] = None) -> Trajectory:
     """Fixed N-step baseline, uniform or timeshifted."""
-    if cfg.mode not in ("fixed-uniform", "fixed-shifted"):
+    if not cfg.fixed:
         raise ValueError(f"sample_fixed needs a fixed mode, got {cfg.mode!r}")
     noise = None if initial_noise is None else np.asarray(initial_noise, dtype=float)[None]
     return roll_lanes(velocity_field, cfg, [rng], noise).trajectories()[0]

@@ -1,6 +1,7 @@
 """Command-line workflows end to end: exit codes, emitted files, byte-level
 rerun determinism, and the fixed-schedule comparison's quality clauses."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -119,6 +120,24 @@ def test_parser_lists_all_commands():
              "compare-baselines", "complexity-sweep", "export-plots"}
     text = build_parser().format_help()
     assert all(name in text for name in names)
+
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--seed", "--out", "--preset"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train-flow", set()),
+    ("train-tpm", set()),
+    ("sample", {"--deterministic-inference", "--n-trajectories"}),
+    ("sweep-gamma", {"--deterministic-inference", "--gammas"}),
+    ("compare-baselines", {"--deterministic-inference"}),
+    ("complexity-sweep", {"--deterministic-inference", "--levels"}),
+    ("export-plots", set()),
+])
+def test_each_command_takes_exactly_its_options(command, extra):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for action in sub.choices[command]._actions for s in action.option_strings}
+    assert options == COMMON_OPTIONS | extra
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -457,6 +476,17 @@ def test_export_plots_removes_the_plots_of_csvs_a_rerun_removed(tmp_path):
     assert sorted(p.name for p in out.glob("*.svg")) == ["flow_loss_0.svg"]
 
 
+def test_export_plots_with_out_reads_no_config(tmp_path):
+    """--out names the run directory, so an unparseable --config goes unread."""
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "flow_loss_0.csv").write_text("step,loss\n0,1.5\n1,1.25\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["export-plots", "--out", str(out), "--config", str(bad)]) == 0
+    assert (out / "flow_loss_0.svg").exists()
+
+
 def test_export_plots_missing_dir_exits_two(tmp_path):
     assert main(["export-plots", "--out", str(tmp_path / "nope")]) == 2
 
@@ -470,7 +500,11 @@ def test_export_plots_missing_dir_exits_two(tmp_path):
     ("outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n"
      "0,0.1,0.05,,0.01,1.0\n", ["data row 1", "'mean_N'"]),
     ("\xffouter_step,mean_N\n0,14.0\n", ["not UTF-8"]),
-], ids=["no data rows", "missing column", "short row", "blank cell", "not UTF-8"])
+    ("outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n"
+     "0,0.1,0.05,14.0,0.01,1.0\n1,nan,0.1,14.0,0.0,1.0\n", ["data row 2", "'mean_reward'"]),
+    ("outer_step,mean_reward,mean_ir,mean_N,mean_kl,grad_norm\n"
+     "0,0.1,0.05,inf,0.01,1.0\n", ["data row 1", "'mean_N'"]),
+], ids=["no data rows", "missing column", "short row", "blank cell", "not UTF-8", "nan", "inf"])
 def test_export_plots_empty_csv_exits_two_naming_file(text, names, tmp_path, caplog):
     out = tmp_path / "run"
     out.mkdir()
@@ -553,11 +587,16 @@ def _bad_config_text(case: str) -> str:
         doc = [1, 2]
     elif case in BAD_VALUES:
         key, value = BAD_VALUES[case]
-        doc[key] = value
+        *sections, leaf = key.split(".")
+        section = doc
+        for name in sections:
+            section = section[name]
+        section[leaf] = value
     return json.dumps(doc)
 
 
-# values the schema rejects at load time: case -> (key, bad value)
+# values the schema rejects at load time: case -> (key, bad value), a key in a
+# section written section.key
 BAD_VALUES = {
     "seed below zero": ("seed", -5),
     "seed of 2**64": ("seed", 2**64),
@@ -568,6 +607,23 @@ BAD_VALUES = {
     "NaN flow_lr": ("flow_lr", float("nan")),
     "zero flow_hidden width": ("flow_hidden", [64, 0]),
     "zero policy_hidden width": ("policy_hidden", [0]),
+    "version of 1.0": ("version", 1.0),
+    "fractional seed": ("seed", 1.5),
+    "seed of true": ("seed", True),
+    "fractional flow_steps": ("flow_steps", 1.5),
+    "fractional flow_batch": ("flow_batch", 2.5),
+    "fractional eval_rollouts": ("eval_rollouts", 2.5),
+    "fractional flow_hidden width": ("flow_hidden", [64, 64.5]),
+    "fractional policy_hidden width": ("policy_hidden", [2.5]),
+    "fractional n_max": ("schedule.n_max", 3.5),
+    "fractional fixed_n": ("schedule.fixed_n", 2.5),
+    "fractional grid_size": ("schedule.grid_size", 1000.5),
+    "float group_size": ("rl.group_size", 4.0),
+    "float batch_size": ("rl.batch_size", 64.0),
+    "fractional inner_epochs": ("rl.inner_epochs", 1.5),
+    "fractional outer_steps": ("rl.outer_steps", 1.5),
+    "two field_checkpoints for one target": ("field_checkpoints", ["a.ckpt", "b.ckpt"]),
+    "no field_checkpoints for one target": ("field_checkpoints", []),
 }
 
 
@@ -575,13 +631,14 @@ BAD_VALUES = {
                                   "n_max not a number", "top level is a list",
                                   "not UTF-8", *BAD_VALUES])
 def test_bad_config_file_exits_two_naming_path(case, tmp_path, caplog):
-    path = tmp_path / "bad.json"
+    path, out = tmp_path / "bad.json", tmp_path / "run"
     path.write_text(_bad_config_text(case), encoding="latin-1")
     with caplog.at_level("ERROR"):
-        assert main(["train-tpm", "--config", str(path)]) == 2
+        assert main(["train-tpm", "--config", str(path), "--out", str(out)]) == 2
     assert str(path) in caplog.text
     if case in BAD_VALUES:
-        assert BAD_VALUES[case][0] in caplog.text
+        assert BAD_VALUES[case][0].split(".")[-1] in caplog.text
+    assert not (out / "resolved_config.json").exists()
 
 
 def _modules_loaded_by(code: str) -> list[str]:
