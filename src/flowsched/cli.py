@@ -92,13 +92,21 @@ def _build_fields(cfg: ExperimentConfig, out: Path) -> list[VelocityField]:
     if cfg.field_source == "oracle":
         return [VelocityField("oracle", target=t) for t in cfg.targets]
     fields = []
-    for path in _field_paths(cfg, out):
+    for path, target in zip(_field_paths(cfg, out), cfg.targets):
         if not path.exists():
             raise FileNotFoundError(
                 f"velocity checkpoint {path} not found; run train-flow first")
         net, _ = load_checkpoint(path)
-        fields.append(VelocityField("learned", net=net))
+        fields.append(_of_dimension(VelocityField("learned", net=net), path, target.d))
     return fields
+
+
+def _of_dimension(loaded, path: Path, d: int):
+    """loaded, the field or policy read from path, if it is for dimension d."""
+    if loaded.d != d:
+        raise ValueError(f"checkpoint {path} is for dimension {loaded.d}, "
+                         f"but its target has dimension {d}")
+    return loaded
 
 
 def _init_policy(cfg: ExperimentConfig, d: int) -> TimePolicy:
@@ -113,7 +121,7 @@ def _load_or_init_policy(cfg: ExperimentConfig, out: Path) -> TimePolicy:
 
     path = Path(cfg.policy_checkpoint) if cfg.policy_checkpoint else out / "policy.ckpt"
     if path.exists():
-        return load_policy(path)
+        return _of_dimension(load_policy(path), path, cfg.targets[0].d)
     logger.warning("no policy checkpoint at %s; using an untrained policy", path)
     return _init_policy(cfg, cfg.targets[0].d)
 
@@ -227,6 +235,9 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, args) -> None:
         raise ValueError("--gammas needs at least one value")
     if any(not 0.0 < g < 1.0 for g in args.gammas):
         raise ValueError("--gammas values must lie in (0, 1)")
+    if len(set(args.gammas)) < len(args.gammas):
+        # a repeated value would retrain its policy and overwrite its checkpoint
+        raise ValueError(f"--gammas values must be distinct, got {args.gammas}")
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
     rows = []

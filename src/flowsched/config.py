@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -35,29 +35,26 @@ PRESETS = {"desk": (DESK_RL, DESK_EVAL_ROLLOUTS),  # name -> (RLConfig settings,
            "paper": (dict(batch_size=256, outer_steps=200, lr=1e-5), 5000)}
 
 
+def _key(default, rule):
+    """A schema key: its default (a list is copied per config) and its rule."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"rule": rule})
+    return field(default=default, metadata={"rule": rule})
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
-    mode: str = "adaptive"
-    t_min: float = 0.01
-    n_max: int = 40
-    fixed_n: Optional[int] = None
-    shift: float = 3.0
-    grid_size: int = 1000
+    mode: str = _key("adaptive", MODES)
+    t_min: float = _key(0.01, "(0, 0.1]")
+    n_max: int = _key(40, "[2, inf)")
+    fixed_n: Optional[int] = _key(None, "[1, inf)")
+    shift: float = _key(3.0, "(0, inf)")
+    grid_size: int = _key(1000, "[10, inf)")
 
     def __post_init__(self):
-        _check_integers(self)
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.t_min <= 0.1:
-            raise ValueError(f"t_min={self.t_min} outside (0, 0.1]")
-        if self.n_max < 2:
-            raise ValueError("n_max must be >= 2")
-        if self.grid_size < 10:
-            raise ValueError("grid_size must be >= 10")
-        if self.fixed and (self.fixed_n is None or self.fixed_n < 1):
+        _check_fields(self)
+        if self.fixed and self.fixed_n is None:
             raise ValueError("fixed modes need fixed_n >= 1")
-        if self.shift <= 0.0:
-            raise ValueError("shift must be positive")
 
     @property
     def fixed(self) -> bool:
@@ -67,94 +64,80 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class RLConfig:
-    gamma: float = 0.95
-    kl_weight: float = 0.01
-    clip: float = 0.2          # 0 disables clipping (plain importance ratio)
-    group_size: int = 4
-    batch_size: int = 256
-    inner_epochs: int = 4
-    lr: float = 1e-5
-    max_grad_norm: float = 1.0
-    outer_steps: int = 200
+    gamma: float = _key(0.95, "(0, 1]")
+    kl_weight: float = _key(0.01, "[0, inf)")
+    clip: float = _key(0.2, "[0, inf)")  # 0 disables clipping (plain importance ratio)
+    group_size: int = _key(4, "[2, inf)")  # a leave-one-out baseline needs two
+    batch_size: int = _key(256, "[1, inf)")
+    inner_epochs: int = _key(4, "[1, inf)")
+    lr: float = _key(1e-5, "(0, inf)")
+    max_grad_norm: float = _key(1.0, "(0, inf)")
+    outer_steps: int = _key(200, "[1, inf)")
 
     def __post_init__(self):
-        _check_integers(self)
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.kl_weight < 0.0 or self.clip < 0.0:
-            raise ValueError("kl_weight and clip must be >= 0")
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2 for a leave-one-out baseline")
-        if self.batch_size < self.group_size or self.batch_size % self.group_size:
+        _check_fields(self)
+        if self.batch_size % self.group_size:
             raise ValueError("batch_size must be a positive multiple of group_size")
-        if self.inner_epochs < 1 or self.outer_steps < 1:
-            raise ValueError("inner_epochs and outer_steps must be >= 1")
-        if self.lr <= 0.0 or self.max_grad_norm <= 0.0:
-            raise ValueError("lr and max_grad_norm must be positive")
+
+
+@dataclass(frozen=True)
+class _Target:
+    """The JSON form of a flow.TargetSpec, which checks the mixture itself."""
+
+    means: list[list[float]]
+    sigmas: list[float]
+    weights: list[float]
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 @dataclass
 class ExperimentConfig:
-    version: int = CONFIG_VERSION
-    seed: int = 20240801
+    version: int = _key(CONFIG_VERSION, (CONFIG_VERSION,))
+    seed: int = _key(20240801, f"[0, {2**64})")
     out_dir: str = "runs/latest"
     targets: list[TargetSpec] = field(
         default_factory=lambda: [TargetSpec([[0.0, 0.0]], [1.0], [1.0])]
     )
-    field_source: str = "oracle"  # "oracle" | "learned"
+    field_source: str = _key("oracle", ("oracle", "learned"))
     field_checkpoints: Optional[list[str]] = None
     policy_checkpoint: Optional[str] = None
-    init_r_target: float = 0.75
-    policy_hidden: list[int] = field(default_factory=lambda: [32])
-    flow_hidden: list[int] = field(default_factory=lambda: [64, 64])
-    flow_steps: int = 5000
-    flow_batch: int = 256
-    flow_lr: float = 1e-3
+    init_r_target: float = _key(0.75, "(0, 1)")
+    policy_hidden: list[int] = _key([32], "[1, inf)")
+    flow_hidden: list[int] = _key([64, 64], "[1, inf)")
+    flow_steps: int = _key(5000, "[1, inf)")
+    flow_batch: int = _key(256, "[1, inf)")
+    flow_lr: float = _key(1e-3, "(0, inf)")
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     rl: RLConfig = field(default_factory=RLConfig)
-    eval_rollouts: int = DESK_EVAL_ROLLOUTS
+    eval_rollouts: int = _key(DESK_EVAL_ROLLOUTS, "[1, inf)")
 
     def __post_init__(self):
-        _check_integers(self)
-        if self.version != CONFIG_VERSION:
-            raise ValueError(f"unsupported config version {self.version}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.field_source not in ("oracle", "learned"):
-            raise ValueError("field_source must be 'oracle' or 'learned'")
+        _check_fields(self)
         if not self.targets:
             raise ValueError("at least one target required")
         paths = self.field_checkpoints
         if paths is not None and len(paths) != len(self.targets):
             raise ValueError(f"field_checkpoints lists {len(paths)} paths for "
                              f"{len(self.targets)} targets; it needs one per target")
-        if not 0.0 < self.init_r_target < 1.0:
-            raise ValueError("init_r_target must lie in (0, 1)")
-        if self.eval_rollouts < 1:
-            raise ValueError("eval_rollouts must be positive")
-        if self.flow_steps < 1 or self.flow_batch < 1:
-            raise ValueError("flow_steps and flow_batch must be >= 1")
-        if not (math.isfinite(self.flow_lr) and self.flow_lr > 0.0):
-            raise ValueError("flow_lr must be positive and finite")
-        for name in ("flow_hidden", "policy_hidden"):
-            if any(width < 1 for width in getattr(self, name)):
-                raise ValueError(f"{name} widths must be >= 1")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["targets"] = [t.to_dict() for t in self.targets]
+        out["targets"] = [{f.name: getattr(t, f.name).tolist() for f in dataclasses.fields(_Target)}
+                          for t in self.targets]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        if "targets" in data:
-            data["targets"] = [TargetSpec.from_dict(t) for t in data["targets"]]
-        if "schedule" in data:
-            data["schedule"] = _from_fields(ScheduleConfig, data["schedule"], " in 'schedule'")
-        if "rl" in data:
-            data["rl"] = _from_fields(RLConfig, data["rl"], " in 'rl'")
-        return _from_fields(cls, data, "")
+        data = dict(_known_keys(cls, data, "the document"))
+        for key, section in (("schedule", ScheduleConfig), ("rl", RLConfig)):
+            if key in data:
+                data[key] = section(**_known_keys(section, data[key], f"'{key}'"))
+        if isinstance(data.get("targets"), list):  # anything else fails its type check
+            data["targets"] = [TargetSpec(**vars(_Target(**_known_keys(_Target, t, f"targets[{i}]"))))
+                               for i, t in enumerate(data["targets"])]
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -175,30 +158,53 @@ class ExperimentConfig:
             raise ValueError(f"invalid config {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is(value, kind: str) -> bool:
+    """Whether value has the annotated type kind: an int is never a bool, a float
+    is a finite int or float, and a list is checked item by item."""
+    if kind.startswith("Optional["):
+        return value is None or _is(value, kind[9:-1])
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_is(item, kind[5:-1]) for item in value)
+    if kind == "int":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind == "float":
+        return (_is(value, "int") or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    return type(value).__name__ == kind  # str, TargetSpec or a section
 
 
-def _check_integers(section) -> None:
-    """Reject, naming the key, a field annotated int whose value is not an int
-    (a bool is not), Optional[int] that is neither null nor an int, or
-    list[int] that is not a list of ints."""
+def _within(value, rule) -> bool:
+    """Whether value lies in an interval such as "(0, 0.1]" or is in a tuple."""
+    if isinstance(rule, tuple):
+        return value in rule
+    lo, hi = (float(bound) for bound in rule[1:-1].split(","))
+    return ((lo < value if rule[0] == "(" else lo <= value)
+            and (value < hi if rule[-1] == ")" else value <= hi))
+
+
+def _check_fields(section) -> None:
+    """Reject, naming the key, a field whose value does not have its annotated
+    type, or lies (any item of a list) outside its rule."""
     for f in dataclasses.fields(section):
-        value = getattr(section, f.name)
-        if f.type == "list[int]" and not (isinstance(value, list) and all(map(_is_int, value))):
-            raise ValueError(f"{f.name} must be a list of integers, got {value!r}")
-        if f.type == "Optional[int]" and value is None:
-            continue
-        if f.type in ("int", "Optional[int]") and not _is_int(value):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        value, rule = getattr(section, f.name), f.metadata.get("rule")
+        items = value if isinstance(value, list) else [value]
+        if not _is(value, f.type) or rule and not all(v is None or _within(v, rule) for v in items):
+            where = f" in {rule}" if rule else ""
+            raise ValueError(f"{f.name} must be {f.type}{where}, got {value!r}")
 
 
-def _from_fields(cls, data: dict, where: str):
-    """cls(**data), naming any key cls has no field for."""
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+def _known_keys(cls, data, name: str) -> dict:
+    """data, if it is a JSON object with every key cls needs and none it lacks;
+    otherwise a ValueError naming `name` and the keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {data!r}")
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
-        raise ValueError(f"unknown config keys{where}: {sorted(unknown)}")
-    return cls(**data)
+        raise ValueError(f"unknown config keys in {name}: {sorted(unknown)}")
+    missing = {f.name for f in fields if f.default is f.default_factory} - set(data)
+    if missing:  # a field with no default has MISSING for both
+        raise ValueError(f"missing config keys in {name}: {sorted(missing)}")
+    return data
 
 
 def preset_config(preset: str) -> ExperimentConfig:

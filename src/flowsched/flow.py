@@ -88,21 +88,6 @@ class TargetSpec:
         z = rng.standard_normal((n, self.d))
         return self.means[idx] + self.sigmas[idx][:, None] * z
 
-    def to_dict(self) -> dict:
-        return {
-            "means": self.means.tolist(),
-            "sigmas": self.sigmas.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TargetSpec":
-        return cls(
-            means=np.array(data["means"], dtype=float),
-            sigmas=np.array(data["sigmas"], dtype=float),
-            weights=np.array(data["weights"], dtype=float),
-        )
-
 
 def standard_normal_target(d: int = 2) -> TargetSpec:
     return TargetSpec(np.zeros((1, d)), np.ones(1), np.ones(1))

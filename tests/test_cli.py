@@ -17,10 +17,10 @@ from flowsched.cli import (STREAM_SAMPLE, _build_fields, _init_policy, build_par
                            evaluate_policy, main)
 from flowsched.config import (DESK_EVAL_ROLLOUTS, ExperimentConfig,
                               preset_config, write_run_stamp)
-from flowsched.flow import (VelocityField, ring_mixture_target,
+from flowsched.flow import (VelocityField, make_velocity_net, ring_mixture_target,
                             single_gaussian_target, standard_normal_target)
-from flowsched.nn import load_checkpoint
-from flowsched.policy import init_policy
+from flowsched.nn import load_checkpoint, save_checkpoint
+from flowsched.policy import init_policy, save_policy
 from flowsched.rl import RLConfig, step_log_pdf
 from flowsched.rng import RngStream
 from flowsched.sampler import ScheduleConfig, roll_lanes, trajectory_to_csv
@@ -76,11 +76,12 @@ def test_runtime_errors_exit_two(tmp_path):
     (["sample", "--n-trajectories", "0"], "--n-trajectories"),
     (["sample", "--n-trajectories", "-3"], "--n-trajectories"),
     (["sweep-gamma", "--gammas", ""], "--gammas"),
+    (["sweep-gamma", "--gammas", "0.9,0.9"], "--gammas"),
     (["complexity-sweep", "--levels", ""], "--levels"),
     (["complexity-sweep", "--levels", "4"], "--levels"),
     (["complexity-sweep", "--levels", "4,4"], "--levels"),
     (["complexity-sweep", "--levels", "1,1,2"], "--levels"),
-], ids=["no trajectories", "negative trajectories", "no gammas", "no levels",
+], ids=["no trajectories", "negative trajectories", "no gammas", "repeated gamma", "no levels",
         "one level", "one distinct level", "repeated level"])
 def test_degenerate_counts_and_lists_exit_two_before_the_run_stamp(argv, name, tmp_path,
                                                                    caplog):
@@ -105,6 +106,26 @@ def test_mixed_target_dimensions_exit_two_before_the_run_stamp(command, tmp_path
         assert main([command, "--config", path]) == 2
     assert path in caplog.text and "dimensions [2, 3]" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("compare-baselines", "policy"), ("sample", "policy"),
+    ("compare-baselines", "field"), ("train-tpm", "field"), ("sample", "field")])
+def test_checkpoint_of_another_dimension_exits_two_naming_it(command, kind, tmp_path, caplog):
+    """A d = 2 policy or field checkpoint configured for a d = 3 target is
+    refused, naming the checkpoint and both dimensions."""
+    path = tmp_path / f"{kind}.ckpt"
+    cfg = reduced_config(tmp_path / "run", targets=[standard_normal_target(3)], eval_rollouts=4)
+    if kind == "policy":
+        save_policy(init_policy(2, 0.75, RngStream(5, 0), hidden=(8,)), path)
+        cfg.policy_checkpoint = str(path)
+    else:
+        save_checkpoint(make_velocity_net(2, (8,), RngStream(5, 0)), path)
+        cfg.field_source, cfg.field_checkpoints = "learned", [str(path)]
+    with caplog.at_level("ERROR", logger="flowsched.cli"):
+        assert main([command, "--config", save_config(cfg, tmp_path)]) == 2
+    assert f"checkpoint {path} is for dimension 2" in caplog.text
+    assert "target has dimension 3" in caplog.text
 
 
 def test_train_flow_accepts_mixed_target_dimensions(tmp_path):
@@ -317,15 +338,17 @@ def test_sweep_gamma_rows_and_checkpoints(tmp_path):
 
 
 def test_sweep_gamma_shares_seeds_across_gammas(tmp_path):
-    # duplicate discount values must reproduce identical rows: nothing but
-    # gamma may differ between sweep legs
-    out = tmp_path / "run"
-    cfg = reduced_config(out)
-    rc = main(["sweep-gamma", "--config", save_config(cfg, tmp_path),
-               "--gammas", "0.9,0.9"])
-    assert rc == 0
-    _, rows = read_csv(out / "sweep_gamma.csv")
-    assert rows[0] == rows[1]
+    # a discount's leg gives the same row and checkpoint whatever legs run
+    # before it: nothing but gamma may differ between sweep legs
+    runs = []
+    for name, gammas in (("pair", "0.8,0.9"), ("alone", "0.9")):
+        out = tmp_path / name
+        rc = main(["sweep-gamma", "--config", save_config(reduced_config(out), tmp_path),
+                   "--gammas", gammas])
+        assert rc == 0
+        runs.append((read_csv(out / "sweep_gamma.csv")[1][-1],
+                     (out / "policy_gamma_0.9.ckpt").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_sweep_gamma_rejects_bad_gamma(tmp_path):
@@ -540,6 +563,7 @@ def test_config_json_roundtrip_is_bit_exact(tmp_path):
 
 def test_config_rejects_bad_documents():
     good = preset_config("desk").to_dict()
+    assert ExperimentConfig.from_dict({**good, "seed": 2**64 - 1}).seed == 2**64 - 1
     for mutate in (
         lambda d: d.update(version=99),
         lambda d: d.update(field_source="psychic"),
@@ -590,13 +614,13 @@ def _bad_config_text(case: str) -> str:
         *sections, leaf = key.split(".")
         section = doc
         for name in sections:
-            section = section[name]
+            section = section[int(name)] if isinstance(section, list) else section[name]
         section[leaf] = value
     return json.dumps(doc)
 
 
 # values the schema rejects at load time: case -> (key, bad value), a key in a
-# section written section.key
+# section written section.key, in a list item list.index.key
 BAD_VALUES = {
     "seed below zero": ("seed", -5),
     "seed of 2**64": ("seed", 2**64),
@@ -624,6 +648,22 @@ BAD_VALUES = {
     "fractional outer_steps": ("rl.outer_steps", 1.5),
     "two field_checkpoints for one target": ("field_checkpoints", ["a.ckpt", "b.ckpt"]),
     "no field_checkpoints for one target": ("field_checkpoints", []),
+    **{f"{key} of true": (key, True) for key in (
+        "flow_lr", "schedule.shift", "rl.gamma", "rl.kl_weight", "rl.clip", "rl.lr",
+        "rl.max_grad_norm")},
+    **{f"{key} of {value}": (key, value)
+       for key in ("rl.lr", "rl.kl_weight", "rl.clip", "rl.max_grad_norm", "schedule.shift")
+       for value in (float("nan"), float("inf"))},
+    "out_dir of 5": ("out_dir", 5),
+    "policy_checkpoint of 5": ("policy_checkpoint", 5),
+    "field_checkpoints of [1]": ("field_checkpoints", [1]),
+    "field_checkpoints of a string": ("field_checkpoints", "a"),
+    "target with an unknown key": ("targets.0.colour", 1),
+    "sigma of true": ("targets.0.sigmas", [True]),
+    "weight of true": ("targets.0.weights", [True]),
+    "means of strings": ("targets.0.means", [["1", "2"]]),
+    "target not an object": ("targets", [5]),
+    "schedule not an object": ("schedule", 5),
 }
 
 
@@ -639,6 +679,14 @@ def test_bad_config_file_exits_two_naming_path(case, tmp_path, caplog):
     if case in BAD_VALUES:
         assert BAD_VALUES[case][0].split(".")[-1] in caplog.text
     assert not (out / "resolved_config.json").exists()
+
+
+def test_every_numeric_config_key_declares_a_rule():
+    """A new int or float key cannot arrive without a range beside it."""
+    for cls in (ExperimentConfig, ScheduleConfig, RLConfig):
+        for f in dataclasses.fields(cls):
+            if f.type in ("int", "Optional[int]", "list[int]", "float"):
+                assert f.metadata.get("rule") is not None, f"{cls.__name__}.{f.name}"
 
 
 def _modules_loaded_by(code: str) -> list[str]:

@@ -265,6 +265,8 @@ def test_rl_config_validation():
                    {"outer_steps": 0}, {"lr": 0.0}, {"max_grad_norm": 0.0}):
         with pytest.raises(ValueError):
             RLConfig(**kwargs)
+    for key, value in (("gamma", 1.0), ("clip", 0), ("kl_weight", 0)):  # boundaries
+        assert getattr(RLConfig(**{key: value}), key) == value
 
 
 # ------------------------------------------------------------------- ppo_loss

@@ -43,6 +43,7 @@ def test_schedule_config_validation():
         ScheduleConfig(mode="fixed-uniform")  # fixed_n required
     with pytest.raises(ValueError):
         ScheduleConfig(grid_size=5)
+    assert ScheduleConfig(t_min=0.1).t_min == 0.1  # the boundary is accepted
 
 
 def test_adaptive_halving_schedule_example():
