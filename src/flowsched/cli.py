@@ -10,7 +10,9 @@ config file that does not validate.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import logging
 import sys
 from pathlib import Path
@@ -97,7 +99,11 @@ def _build_fields(cfg: ExperimentConfig, out: Path) -> list[VelocityField]:
             raise FileNotFoundError(
                 f"velocity checkpoint {path} not found; run train-flow first")
         net, _ = load_checkpoint(path)
-        fields.append(_of_dimension(VelocityField("learned", net=net), path, target.d))
+        try:
+            velocity_field = VelocityField("learned", net=net)
+        except ValueError as exc:  # such as a policy checkpoint listed here
+            raise ValueError(f"checkpoint {path}: {exc}") from None
+        fields.append(_of_dimension(velocity_field, path, target.d))
     return fields
 
 
@@ -467,6 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # at exit, move the heap to the permanent generation so that finalization's
+    # full collections skip what the OS frees anyway (every output is closed by
+    # then, and logging.shutdown runs after); unregistering keeps one registration
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:

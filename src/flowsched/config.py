@@ -90,6 +90,20 @@ class _Target:
 
     def __post_init__(self):
         _check_fields(self)
+        if len({len(row) for row in self.means}) != 1 or not self.means[0]:
+            # [] and [[]] would load as a d = 0 mixture, ragged rows as no array
+            raise ValueError(f"means must be K >= 1 rows of one length d >= 1, got {self.means!r}")
+
+    @classmethod
+    def spec(cls, data, name: str) -> TargetSpec:
+        """The mixture that the JSON object data, found at name, describes; a
+        ValueError names name and the key."""
+        data = _known_keys(cls, data, name)
+        try:
+            target = cls(**data)
+        except ValueError as exc:
+            raise ValueError(f"{name}.{exc}") from None
+        return TargetSpec(**vars(target))
 
 
 @dataclass
@@ -135,8 +149,7 @@ class ExperimentConfig:
             if key in data:
                 data[key] = section(**_known_keys(section, data[key], f"'{key}'"))
         if isinstance(data.get("targets"), list):  # anything else fails its type check
-            data["targets"] = [TargetSpec(**vars(_Target(**_known_keys(_Target, t, f"targets[{i}]"))))
-                               for i, t in enumerate(data["targets"])]
+            data["targets"] = [_Target.spec(t, f"targets[{i}]") for i, t in enumerate(data["targets"])]
         return cls(**data)
 
     def to_json(self) -> str:

@@ -220,7 +220,8 @@ class VelocityField:
             if self.net is None:
                 raise ValueError("learned field needs a net")
             if self.net.sizes[0] != self.net.sizes[-1] + 1:
-                raise ValueError("learned field must map (d+1) inputs to d outputs")
+                raise ValueError(f"learned field must map (d+1) inputs to d outputs, "
+                                 f"not {self.net.sizes[0]} to {self.net.sizes[-1]}")
             self.d = self.net.sizes[-1]
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")

@@ -60,19 +60,24 @@ def digamma(x):
 
 def log_gamma_digamma(x) -> tuple[np.ndarray, np.ndarray]:
     """(ln Gamma(x), psi(x)) as arrays for x > 0, from one argument-shift loop."""
-    z = np.array(x, dtype=float)
+    z = np.array(x, dtype=float, order="C")
     if np.any(z <= 0.0) or not np.all(np.isfinite(z)):
         raise ValueError("log_gamma and digamma require finite x > 0")
     # ln Gamma(z) = ln Gamma(z + k) - sum ln(z + i) and
-    # psi(z) = psi(z + k) - sum 1/(z + i); at most 9 rounds.
+    # psi(z) = psi(z + k) - sum 1/(z + i); at most 9 rounds, each over only
+    # the positions still below the threshold, through flat views of z and
+    # the two shift sums.
     lg_shift = np.zeros_like(z)
     dg_shift = np.zeros_like(z)
-    mask = z < _SHIFT_THRESHOLD
-    while np.any(mask):
-        lg_shift = np.where(mask, lg_shift - np.log(z), lg_shift)
-        dg_shift = np.where(mask, dg_shift - 1.0 / z, dg_shift)
-        z = np.where(mask, z + 1.0, z)
-        mask = z < _SHIFT_THRESHOLD
+    flat_z, flat_lg, flat_dg = z.reshape(-1), lg_shift.reshape(-1), dg_shift.reshape(-1)
+    idx = np.flatnonzero(flat_z < _SHIFT_THRESHOLD)
+    while idx.size:
+        zi = flat_z[idx]
+        flat_lg[idx] -= np.log(zi)
+        flat_dg[idx] -= 1.0 / zi
+        zi += 1.0
+        flat_z[idx] = zi
+        idx = idx[zi < _SHIFT_THRESHOLD]
     log_z = np.log(z)
     inv2 = 1.0 / (z * z)
     lg_series = np.zeros_like(z)

@@ -128,6 +128,19 @@ def test_checkpoint_of_another_dimension_exits_two_naming_it(command, kind, tmp_
     assert "target has dimension 3" in caplog.text
 
 
+@pytest.mark.parametrize("command", ["compare-baselines", "train-tpm"])
+def test_policy_checkpoint_listed_as_a_field_exits_two_naming_it(command, tmp_path, caplog):
+    """A checkpoint whose net does not map d + 1 inputs to d outputs, such as
+    a saved policy, is refused as a velocity field, naming the checkpoint."""
+    path = tmp_path / "policy.ckpt"
+    save_policy(init_policy(2, 0.75, RngStream(5, 0), hidden=(8,)), path)
+    cfg = reduced_config(tmp_path / "run", field_source="learned",
+                         field_checkpoints=[str(path)], eval_rollouts=4)
+    with caplog.at_level("ERROR", logger="flowsched.cli"):
+        assert main([command, "--config", save_config(cfg, tmp_path)]) == 2
+    assert f"checkpoint {path}: learned field must map (d+1) inputs to d outputs" in caplog.text
+
+
 def test_train_flow_accepts_mixed_target_dimensions(tmp_path):
     out = tmp_path / "run"
     cfg = reduced_config(out, targets=MIXED_DIMENSIONS, flow_steps=5)
@@ -662,6 +675,9 @@ BAD_VALUES = {
     "sigma of true": ("targets.0.sigmas", [True]),
     "weight of true": ("targets.0.weights", [True]),
     "means of strings": ("targets.0.means", [["1", "2"]]),
+    "means of no rows": ("targets.0.means", []),
+    "means of an empty row": ("targets.0.means", [[]]),
+    "ragged means": ("targets.0.means", [[1.0, 2.0], [3.0]]),
     "target not an object": ("targets", [5]),
     "schedule not an object": ("schedule", 5),
 }
@@ -689,14 +705,24 @@ def test_every_numeric_config_key_declares_a_rule():
                 assert f.metadata.get("rule") is not None, f"{cls.__name__}.{f.name}"
 
 
+def _tiny_train_flow(tmp_path) -> list[str]:
+    cfg = reduced_config(tmp_path / "run", flow_steps=2, flow_batch=4, flow_hidden=[4])
+    return ["train-flow", "--config", save_config(cfg, tmp_path)]
+
+
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that imports this flowsched, with argv."""
+    src = str(Path(flowsched.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+
+
 def _modules_loaded_by(code: str) -> list[str]:
     """The flowsched, subprocess and hashlib modules that code, run in a fresh
     interpreter, leaves in sys.modules."""
-    src = str(Path(flowsched.__file__).resolve().parents[1])
     code += ("\nprint(*sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('flowsched', 'subprocess', 'hashlib')))")
-    result = subprocess.run([sys.executable, "-c", "import sys\n" + code], capture_output=True,
-                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    result = _python("import sys\n" + code)
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
 
@@ -707,12 +733,57 @@ def test_importing_config_loads_only_what_the_schema_needs(tmp_path):
     assert _modules_loaded_by("import flowsched.config") == schema
     # the command line adds only itself: each command imports what else it runs
     assert _modules_loaded_by("import flowsched.cli") == sorted([*schema, "flowsched.cli"])
-    cfg = reduced_config(tmp_path / "run", flow_steps=2, flow_batch=4, flow_hidden=[4])
-    argv = ["train-flow", "--config", save_config(cfg, tmp_path)]
+    argv = _tiny_train_flow(tmp_path)
     loaded = _modules_loaded_by(f"from flowsched.cli import main\nassert main({argv!r}) == 0")
     assert (tmp_path / "run" / "field_0.ckpt").exists()
     unused = {f"flowsched.{m}" for m in ("rl", "policy", "sampler", "special_math", "svg")}
     assert not unused & set(loaded)
+
+
+# ------------------------------------------------------------ interpreter exit
+
+
+def test_fresh_interpreter_run_writes_what_an_in_process_run_writes(tmp_path):
+    """With the collector frozen at exit, a desk train-tpm in its own
+    interpreter still writes the in-process run's bytes, a whole run stamp
+    and its last log line."""
+    cfg = preset_config("desk")
+    cfg.rl = dataclasses.replace(cfg.rl, outer_steps=2)
+    config, fresh, here = save_config(cfg, tmp_path), tmp_path / "fresh", tmp_path / "here"
+    result = _python("import sys; from flowsched.cli import main; sys.exit(main(sys.argv[1:]))",
+                     "train-tpm", "--config", config, "--out", str(fresh))
+    assert result.returncode == 0, result.stderr
+    assert main(["train-tpm", "--config", config, "--out", str(here)]) == 0
+    for name in ("metrics.csv", "policy.ckpt", "version.txt"):
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+    stamp = (fresh / "resolved_config.json").read_text()
+    assert json.loads(stamp) == {**cfg.to_dict(), "out_dir": str(fresh)}
+    assert (fresh / "version.txt").read_text().startswith("flowsched-")
+    assert result.stderr.splitlines()[-1].startswith("INFO final mean N ")
+
+
+def test_main_freezes_the_collector_at_exit(tmp_path):
+    """main registers gc.freeze at exit after a handler its caller registered
+    first, so that handler, run later, sees the heap frozen."""
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "from flowsched.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    result = _python(code, *_tiny_train_flow(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["frozen", "True"]
+
+
+def test_main_called_twice_freezes_once(tmp_path):
+    argv = _tiny_train_flow(tmp_path)
+    code = ("import gc\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: (print('freeze'), freeze())\n"
+            "from flowsched.cli import main\n"
+            f"assert main({argv!r}) == 0 and main({argv!r}) == 0")
+    result = _python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["freeze"]
 
 
 def test_preset_values():

@@ -168,6 +168,55 @@ def test_log_gamma_digamma_equals_separate_kernels():
         assert np.array_equal(dg, digamma(x)) and np.array_equal(dg, _separate_digamma(x))
 
 
+def _where_loop_log_gamma_digamma(x):
+    """The fused kernel as it shifted every position on every round, keeping
+    the still-shifting part with np.where: the reference for the indexed loop."""
+    z = np.array(x, dtype=float)
+    lg_shift = np.zeros_like(z)
+    dg_shift = np.zeros_like(z)
+    mask = z < 9.0
+    while np.any(mask):
+        lg_shift = np.where(mask, lg_shift - np.log(z), lg_shift)
+        dg_shift = np.where(mask, dg_shift - 1.0 / z, dg_shift)
+        z = np.where(mask, z + 1.0, z)
+        mask = z < 9.0
+    log_z = np.log(z)
+    inv2 = 1.0 / (z * z)
+    lg_series = np.zeros_like(z)
+    dg_series = np.zeros_like(z)
+    lg_term = 1.0 / z
+    dg_term = inv2
+    for lg_c, dg_c in zip(_LGAMMA_COEF, _DIGAMMA_COEF):
+        lg_series = lg_series + lg_c * lg_term
+        lg_term = lg_term * inv2
+        dg_series = dg_series + dg_c * dg_term
+        dg_term = dg_term * inv2
+    return ((z - 0.5) * log_z - z + _HALF_LOG_2PI + lg_series + lg_shift,
+            log_z - 0.5 / z - dg_series + dg_shift)
+
+
+# positive finite float64s, extremes and the shift threshold's neighbours included
+kernel_args = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 1.0, float(np.nextafter(9.0, 0.0)), 9.0, 1e300]))
+
+
+@given(st.lists(kernel_args, min_size=1, max_size=69), st.sampled_from(["row", "matrix", "0-d"]))
+def test_indexed_shift_loop_is_bit_equal_to_where_loop(values, layout):
+    """Every size through the SIMD tails, as a row, as (when it factors) a
+    transposed, non-contiguous 2-D array, or its first value as a 0-d array."""
+    x = np.array(values)
+    if layout == "0-d":
+        x = x[0].reshape(())
+    elif layout == "matrix" and x.size % 3 == 0:
+        x = x.reshape(3, -1).T
+    with np.errstate(over="ignore"):  # 1/z and z*z overflow near 5e-324 and 1e300, alike
+        got, want = log_gamma_digamma(x), _where_loop_log_gamma_digamma(x)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == x.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 def test_beta_terms_equal_separate_calls():
     rng = np.random.default_rng(8)
     for a in kernel_inputs():
