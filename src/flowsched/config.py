@@ -90,9 +90,6 @@ class _Target:
 
     def __post_init__(self):
         _check_fields(self)
-        if len({len(row) for row in self.means}) != 1 or not self.means[0]:
-            # [] and [[]] would load as a d = 0 mixture, ragged rows as no array
-            raise ValueError(f"means must be K >= 1 rows of one length d >= 1, got {self.means!r}")
 
     @classmethod
     def spec(cls, data, name: str) -> TargetSpec:
@@ -100,10 +97,9 @@ class _Target:
         ValueError names name and the key."""
         data = _known_keys(cls, data, name)
         try:
-            target = cls(**data)
+            return TargetSpec(**vars(cls(**data)))
         except ValueError as exc:
             raise ValueError(f"{name}.{exc}") from None
-        return TargetSpec(**vars(target))
 
 
 @dataclass

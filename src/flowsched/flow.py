@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nn import DenseNet, OptimizerState, Workspace, adamw_step
+from .nn import DenseNet, OptimizerState, Workspace, descend
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -27,16 +27,18 @@ class TargetSpec:
     weights: np.ndarray  # (K,), positive, sums to 1
 
     def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        sigmas = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if means.ndim != 2 or sigmas.ndim != 1 or weights.ndim != 1:
-            raise ValueError("means must be (K, d); sigmas and weights must be (K,)")
+        try:
+            means = np.atleast_2d(np.asarray(self.means, dtype=float))
+        except ValueError:  # ragged rows make no array
+            means = np.empty(0)
+        if means.ndim != 2 or means.size == 0:  # [] and [[]] would be a d = 0 mixture
+            raise ValueError(f"means must be K >= 1 rows of one length d >= 1, got {self.means!r}")
+        sigmas, weights = (np.atleast_1d(np.asarray(a, dtype=float))
+                           for a in (self.sigmas, self.weights))
         k = means.shape[0]
-        if sigmas.shape[0] != k or weights.shape[0] != k or k < 1:
-            raise ValueError("component counts disagree")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(sigmas))
-                and np.all(np.isfinite(weights))):
+        if sigmas.shape != (k,) or weights.shape != (k,):
+            raise ValueError(f"sigmas and weights must hold K = {k} values, one per row of means")
+        if not all(np.all(np.isfinite(a)) for a in (means, sigmas, weights)):
             raise ValueError("non-finite mixture parameters")
         if np.any(sigmas <= 0.0):
             raise ValueError("sigmas must be positive")
@@ -293,15 +295,14 @@ def train_flow(field: VelocityField, target: TargetSpec, steps: int,
     """Regress the velocity field on conditional flow-matching targets.
 
     Returns the trained field and the per-step loss curve. A non-finite loss
-    aborts immediately rather than writing junk parameters. Every step reuses
-    one workspace for the net's input, activations and backward buffers, and
-    AdamW updates theta in place.
+    raises nn.Diverged before that step writes theta. Every step reuses one
+    workspace for the net's input, activations and backward buffers, and
+    nn.descend updates theta in place.
     """
     if field.kind != "learned":
         raise ValueError("train_flow needs a learned field")
     d, net = field.d, field.net
-    params = [net.theta]
-    state = OptimizerState.for_params(params, lr=lr)
+    state = OptimizerState.for_params([net.theta], lr=lr)
     work = net.workspace(batch_size)
     losses = np.zeros(steps)
     for step in range(steps):
@@ -309,9 +310,7 @@ def train_flow(field: VelocityField, target: TargetSpec, steps: int,
         eps = rng.standard_normal((batch_size, d))
         t = rng.uniform(size=batch_size)
         loss, grad = fm_loss(field, x0, eps, t, work)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"flow training diverged at step {step}: loss={loss}")
-        adamw_step(params, [grad], state)
+        descend(net, state, loss, grad)
         losses[step] = loss
     return field, losses
 

@@ -289,6 +289,33 @@ def adamw_step(params: list[np.ndarray], grads: list[np.ndarray],
     return params, state
 
 
+class Diverged(RuntimeError):
+    """A trainer's numbers went non-finite; the message, "diverged: " and
+    the quantity, names it. The one divergence signal: train_tpm rolls back
+    on it, and every other caller lets it end the run."""
+
+
+def descend(net: DenseNet, state: OptimizerState, loss: float, grad: np.ndarray,
+            max_norm: Optional[float] = None) -> Optional[float]:
+    """The optimizer step of every trainer: adamw_step of net.theta along
+    grad (laid out like theta), after clip_global_norm to max_norm when one
+    is given; returns the norm before clipping, None without max_norm.
+
+    A non-finite loss, or with max_norm a non-finite gradient norm (which
+    a finite gradient gives when its squared norm overflows), raises
+    Diverged before grad, theta or state is written. Without max_norm the
+    gradient is not read here: adamw_step refuses a non-finite one with
+    ValueError, again before writing anything.
+    """
+    if not np.isfinite(loss):
+        raise Diverged(f"diverged: loss {loss} at optimizer step {state.step}")
+    norm = None if max_norm is None else clip_global_norm(net.unflatten(grad), max_norm)
+    if norm is not None and not np.isfinite(norm):
+        raise Diverged(f"diverged: gradient norm {norm} at optimizer step {state.step}")
+    adamw_step([net.theta], [grad], state)
+    return norm
+
+
 def global_norm(grads: list[np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
 
@@ -296,11 +323,12 @@ def global_norm(grads: list[np.ndarray]) -> float:
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is at most
     max_norm; returns the norm before clipping. Per-layer views of one flat
-    gradient (DenseNet.unflatten) clip that gradient."""
+    gradient (DenseNet.unflatten) clip that gradient. A non-finite norm
+    leaves them as they are, for the caller to refuse."""
     if max_norm <= 0.0:
         raise ValueError("max_norm must be positive")
     norm = global_norm(grads)
-    if norm > max_norm:
+    if max_norm < norm < np.inf:
         scale = max_norm / norm
         for g in grads:
             g *= scale

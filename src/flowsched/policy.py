@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nn import DenseNet, load_checkpoint, save_checkpoint
+from .nn import DenseNet, Diverged, load_checkpoint, save_checkpoint
 from .rng import RngStream
 from .special_math import beta_sample_lanes
 
@@ -74,10 +74,13 @@ def shape_grad_wrt_raw(raw: np.ndarray) -> np.ndarray:
 def tpm_params_batch(policy: TimePolicy, feats: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Vectorized (raw, alpha, beta, acts) over a feature matrix (n, 2d+2);
-    acts are the net's activations, for a backward pass from raw."""
+    acts are the net's activations, for a backward pass from raw. Every
+    reader of Beta shapes comes here, so a non-finite one raises Diverged."""
     acts = policy.net.forward_acts(feats)
     raw = acts[-1]
     ab = raw_to_shape(raw)
+    if not np.all(np.isfinite(ab)):
+        raise Diverged("diverged: the policy gave non-finite Beta shapes")
     return raw, ab[:, 0], ab[:, 1], acts
 
 
@@ -87,8 +90,6 @@ def predict_decay_batch(policy: TimePolicy, feats: np.ndarray,
     """Decay rate at each row of feats (n, 2d+2): the Beta mode, or a draw
     from stream rngs[i] for row i; rl scores it later from the features."""
     _, alpha, beta, _ = tpm_params_batch(policy, feats)
-    if not np.all(np.isfinite(alpha) & np.isfinite(beta)):
-        raise ValueError("Beta shapes must be finite")
     if deterministic:
         return (alpha - 1.0) / (alpha + beta - 2.0)
     return beta_sample_lanes(alpha, beta, rngs)

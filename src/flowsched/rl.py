@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RLConfig, ScheduleConfig
 from .flow import TargetSpec, VelocityField, ref_log_density, row_dot
-from .nn import OptimizerState, adamw_step, clip_global_norm, write_csv
+from .nn import Diverged, OptimizerState, descend, write_csv
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
@@ -250,49 +250,49 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
 
     Groups cycle round-robin over the provided (field, target) pairs; each
     outer step's groups form one record, pair by pair. The reference policy
-    is frozen at entry. Divergence (non-finite parameters or loss) aborts,
-    leaving the last finite checkpoint on disk when a path is given, and
-    returns the last-good policy.
+    is frozen at entry. When checkpoint_path is given, the policy is saved
+    there after every outer step. Divergence (nn.Diverged: non-finite Beta
+    shapes in a rollout or in the loss, a non-finite loss, gradient norm or
+    parameter) logs a warning naming the outer step and ends training: the
+    result is the last policy whose rollout came out finite, saved over the
+    checkpoint, with the metrics of the outer steps completed before it.
     """
     if len(fields) != len(targets):
         raise ValueError("need one velocity field per target")
     ref_policy = policy.copy()
-    net = policy.net
-    params = [net.theta]
-    state = OptimizerState.for_params(params, lr=cfg.lr)
+    state = OptimizerState.for_params([policy.net.theta], lr=cfg.lr)
     n_groups = cfg.batch_size // cfg.group_size
     metrics: list[MetricsRow] = []
-    last_good = policy.copy()
+    last_good = policy
 
-    for outer in range(cfg.outer_steps):
-        # the groups sharing a (field, target) pair are rolled in one batch
-        parts, irs = [], []
-        for pair in range(len(targets)):
-            rngs = [rng.child(outer, g) for g in range(n_groups)
-                    if (outer * n_groups + g) % len(targets) == pair]
-            if rngs:
-                parts.append(roll_groups(policy, fields[pair], sched, cfg.group_size, rngs))
-                irs.append(toy_reward(parts[-1].finals, targets[pair]))
-        record = Rollouts.from_lanes(policy, Lanes.concat(parts), np.concatenate(irs),
-                                     cfg.group_size, cfg.gamma)
+    try:
+        for outer in range(cfg.outer_steps):
+            # the groups sharing a (field, target) pair are rolled in one batch
+            parts, irs = [], []
+            for pair in range(len(targets)):
+                rngs = [rng.child(outer, g) for g in range(n_groups)
+                        if (outer * n_groups + g) % len(targets) == pair]
+                if rngs:
+                    parts.append(roll_groups(policy, fields[pair], sched, cfg.group_size, rngs))
+                    irs.append(toy_reward(parts[-1].finals, targets[pair]))
+            record = Rollouts.from_lanes(policy, Lanes.concat(parts), np.concatenate(irs),
+                                         cfg.group_size, cfg.gamma)
+            last_good = policy.copy()
 
-        for epoch in range(cfg.inner_epochs):
-            res = ppo_loss(policy, ref_policy, record, cfg)
-            finite = np.isfinite(res.loss) and np.all(np.isfinite(res.grad))
-            if not finite:
-                logger.warning("aborting at outer step %d: non-finite loss/gradient",
-                               outer)
-                break
-            if epoch == 0:
-                mean_kl = res.mean_kl
-            grad_norm_val = clip_global_norm(net.unflatten(res.grad), cfg.max_grad_norm)
-            adamw_step(params, [res.grad], state)
-        if not finite or not np.all(np.isfinite(net.theta)):
-            policy = last_good
-            break
-        metrics.append(MetricsRow(outer, float(np.mean(record.reward)), float(np.mean(record.ir)),
-                                  float(np.mean(record.n_steps)), mean_kl, grad_norm_val))
-        last_good = policy.copy()
+            for epoch in range(cfg.inner_epochs):
+                res = ppo_loss(policy, ref_policy, record, cfg)
+                grad_norm = descend(policy.net, state, res.loss, res.grad, cfg.max_grad_norm)
+                if epoch == 0:
+                    mean_kl = res.mean_kl
+            if not np.all(np.isfinite(policy.net.theta)):
+                raise Diverged("diverged: non-finite policy parameters")
+            means = [float(np.mean(a)) for a in (record.reward, record.ir, record.n_steps)]
+            metrics.append(MetricsRow(outer, *means, mean_kl, grad_norm))
+            if checkpoint_path is not None:
+                save_policy(policy, checkpoint_path)
+    except Diverged as exc:
+        logger.warning("aborting at outer step %d: %s", outer, exc)
+        policy = last_good
         if checkpoint_path is not None:
             save_policy(policy, checkpoint_path)
     return policy, metrics
@@ -317,8 +317,7 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
     reconstruction is best, collapsing inference to very few steps.
     """
     d, net = velocity_field.d, policy.net
-    params = [net.theta]
-    state = OptimizerState.for_params(params, lr=lr)
+    state = OptimizerState.for_params([net.theta], lr=lr)
     losses = np.zeros(steps)
     for step in range(steps):
         x0 = target.sample(batch_size, rng)
@@ -332,8 +331,6 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
         y = x1 - t1[:, None] * v1
         resid = y - x0
         losses[step] = float(np.mean(np.sum(resid * resid, axis=1)))
-        if not np.isfinite(losses[step]):
-            raise RuntimeError(f"naive training diverged at step {step}")
         g_y = 2.0 * resid / batch_size
         _, g_jx, g_jt = velocity_field.velocity_vjp(x1, t1, g_y)
         dl_dt1 = row_dot(g_y, v0) - row_dot(g_y, v1) - t1 * (row_dot(g_jx, v0) + g_jt)
@@ -343,6 +340,5 @@ def train_naive_two_step(policy: TimePolicy, velocity_field: VelocityField,
             dl_dt1 * (-alpha) / denom,
         ], axis=1) * shape_grad_wrt_raw(raw)
         grad, _ = net.backward(feats, out_grad, acts)
-        clip_global_norm(net.unflatten(grad), 1.0)
-        adamw_step(params, [grad], state)
+        descend(net, state, losses[step], grad, max_norm=1.0)
     return policy, losses

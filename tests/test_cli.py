@@ -251,6 +251,20 @@ def test_train_tpm_rerun_is_byte_identical(tmp_path):
     assert (outs[0] / "metrics.csv").read_text() == (outs[1] / "metrics.csv").read_text()
 
 
+def test_diverging_train_tpm_leaves_a_policy_that_compare_baselines_loads(tmp_path, caplog):
+    """Desk train-tpm at lr = 1e308 diverges at outer step 1; it exits 0 with
+    a warning and leaves the last policy whose rollout was finite."""
+    cfg = preset_config("desk")
+    cfg.out_dir = str(tmp_path / "run")
+    cfg.rl = dataclasses.replace(cfg.rl, lr=1e308, inner_epochs=1, outer_steps=3)
+    path = save_config(cfg, tmp_path)
+    with caplog.at_level("WARNING"), np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train-tpm", "--config", path]) == 0
+        assert "aborting at outer step 1: diverged" in caplog.text
+        assert main(["compare-baselines", "--config", path]) == 0
+    assert len(read_csv(tmp_path / "run" / "metrics.csv")[1]) == 1
+
+
 # ---------------------------------------------------------------------- sample
 
 

@@ -29,6 +29,16 @@ def test_target_spec_validation():
         TargetSpec([[float("nan"), 0.0]], [1.0], [1.0])
 
 
+@pytest.mark.parametrize("means", [[], [[]], [[], []], [[1.0, 2.0], [3.0]], [[[1.0, 2.0]]]],
+                         ids=["no rows", "an empty row", "empty rows", "ragged", "3-D"])
+def test_target_spec_refuses_means_without_k_rows_of_one_length_d(means):
+    """The mixture's shape rule lives in TargetSpec, so a target built in
+    Python meets it as a config target does: no d = 0 mixture, no ragged rows."""
+    k = max(len(means), 1)
+    with pytest.raises(ValueError, match="means must be K >= 1 rows of one length d >= 1"):
+        TargetSpec(means, [1.0] * k, [1.0 / k] * k)
+
+
 def test_target_log_density_matches_hand_formula():
     target = standard_normal_target(2)
     x = np.array([0.3, -1.2])

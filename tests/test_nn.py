@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowsched.nn import (CHECKPOINT_MAGIC, DenseNet, OptimizerState,
-                          adamw_step, clip_global_norm, global_norm,
+import flowsched
+from flowsched.nn import (CHECKPOINT_MAGIC, DenseNet, Diverged, OptimizerState,
+                          adamw_step, clip_global_norm, descend, global_norm,
                           load_checkpoint, save_checkpoint, write_csv)
 from flowsched.rng import RngStream
 
@@ -395,6 +399,87 @@ def test_clip_global_norm_bound_and_idempotence(values, max_norm):
 
 def test_global_norm_value():
     assert global_norm([np.array([3.0]), np.array([4.0])]) == pytest.approx(5.0)
+
+
+def desk_policy_step_inputs():
+    """A net the size of the desk policy (6 -> 32 -> 2), an optimizer state
+    one step in, and a gradient whose norm is well above 1."""
+    net = DenseNet.init_random([6, 32, 2], RngStream(16, 0))
+    gen = RngStream(16, 1)
+    state = OptimizerState.for_params([net.theta], lr=3e-3)
+    adamw_step([net.theta], [gen.standard_normal(net.n_params)], state)
+    return net, state, 5.0 * gen.standard_normal(net.n_params)
+
+
+def snapshot(net, state):
+    return [a.tobytes() for a in (net.theta, *state.m, *state.v)], state.step
+
+
+@pytest.mark.parametrize("max_norm", [None, 1.0, 1e6])
+def test_descend_is_clip_then_adamw_step_bit_for_bit(max_norm):
+    net, state, grad = desk_policy_step_inputs()
+    ref_net, ref_state, ref_grad = desk_policy_step_inputs()
+    for _ in range(3):
+        norm = descend(net, state, 0.5, grad.copy(), max_norm)
+        ref_norm = None
+        if max_norm is not None:
+            ref_norm = clip_global_norm(ref_net.unflatten(ref_grad), max_norm)
+        adamw_step([ref_net.theta], [ref_grad.copy()], ref_state)
+        ref_grad = grad.copy()
+        assert norm == ref_norm
+        assert snapshot(net, state) == snapshot(ref_net, ref_state)
+    assert max_norm is None or norm > 1.0
+
+
+@pytest.mark.parametrize("loss", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("max_norm", [None, 1.0])
+def test_descend_non_finite_loss_raises_diverged_and_writes_nothing(loss, max_norm):
+    net, state, grad = desk_policy_step_inputs()
+    before = snapshot(net, state)
+    with pytest.raises(Diverged, match="diverged: loss"):
+        descend(net, state, loss, grad, max_norm)
+    assert snapshot(net, state) == before
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
+def test_descend_non_finite_gradient_norm_raises_diverged_and_writes_nothing(bad):
+    """With max_norm a non-finite entry, or finite ones whose squared norm
+    overflows, is divergence; the gradient is not scaled either."""
+    net, state, grad = desk_policy_step_inputs()
+    grad[3] = bad
+    before, grad_before = snapshot(net, state), grad.tobytes()
+    with pytest.raises(Diverged, match="diverged: gradient norm"), np.errstate(over="ignore"):
+        descend(net, state, 0.5, grad, max_norm=1.0)
+    assert snapshot(net, state) == before and grad.tobytes() == grad_before
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_descend_unclipped_leaves_a_non_finite_gradient_to_adamw_step(bad):
+    net, state, grad = desk_policy_step_inputs()
+    grad[3] = bad
+    before = snapshot(net, state)
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        descend(net, state, 0.5, grad)
+    assert snapshot(net, state) == before
+
+
+def test_only_nn_calls_the_optimizer_primitives():
+    """Every trainer steps through nn.descend: no other module of the
+    package imports or calls adamw_step or clip_global_norm."""
+    primitives = {"adamw_step", "clip_global_norm"}
+    users = set()
+    for path in sorted(Path(flowsched.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = {getattr(func, "id", None) or getattr(func, "attr", None)}
+            else:
+                continue
+            if names & primitives:
+                users.add(path.stem)
+    assert users == {"nn"}
 
 
 def test_checkpoint_roundtrip(tmp_path):

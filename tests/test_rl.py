@@ -11,15 +11,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
 
-from flowsched.cli import evaluate_policy, main
-from flowsched.config import ExperimentConfig
+from flowsched.cli import STREAM_RL_TRAIN, _init_policy, evaluate_policy, main
+from flowsched.config import ExperimentConfig, preset_config
 import flowsched.rl as rl
 from flowsched.flow import (VelocityField, make_velocity_net, ref_log_density,
                             ring_mixture_target, single_gaussian_target,
                             standard_normal_target)
 from flowsched.nn import DenseNet, clip_global_norm
 from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy, raw_to_shape,
-                              shape_grad_wrt_raw, step_features, tpm_params_batch)
+                              save_policy, shape_grad_wrt_raw, step_features,
+                              tpm_params_batch)
 from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig, Rollouts,
                           discounted_reward, ppo_loss, rloo_advantages, roll_groups,
                           rollout_group, step_log_pdf, toy_reward,
@@ -746,6 +747,41 @@ def test_train_tpm_rejects_mismatched_fields_and_targets():
                   ScheduleConfig(), RngStream(54, 1))
 
 
+def diverging_desk_run(tmp_path, caplog, **rl_overrides):
+    """(initial policy, returned policy, metrics) of desk train_tpm on the
+    standard-normal oracle at lr = 1e308, which drives the policy to
+    non-finite Beta shapes; the overflows are expected there."""
+    cfg = preset_config("desk")
+    rl_cfg = dataclasses.replace(cfg.rl, lr=1e308, outer_steps=3, **rl_overrides)
+    initial = _init_policy(cfg, 2)
+    with caplog.at_level("WARNING", logger="flowsched.rl"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        policy, metrics = train_tpm(initial.copy(), [oracle_field()], [STD2], rl_cfg,
+                                    cfg.schedule, RngStream(cfg.seed, STREAM_RL_TRAIN),
+                                    checkpoint_path=tmp_path / "policy.ckpt")
+    return initial, policy, metrics
+
+
+def test_train_tpm_diverging_update_returns_the_initial_policy(tmp_path, caplog):
+    initial, policy, metrics = diverging_desk_run(tmp_path, caplog)
+    assert np.array_equal(policy.net.theta, initial.net.theta)
+    assert metrics == []
+    assert "aborting at outer step 0: diverged: the policy gave non-finite Beta shapes" \
+        in caplog.text
+
+
+def test_train_tpm_diverging_rollout_rewrites_the_checkpoint(tmp_path, caplog):
+    """Outer step 0's update gives a policy whose next rollout diverges: its
+    row is kept, and the checkpoint it left is overwritten with the last
+    policy whose rollout came out finite."""
+    initial, policy, metrics = diverging_desk_run(tmp_path, caplog, inner_epochs=1)
+    assert [row.outer_step for row in metrics] == [0]
+    assert np.array_equal(policy.net.theta, initial.net.theta)
+    save_policy(policy, tmp_path / "returned.ckpt")
+    assert (tmp_path / "policy.ckpt").read_bytes() == (tmp_path / "returned.ckpt").read_bytes()
+    assert "aborting at outer step 1" in caplog.text
+
+
 def test_write_metrics_csv_layout(tmp_path):
     rows = [MetricsRow(0, 0.5, 0.25, 12.0, 0.01, 1.5),
             MetricsRow(1, 0.625, 0.375, 11.5, 0.02, 0.75)]
@@ -813,6 +849,8 @@ def naive_step_grad_reference(policy, field, target, rng, batch_size):
 
 @pytest.mark.parametrize("kind", ["oracle", "learned"])
 def test_naive_step_gradient_matches_per_sample_reference(kind, monkeypatch):
+    import flowsched.nn as nn
+
     if kind == "oracle":
         field, tol = VelocityField("oracle", target=SHIFTED), 0.0
     else:
@@ -820,13 +858,13 @@ def test_naive_step_gradient_matches_per_sample_reference(kind, monkeypatch):
         field, tol = VelocityField("learned", net=net), 1e-12
     policy = init_policy(2, 0.6, RngStream(63, 0), hidden=(8,))
     want = naive_step_grad_reference(policy.copy(), field, SHIFTED, RngStream(63, 1), 64)
-    seen, adamw = [], rl.adamw_step
+    seen, adamw = [], nn.adamw_step
 
     def recording_adamw(params, grads, state):
         seen.append(grads[0].copy())
         return adamw(params, grads, state)
 
-    monkeypatch.setattr(rl, "adamw_step", recording_adamw)
+    monkeypatch.setattr(nn, "adamw_step", recording_adamw)
     train_naive_two_step(policy, field, SHIFTED, steps=1, lr=0.02,
                          rng=RngStream(63, 1), batch_size=64)
     assert len(seen) == 1 and np.max(np.abs(seen[0] - want)) <= tol
