@@ -5,8 +5,11 @@ For each workload and seed, runs `benchmark/run.py --trace 0` once on a
 alternating which side runs first, and reads each run's result.json. Writes
 one JSON file: per workload and end-to-end metric, each side's values,
 median and quartiles (statistics.quantiles, n=4), and in how many pairs the
-change was better (BENCHMARK.json's "better"); with the environment stamp of
-the runs, the commits and the seeds. After the workloads it runs the Tier-1
+change was better (BENCHMARK.json's "better"); per workload each side's
+median host-loop time of every pair (`loop_s`, result.json's
+detail.raw_median), printed beside the pair's wall_s, so a pair lost to a
+slower host shows as such; with the environment stamp of the runs, the
+commits and the seeds. After the workloads it runs the Tier-1
 suite once on each side, the parent first as in the first pair, and records
 its wall time and its passed/xfailed/failed counts. Nothing in it is typed by
 hand. Each run's directory under .bench_runs/ is deleted once its result.json
@@ -129,18 +132,22 @@ def main(argv=None) -> int:
         for workload in workloads:
             values = {name: {side: [] for side in SIDES} for name in metrics}
             failed = {side: 0 for side in SIDES}
+            loop_s = {side: [] for side in SIDES}
             for i, seed in enumerate(args.seeds):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     res = run_bench(roots[side], workload, seed, args.seconds)
                     failed[side] += not res["correct"]
                     for name in metrics:
                         values[name][side].append(res["metrics"][name][0])
+                    loop_s[side].append(res["detail"]["raw_median"]["loop_s"])
                     env = env or {k: v for k, v in res["env"].items()
                                   if k not in ("seed", "configs", "git_commit")}
                     print(f"{workload} seed {seed} {side}: wall_s "
-                          f"{res['metrics']['wall_s'][0]:.4g}", flush=True)
+                          f"{res['metrics']['wall_s'][0]:.4g} loop_s {loop_s[side][-1]:.4g}",
+                          flush=True)
             results[workload] = {
                 "incorrect_runs": failed,
+                "loop_s": loop_s,
                 "metrics": {name: {"unit": m["unit"], "better": m["better"],
                                    **summarize(values[name], m["better"])}
                             for name, m in metrics.items()},

@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import (PRESETS, ExperimentConfig, ScheduleConfig, preset_config,
                      write_run_stamp)
-from .flow import (TargetSpec, VelocityField, make_velocity_net,
-                   ring_mixture_target, train_flow)
+from .flow import (TargetSpec, VelocityField, field_header, make_velocity_net,
+                   read_field_header, ring_mixture_target, train_flow)
 from .nn import load_checkpoint, save_checkpoint, write_csv
 from .rng import RngStream
 
@@ -98,12 +98,13 @@ def _build_fields(cfg: ExperimentConfig, out: Path) -> list[VelocityField]:
         if not path.exists():
             raise FileNotFoundError(
                 f"velocity checkpoint {path} not found; run train-flow first")
-        net, _ = load_checkpoint(path)
+        net, header = load_checkpoint(path)
         try:
             velocity_field = VelocityField("learned", net=net)
         except ValueError as exc:  # such as a policy checkpoint listed here
             raise ValueError(f"checkpoint {path}: {exc}") from None
         fields.append(_of_dimension(velocity_field, path, target.d))
+        read_field_header(header, target, path)
     return fields
 
 
@@ -188,23 +189,22 @@ def cmd_train_flow(cfg: ExperimentConfig, args) -> None:
     _remove_stale(out, "field_[0-9]*.ckpt", "flow_loss_*.csv")
     for i, target in enumerate(cfg.targets):
         velocity_field, losses = _pretrain_field(cfg, target, i)
-        save_checkpoint(velocity_field.net, out / f"field_{i}.ckpt")
+        save_checkpoint(velocity_field.net, out / f"field_{i}.ckpt", field_header(target))
         write_csv(out / f"flow_loss_{i}.csv", ("step", "loss"), enumerate(losses))
         logger.info("target %d: final flow loss %.4f", i, losses[-1])
 
 
 def cmd_train_tpm(cfg: ExperimentConfig, args) -> None:
-    from .policy import save_policy
     from .rl import train_tpm, write_metrics_csv
 
     out = write_run_stamp(cfg, cfg.out_dir)
     fields = _build_fields(cfg, out)
-    policy, metrics = train_tpm(
+    # train_tpm saves the policy it returns over the checkpoint
+    _, metrics = train_tpm(
         _init_policy(cfg, cfg.targets[0].d), fields, cfg.targets, cfg.rl,
         cfg.schedule, RngStream(cfg.seed, STREAM_RL_TRAIN),
         checkpoint_path=out / "policy.ckpt",
     )
-    save_policy(policy, out / "policy.ckpt")
     write_metrics_csv(metrics, out / "metrics.csv")
     if metrics:
         logger.info("final mean N %.2f, mean reward %.4f",
@@ -315,7 +315,8 @@ def cmd_complexity_sweep(cfg: ExperimentConfig, args) -> None:
     fields = []
     for i, target in enumerate(targets):
         velocity_field, _ = _pretrain_field(cfg, target, 100 + i)
-        save_checkpoint(velocity_field.net, out / f"field_level_{levels[i]}.ckpt")
+        save_checkpoint(velocity_field.net, out / f"field_level_{levels[i]}.ckpt",
+                        field_header(target))
         fields.append(velocity_field)
     policy, metrics = train_tpm(_init_policy(cfg, targets[0].d), fields, targets,
                                 cfg.rl, cfg.schedule,

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nn import DenseNet, OptimizerState, Workspace, descend
+from .nn import DenseNet, OptimizerState, Workspace, descend, header_fields
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -116,15 +116,22 @@ def ring_mixture_target(n_components: int, radius: float = 2.0,
 _REF_LOG_DENSITY_CACHE: dict[bytes, float] = {}
 _REF_MC_SAMPLES = 100_000
 _REF_MC_SEED = 961748941
-_REF_BLOCK_ROWS = 8192
+_REF_BLOCK_ROWS = 1024
 
 
 def ref_log_density(target: TargetSpec) -> float:
     """Expected log-density under the target, the reward centering constant.
 
-    Single-component targets have the closed form -(d/2)(ln(2*pi*sigma^2) + 1);
-    mixtures use a Monte-Carlo estimate from a fixed internal stream, computed
-    once per target and cached so the constant is frozen for a whole run.
+    Single-component targets have the closed form -(d/2)(ln(2*pi*sigma^2) + 1).
+    Mixtures use the mean log-density of _REF_MC_SAMPLES draws from a fixed
+    stream keyed by the target, computed once per target and cached, so the
+    constant is frozen for a whole run. The draws are TargetSpec.sample's, in
+    its stream order (every component index, then the normals row by row), but
+    made in row blocks: only the indices, in the smallest integer type, and
+    the log-densities are held whole. Every row's value, and so the mean, is
+    unchanged by blocking. A velocity checkpoint carries the constant of the
+    target it was trained on (field_header), and read_field_header puts it in
+    the cache, so a run that loads a field computes nothing here.
     """
     key = target.key()
     if key not in _REF_LOG_DENSITY_CACHE:
@@ -136,14 +143,58 @@ def ref_log_density(target: TargetSpec) -> float:
 
             digest = hashlib.blake2b(key, digest_size=8).digest()
             rng = RngStream(_REF_MC_SEED, int.from_bytes(digest, "little"))
-            pts = target.sample(_REF_MC_SAMPLES, rng)
-            # in row blocks, so the (K, rows) intermediates stay small;
-            # every row's value, and so the mean, is unchanged by blocking
-            val = float(np.mean(np.concatenate([
-                target.log_density(pts[i:i + _REF_BLOCK_ROWS])
-                for i in range(0, _REF_MC_SAMPLES, _REF_BLOCK_ROWS)])))
+            idx = np.empty(_REF_MC_SAMPLES, np.min_scalar_type(target.complexity - 1))
+            log_d = np.empty(_REF_MC_SAMPLES)
+            starts = range(0, _REF_MC_SAMPLES, _REF_BLOCK_ROWS)
+            for i in starts:
+                comp = idx[i:i + _REF_BLOCK_ROWS]
+                comp[:] = rng.choice(target.complexity, p=target.weights, size=comp.size)
+            for i in starts:
+                comp = idx[i:i + _REF_BLOCK_ROWS]
+                z = rng.standard_normal((comp.size, target.d))
+                log_d[i:i + comp.size] = target.log_density(
+                    target.means[comp] + target.sigmas[comp][:, None] * z)
+            val = np.mean(log_d)
         _REF_LOG_DENSITY_CACHE[key] = float(val)
     return _REF_LOG_DENSITY_CACHE[key]
+
+
+def _target_fingerprint(target: TargetSpec) -> str:
+    """blake2b of the target and of the Monte-Carlo size and seed, in hex: a
+    stored constant is used only for the target and estimate it was made for."""
+    import hashlib
+
+    mc = _REF_MC_SAMPLES.to_bytes(8, "little") + _REF_MC_SEED.to_bytes(8, "little")
+    return hashlib.blake2b(target.key() + mc, digest_size=16).hexdigest()
+
+
+def field_header(target: TargetSpec) -> bytes:
+    """The header of a velocity checkpoint trained on target, ASCII
+    `target=<fingerprint>;ref_log_density=<float.hex()>`."""
+    return (f"target={_target_fingerprint(target)};"
+            f"ref_log_density={ref_log_density(target).hex()}").encode("ascii")
+
+
+def read_field_header(header: bytes, target: TargetSpec, path) -> None:
+    """Cache the reward-centering constant a velocity checkpoint at path
+    carries, when its header is field_header's for target. An empty header (a
+    checkpoint written before fields carried the constant) or one made for
+    another target caches nothing, so ref_log_density computes it; a header
+    that is not ASCII, lacks a field or holds a value that is not a finite
+    float in float.hex() form raises ValueError naming path."""
+    if not header:
+        return
+    fields = header_fields(header, path, "velocity", ("target", "ref_log_density"))
+    hex_value = fields["ref_log_density"]
+    try:
+        value = float.fromhex(hex_value)
+        if not np.isfinite(value) or value.hex() != hex_value:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{path}: velocity header field ref_log_density={hex_value!r} "
+                         f"is not a finite float in float.hex() form") from None
+    if fields["target"] == _target_fingerprint(target):
+        _REF_LOG_DENSITY_CACHE.setdefault(target.key(), value)
 
 
 def interpolate(x0: np.ndarray, eps: np.ndarray, t: float | np.ndarray,

@@ -384,6 +384,22 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def header_fields(header: bytes, path: str | Path, kind: str,
+                  names: Sequence[str]) -> dict[str, str]:
+    """The fields of an ASCII checkpoint header `name=value;name=value`, as
+    save_policy and flow.field_header write it; ValueError naming path and
+    the kind of checkpoint if it is not ASCII or lacks one of names."""
+    try:
+        text = header.decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: {kind} header {header!r} is not ASCII") from None
+    fields = dict(item.partition("=")[::2] for item in text.split(";"))
+    for name in names:
+        if name not in fields:
+            raise ValueError(f"{path}: {kind} header {text!r} has no field {name!r}")
+    return fields
+
+
 def load_checkpoint(path: str | Path) -> tuple[DenseNet, bytes]:
     """Read a checkpoint; returns (net, extra_header).
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nn import DenseNet, Diverged, load_checkpoint, save_checkpoint
+from .nn import DenseNet, Diverged, header_fields, load_checkpoint, save_checkpoint
 from .rng import RngStream
 from .special_math import beta_sample_lanes
 
@@ -146,14 +146,7 @@ def load_policy(path: str | Path) -> TimePolicy:
     """Read a policy checkpoint; a header unlike the one save_policy writes
     raises ValueError naming the path and the field."""
     net, header = load_checkpoint(path)
-    try:
-        text = header.decode("ascii")
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: policy header {header!r} is not ASCII") from None
-    fields = dict(item.partition("=")[::2] for item in text.split(";"))
-    for key in ("layout", "d"):
-        if key not in fields:
-            raise ValueError(f"{path}: policy header {text!r} has no field {key!r}")
+    fields = header_fields(header, path, "policy", ("layout", "d"))
     d = fields["d"]
     if not d.isdigit() or feature_length(int(d)) != net.sizes[0]:
         raise ValueError(f"{path}: policy header field d={d!r} does not match the "

@@ -250,12 +250,14 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
 
     Groups cycle round-robin over the provided (field, target) pairs; each
     outer step's groups form one record, pair by pair. The reference policy
-    is frozen at entry. When checkpoint_path is given, the policy is saved
-    there after every outer step. Divergence (nn.Diverged: non-finite Beta
+    is frozen at entry. When checkpoint_path is given, the policy that
+    entered each outer step is saved there once that step's rollout comes out
+    finite, and the result is saved there at the end, so a run killed before
+    it ends leaves a policy whose rollout came out finite. Divergence (nn.Diverged: non-finite Beta
     shapes in a rollout or in the loss, a non-finite loss, gradient norm or
     parameter) logs a warning naming the outer step and ends training: the
-    result is the last policy whose rollout came out finite, saved over the
-    checkpoint, with the metrics of the outer steps completed before it.
+    result is the last policy whose rollout came out finite, with the metrics
+    of the outer steps completed before it.
     """
     if len(fields) != len(targets):
         raise ValueError("need one velocity field per target")
@@ -278,6 +280,8 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
             record = Rollouts.from_lanes(policy, Lanes.concat(parts), np.concatenate(irs),
                                          cfg.group_size, cfg.gamma)
             last_good = policy.copy()
+            if checkpoint_path is not None:
+                save_policy(last_good, checkpoint_path)
 
             for epoch in range(cfg.inner_epochs):
                 res = ppo_loss(policy, ref_policy, record, cfg)
@@ -288,13 +292,11 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
                 raise Diverged("diverged: non-finite policy parameters")
             means = [float(np.mean(a)) for a in (record.reward, record.ir, record.n_steps)]
             metrics.append(MetricsRow(outer, *means, mean_kl, grad_norm))
-            if checkpoint_path is not None:
-                save_policy(policy, checkpoint_path)
     except Diverged as exc:
         logger.warning("aborting at outer step %d: %s", outer, exc)
         policy = last_good
-        if checkpoint_path is not None:
-            save_policy(policy, checkpoint_path)
+    if checkpoint_path is not None:
+        save_policy(policy, checkpoint_path)
     return policy, metrics
 
 

@@ -91,6 +91,9 @@ class RngStream:
     def gamma(self, shape: float, size=None):
         return self._gen.gamma(shape, size=size)
 
+    def beta(self, a: float, b: float, size=None):
+        return self._gen.beta(a, b, size=size)
+
     def choice(self, n: int, p, size=None):
         """Weighted index draws in [0, n) by inverse CDF on one uniform each,
         so consumption per draw is fixed."""

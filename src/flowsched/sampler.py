@@ -156,8 +156,8 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
     Every step makes one batched field forward over the lanes still running.
     Adaptive modes add one batched policy forward and draw each lane's rate
     from its own stream streams[i], in the order a lone trajectory would:
-    its initial noise when noise is None, then gamma(alpha), gamma(beta) per
-    prediction. The t_min forced jump, the grid and the step budget act as
+    its initial noise when noise is None, then one Beta draw per prediction
+    (gamma(alpha), then gamma(beta)). The t_min forced jump, the grid and the step budget act as
     masks, so a lane's draws and step count do not depend on the other lanes
     (the batched matmuls can move the last bits). Fixed modes walk a time
     table and draw nothing once noise is given.

@@ -1,9 +1,9 @@
 """Special functions and the Beta distribution.
 
 Only what the decay-rate policy needs: ln Gamma and digamma (for the Beta
-normalizer and KL), exact Beta sampling (one lane-batch draw, one stream per
-lane), log-density, and the closed-form Beta-Beta KL divergence, all
-array-first (a float input returns a float).
+normalizer and KL), exact Beta sampling (one lane-batch draw, one stream and
+one generator call per lane), log-density, and the closed-form Beta-Beta KL
+divergence, all array-first (a float input returns a float).
 One fused kernel computes ln Gamma and digamma by argument-shift recurrences
 into the region where the Stirling series converges fast; it is verified
 against high-precision references in the test suite. The log-density and the
@@ -156,17 +156,25 @@ def beta_log_pdf(r, alpha, beta):
 
 def beta_sample_lanes(alpha, beta, rngs) -> np.ndarray:
     """Draw r_i ~ Beta(alpha[i], beta[i]) from stream rngs[i], for each lane i,
-    via the two-Gamma ratio construction.
+    in one generator call per lane.
 
-    Lane by lane, stream i draws gamma(alpha[i]) and then gamma(beta[i]), so a
-    stream that appears twice draws for its lanes in lane order. The ratios are
+    Every shape must exceed 1 (a lane that breaks this raises ValueError
+    naming it). There numpy's Beta draw is the two-Gamma ratio Ga / (Ga + Gb)
+    on gamma(alpha[i]) and then gamma(beta[i]), drawn lane by lane, so a
+    stream that appears twice draws for its lanes in lane order; at or below
+    1 numpy may take Johnk's algorithm, which draws otherwise. The ratios are
     clamped to [SAMPLE_EPS, 1 - SAMPLE_EPS]; with both shapes above 1 the
     clamped mass is negligible and downstream log-densities stay finite.
     """
-    xy = np.array([(rng.gamma(a), rng.gamma(b)) for a, b, rng in
-                   zip(np.asarray(alpha, float).tolist(),
-                       np.asarray(beta, float).tolist(), rngs)]).reshape(-1, 2)
-    return np.clip(xy[:, 0] / (xy[:, 0] + xy[:, 1]), SAMPLE_EPS, 1.0 - SAMPLE_EPS)
+    alpha, beta = np.asarray(alpha, float), np.asarray(beta, float)
+    bad = np.flatnonzero(~((alpha > 1.0) & (beta > 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"lane {i}: Beta shapes must both exceed 1, "
+                         f"got ({alpha[i]}, {beta[i]})")
+    draws = np.fromiter((rng.beta(a, b) for a, b, rng in
+                         zip(alpha.tolist(), beta.tolist(), rngs)), float, alpha.size)
+    return np.clip(draws, SAMPLE_EPS, 1.0 - SAMPLE_EPS)
 
 
 def beta_sample(params: BetaParams, rng) -> float:

@@ -3,6 +3,7 @@ rerun determinism, and the fixed-schedule comparison's quality clauses."""
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,14 +14,18 @@ import numpy as np
 import pytest
 
 import flowsched
+import flowsched.flow as flow
+import flowsched.rl as rl
 from flowsched.cli import (STREAM_SAMPLE, _build_fields, _init_policy, build_parser,
                            evaluate_policy, main)
 from flowsched.config import (DESK_EVAL_ROLLOUTS, ExperimentConfig,
                               preset_config, write_run_stamp)
-from flowsched.flow import (VelocityField, make_velocity_net, ring_mixture_target,
-                            single_gaussian_target, standard_normal_target)
+from flowsched.flow import (VelocityField, field_header, make_velocity_net,
+                            ring_mixture_target, single_gaussian_target,
+                            standard_normal_target)
 from flowsched.nn import load_checkpoint, save_checkpoint
-from flowsched.policy import init_policy, save_policy
+from flowsched.policy import (init_policy, load_policy, save_policy, step_features,
+                              tpm_params_batch)
 from flowsched.rl import RLConfig, step_log_pdf
 from flowsched.rng import RngStream
 from flowsched.sampler import ScheduleConfig, roll_lanes, trajectory_to_csv
@@ -223,6 +228,104 @@ def test_train_flow_rerun_is_byte_identical(tmp_path):
     assert (outs[0] / "flow_loss_0.csv").read_text() == (outs[1] / "flow_loss_0.csv").read_text()
 
 
+RING4 = ring_mixture_target(4)
+RING4_REF_LOG_DENSITY = -2.124602693433635
+
+
+def split_header(path):
+    """(header, theta payload with its layer sizes) of a checkpoint file."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[10:14], "little")
+    return raw[14:14 + hlen], raw[14 + hlen:]
+
+
+def train_ring4_field(tmp_path) -> Path:
+    out = tmp_path / "run"
+    cfg = reduced_config(out, targets=[RING4], field_source="learned")
+    assert main(["train-flow", "--config", save_config(cfg, tmp_path)]) == 0
+    return out / "field_0.ckpt"
+
+
+def test_train_flow_writes_the_reference_constant_in_the_header(tmp_path):
+    """The velocity checkpoint's header carries the target's fingerprint and
+    reward-centering constant; its payload is the one an empty-header
+    checkpoint of the same run holds (sha256 pinned from that version)."""
+    header, payload = split_header(train_ring4_field(tmp_path))
+    assert header == field_header(RING4)
+    assert header.startswith(b"target=")
+    assert header.endswith(b";ref_log_density=" + RING4_REF_LOG_DENSITY.hex().encode())
+    assert hashlib.sha256(payload).hexdigest() == (
+        "372817418dc096017cd1a8410422715de3845b200106419332b3076835f97b86")
+
+
+def _mc_seeds(monkeypatch) -> list:
+    """Empty the reward-centering cache and record the seed of every stream
+    flow makes from now on."""
+    seeds = []
+
+    def recording_stream(seed, stream=0):
+        seeds.append(seed)
+        return RngStream(seed, stream)
+
+    monkeypatch.setattr(flow, "_REF_LOG_DENSITY_CACHE", {})
+    monkeypatch.setattr(flow, "RngStream", recording_stream)
+    return seeds
+
+
+def test_compare_baselines_on_a_headed_field_runs_no_monte_carlo(tmp_path, monkeypatch):
+    """A field whose header matches its target seeds the constant, so
+    compare-baselines draws nothing from the Monte-Carlo stream, and writes
+    the bytes it writes from the same field re-saved with an empty header."""
+    path = train_ring4_field(tmp_path)
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(load_checkpoint(path)[0], bare)
+    outs = []
+    for field, mc_draws in ((path, False), (bare, True)):
+        seeds = _mc_seeds(monkeypatch)
+        out = tmp_path / f"eval_{field.stem}"
+        cfg = reduced_config(out, targets=[RING4], field_source="learned",
+                             field_checkpoints=[str(field)])
+        assert main(["compare-baselines", "--config", save_config(cfg, tmp_path)]) == 0
+        assert (flow._REF_MC_SEED in seeds) == mc_draws
+        assert flow._REF_LOG_DENSITY_CACHE[RING4.key()] == RING4_REF_LOG_DENSITY
+        outs.append((out / "baselines.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_field_header_of_another_target_is_ignored(tmp_path, monkeypatch):
+    """A well-formed header made for another target is not read: ring-4's
+    constant is computed, although the header holds 0."""
+    path = train_ring4_field(tmp_path)
+    net, _ = load_checkpoint(path)
+    fingerprint = field_header(ring_mixture_target(8)).split(b";")[0]
+    save_checkpoint(net, path, fingerprint + b";ref_log_density=" + (0.0).hex().encode())
+    seeds = _mc_seeds(monkeypatch)
+    cfg = reduced_config(tmp_path / "run", targets=[RING4], field_source="learned")
+    assert main(["compare-baselines", "--config", save_config(cfg, tmp_path)]) == 0
+    assert flow._REF_MC_SEED in seeds
+    assert flow._REF_LOG_DENSITY_CACHE[RING4.key()] == RING4_REF_LOG_DENSITY
+
+
+@pytest.mark.parametrize("header, names", [
+    ("target=ab;ref_log_density=-0x1.0p+1 \u00e9".encode("utf-8"), "is not ASCII"),
+    (b"ref_log_density=-0x1.0p+1", "has no field 'target'"),
+    (b"target=ab", "has no field 'ref_log_density'"),
+    (b"target=ab;ref_log_density=0x1.zzp+1", "ref_log_density='0x1.zzp+1'"),
+    (b"target=ab;ref_log_density=-2.5", "ref_log_density='-2.5'"),
+    (b"target=ab;ref_log_density=inf", "ref_log_density='inf'"),
+])
+def test_malformed_field_header_exits_two_naming_the_checkpoint(header, names, tmp_path,
+                                                                caplog):
+    path = tmp_path / "field.ckpt"
+    save_checkpoint(make_velocity_net(2, (8,), RngStream(5, 0)), path, header)
+    cfg = reduced_config(tmp_path / "run", field_source="learned",
+                         field_checkpoints=[str(path)], eval_rollouts=4)
+    with caplog.at_level("ERROR", logger="flowsched.cli"):
+        assert main(["compare-baselines", "--config", save_config(cfg, tmp_path)]) == 2
+    assert f"{path}: velocity header" in caplog.text
+    assert names in caplog.text
+
+
 # ------------------------------------------------------------------- train-tpm
 
 
@@ -263,6 +366,31 @@ def test_diverging_train_tpm_leaves_a_policy_that_compare_baselines_loads(tmp_pa
         assert "aborting at outer step 1: diverged" in caplog.text
         assert main(["compare-baselines", "--config", path]) == 0
     assert len(read_csv(tmp_path / "run" / "metrics.csv")[1]) == 1
+
+
+def test_train_tpm_killed_mid_rollout_leaves_a_policy_that_rolls_out(tmp_path, monkeypatch):
+    """The in-loop checkpoint is the policy that entered the outer step whose
+    rollout came out finite, so a run killed during the next rollout (here
+    after a lr = 1e308 update) leaves a policy with finite Beta shapes."""
+    cfg = preset_config("desk")
+    cfg.out_dir = str(tmp_path / "run")
+    cfg.rl = dataclasses.replace(cfg.rl, lr=1e308, inner_epochs=1, outer_steps=3)
+    calls = []
+    roll_groups = rl.roll_groups
+
+    def killed_at_second_rollout(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return roll_groups(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "roll_groups", killed_at_second_rollout)
+    with pytest.raises(KeyboardInterrupt), np.errstate(over="ignore", invalid="ignore"):
+        main(["train-tpm", "--config", save_config(cfg, tmp_path)])
+    policy = load_policy(tmp_path / "run" / "policy.ckpt")
+    x = RngStream(3, 0).standard_normal((16, 2))
+    _, alpha, beta, _ = tpm_params_batch(policy, step_features(x, -x, 1.0))
+    assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
 
 
 # ---------------------------------------------------------------------- sample

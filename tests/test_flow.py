@@ -386,10 +386,11 @@ def unblocked_ref_log_density(target):
 
 
 def test_ref_log_density_blocks_equal_one_unblocked_pass(monkeypatch):
+    """Drawing and scoring the points in row blocks keeps every bit."""
     monkeypatch.setattr(flow, "_REF_LOG_DENSITY_CACHE", {})
     mixture_3d = TargetSpec([[0.0, 0.0, 0.0], [1.5, -1.0, 0.5], [-2.0, 1.0, 1.0]],
                             [0.4, 0.7, 1.1], [0.5, 0.3, 0.2])
-    for target in (ring_mixture_target(4), ring_mixture_target(8), mixture_3d):
+    for target in (*map(ring_mixture_target, range(2, 17)), mixture_3d):
         assert ref_log_density(target) == unblocked_ref_log_density(target)
 
 

@@ -3,7 +3,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -332,6 +332,47 @@ def test_beta_sample_lanes_equals_per_lane_scalar_draws():
         assert batch.tolist() == want
         assert batch[4] == 1.0 - SAMPLE_EPS
     assert beta_sample_lanes([], [], []).shape == (0,)
+
+
+def two_gamma_beta_lanes(alpha, beta, rngs) -> np.ndarray:
+    """The reference Beta draw: per lane gamma(alpha) and then gamma(beta)
+    from the lane's stream, r = Ga / (Ga + Gb), clamped like the sampler."""
+    xy = np.array([(rng.gamma(a), rng.gamma(b))
+                   for a, b, rng in zip(alpha, beta, rngs)]).reshape(-1, 2)
+    return np.clip(xy[:, 0] / (xy[:, 0] + xy[:, 1]), SAMPLE_EPS, 1.0 - SAMPLE_EPS)
+
+
+# Beta shapes in (1, 1 + e^30], the range the policy's clamped 1 + e^a gives
+lane_shapes = st.one_of(st.floats(-30.0, 30.0).map(lambda a: 1.0 + math.exp(a)),
+                        st.floats(1.0, 1.0 + math.exp(30.0), exclude_min=True))
+
+
+@given(st.lists(st.tuples(lane_shapes, lane_shapes, st.integers(0, 7)),
+                min_size=1, max_size=600),
+       st.integers(0, 2**64 - 1))
+@example([(1.0 + math.exp(30.0 - 0.1 * i), 1.0 + math.exp(0.1 * i - 30.0), i % 3)
+          for i in range(600)], 20240801)
+def test_beta_sample_lanes_equals_two_gamma_draws(lanes, seed):
+    """One generator Beta call per lane draws the two-Gamma reference bit for
+    bit, lanes sharing a stream included, and leaves every stream where the
+    reference leaves it."""
+    alpha, beta, keys = map(list, zip(*lanes))
+    ours, ref = ({k: RngStream(seed, k) for k in keys} for _ in range(2))
+    got = beta_sample_lanes(np.array(alpha), np.array(beta), [ours[k] for k in keys])
+    want = two_gamma_beta_lanes(alpha, beta, [ref[k] for k in keys])
+    assert got.tobytes() == want.tobytes()
+    assert all(ours[k].gamma(2.5) == ref[k].gamma(2.5) for k in ours)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 2.0), (2.0, 1.0), (0.5, 0.9),
+                                         (math.nan, 2.0), (2.0, -math.inf)])
+def test_beta_sample_lanes_refuses_shapes_not_above_one(alpha, beta):
+    """Below 1 numpy's Beta draw may take another algorithm, so a lane whose
+    shapes are not both above 1 is refused, naming it, before any draw."""
+    rngs = [RngStream(1, 0), RngStream(1, 1), RngStream(1, 2)]
+    with pytest.raises(ValueError, match=r"lane 1: Beta shapes must both exceed 1"):
+        beta_sample_lanes([2.0, alpha, 3.0], [3.0, beta, 2.0], rngs)
+    assert not any("_gen" in vars(rng) for rng in rngs)
 
 
 def test_beta_kl_identical_is_zero():
