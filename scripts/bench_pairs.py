@@ -11,7 +11,9 @@ detail.raw_median), printed beside the pair's wall_s, so a pair lost to a
 slower host shows as such; with the environment stamp of the runs, the
 commits and the seeds. After the workloads it runs the Tier-1
 suite once on each side, the parent first as in the first pair, and records
-its wall time and its passed/xfailed/failed counts. Nothing in it is typed by
+its wall time and its passed/xfailed/failed counts, and runs each side's
+`scripts/src_lines.py` to record its (lines, code lines) totals of `src/`
+(null for a side that has no such script). Nothing in it is typed by
 hand. Each run's directory under .bench_runs/ is deleted once its result.json
 is read; the directory of a failed run is kept and its path printed.
 
@@ -30,6 +32,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
@@ -84,6 +87,18 @@ def run_tier1(root: Path) -> dict:
     found = {name: int(n) for n, name in re.findall(r"(\d+) (\w+)", summary)}
     return {"wall_s": wall_s, **{name: found.get(name, 0) for name in TIER1_COUNTS},
             "exit_code": proc.returncode, "summary": summary}
+
+
+def src_lines(root: Path) -> Optional[list[int]]:
+    """The (lines, code lines) totals that the checkout at root's
+    scripts/src_lines.py prints on its last line, or None without one."""
+    script = root / "scripts" / "src_lines.py"
+    if not script.exists():
+        return None
+    out = subprocess.run([sys.executable, str(script)], cwd=root, capture_output=True,
+                         text=True, check=True).stdout
+    lines, code = out.strip().splitlines()[-1].split()[:2]
+    return [int(lines), int(code)]
 
 
 def summarize(values: dict[str, list[float]], better: str) -> dict:
@@ -156,6 +171,8 @@ def main(argv=None) -> int:
         for side in SIDES:
             tier1[side] = run_tier1(roots[side])
             print(f"tier-1 {side}: {tier1[side]['summary']}", flush=True)
+        lines = {side: src_lines(roots[side]) for side in SIDES}
+        print(f"src lines (lines, code lines): {lines}", flush=True)
     Path(args.out).write_text(json.dumps({
         "command": f"benchmark/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "parent": parent,
@@ -164,6 +181,7 @@ def main(argv=None) -> int:
         "order": "alternating: even seed index runs the parent first",
         "seeds": args.seeds, "env": env, "workloads": results,
         "tier1": {"command": "python3 " + " ".join(TIER1) + " (PYTHONPATH=src)", **tier1},
+        "src_lines": {"command": "python3 scripts/src_lines.py (lines, code lines)", **lines},
     }, indent=2) + "\n")
     return 0
 

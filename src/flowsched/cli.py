@@ -23,12 +23,13 @@ import numpy as np
 from .config import (PRESETS, ExperimentConfig, ScheduleConfig, preset_config,
                      write_run_stamp)
 from .flow import (TargetSpec, VelocityField, field_header, make_velocity_net,
-                   read_field_header, ring_mixture_target, train_flow)
+                   read_field_header, ring_mixture_target, toy_reward, train_flow)
 from .nn import load_checkpoint, save_checkpoint, write_csv
 from .rng import RngStream
 
 # rl, policy, sampler and svg are imported by the commands that use them, so
-# train-flow loads only config, flow, nn and rng
+# train-flow loads only config, flow, nn and rng, and compare-baselines adds
+# only policy, sampler and special_math
 if TYPE_CHECKING:
     from .policy import TimePolicy
 
@@ -167,7 +168,7 @@ def evaluate_policy(policy: TimePolicy, velocity_field: VelocityField,
                     target: TargetSpec, sched: ScheduleConfig, gamma: float,
                     rng: RngStream, n: int, deterministic: bool) -> EvalSummary:
     """n adaptive rollouts -> step-count/reward summary + mean schedule curve."""
-    from .rl import discounted_reward, toy_reward
+    from .rl import discounted_reward
     from .sampler import roll_lanes
 
     lanes = roll_lanes(velocity_field, sched, [rng.child(i) for i in range(n)],
@@ -267,7 +268,6 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_compare_baselines(cfg: ExperimentConfig, args) -> None:
-    from .rl import toy_reward
     from .sampler import roll_lanes
 
     out = write_run_stamp(cfg, cfg.out_dir)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -22,6 +24,7 @@ from .flow import TargetSpec
 from .nn import write_atomic
 
 CONFIG_VERSION = 1
+GIT_TIMEOUT_S = 10.0
 MODES = ("adaptive", "fixed-uniform", "fixed-shifted", "discrete-adaptive")
 
 # Desk preset: small enough to iterate at a desk while keeping the training
@@ -226,20 +229,47 @@ def preset_config(preset: str) -> ExperimentConfig:
 
 
 def version_string() -> str:
-    """Package version plus a git describe of the working tree when available."""
-    import subprocess  # here, not at the top: only a run stamp starts git
-
-    root = Path(__file__).resolve().parents[2]
+    """Package version plus a git describe of the working tree when available:
+    `flowsched-<version>+<describe>`, else `flowsched-<version>`."""
     try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=root, capture_output=True, text=True, timeout=10,
-        )
-        if described.returncode == 0 and described.stdout.strip():
-            return f"flowsched-{PACKAGE_VERSION}+{described.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"flowsched-{PACKAGE_VERSION}"
+        described = _git_describe(Path(__file__).resolve().parents[2])
+    except OSError:
+        described = ""
+    return f"flowsched-{PACKAGE_VERSION}" + (f"+{described}" if described else "")
+
+
+def _git_describe(root: Path) -> str:
+    """The stripped output of `git describe --always --dirty --tags` run in
+    root, or "" when git exits non-zero or is still running after
+    GIT_TIMEOUT_S (it is then killed); an OSError if it cannot start. git is
+    started with os.posix_spawnp, its stdout a pipe and its stderr /dev/null,
+    because importing subprocess would cost every command about 5 ms."""
+    import select  # here, not at the top: only a run stamp starts git
+
+    read_fd, write_fd = os.pipe()
+    try:
+        try:
+            argv = ["git", "-C", str(root), "describe", "--always", "--dirty", "--tags"]
+            pid = os.posix_spawnp("git", argv, os.environ,
+                                  file_actions=[(os.POSIX_SPAWN_DUP2, write_fd, 1),
+                                                (os.POSIX_SPAWN_OPEN, 2, os.devnull,
+                                                 os.O_WRONLY, 0)])
+        finally:
+            os.close(write_fd)  # git holds its own copy, so the pipe ends when git does
+        out, deadline = b"", time.monotonic() + GIT_TIMEOUT_S
+        while select.select([read_fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            chunk = os.read(read_fd, 4096)
+            if not chunk:  # end of file: git has exited
+                break
+            out += chunk
+        else:  # the deadline passed first; a killed git's exit code is not 0
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        os.close(read_fd)
+    return out.decode(errors="replace").strip() if exit_code == 0 else ""
 
 
 def write_run_stamp(cfg: ExperimentConfig, out_dir: str | Path) -> Path:

@@ -7,6 +7,7 @@ field is u = eps - x0 and Euler steps with negative time increments denoise.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,7 +16,10 @@ import numpy as np
 from .nn import DenseNet, OptimizerState, Workspace, descend, header_fields
 from .rng import RngStream
 
+logger = logging.getLogger(__name__)
+
 LOG_2PI = float(np.log(2.0 * np.pi))
+IR_CLAMP = -10.0
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,20 @@ def ref_log_density(target: TargetSpec) -> float:
     return _REF_LOG_DENSITY_CACHE[key]
 
 
+def toy_reward(y: np.ndarray, target: TargetSpec) -> float | np.ndarray:
+    """Quality score of a final sample (d,), or of each row of a batch (n, d):
+    centered log-density, clamped below.
+
+    Centering by the target's expected log-density puts typical samples near
+    0 and the mode of a standard normal at exactly +1.
+    """
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite sample")
+    ir = np.maximum(target.log_density(y) - ref_log_density(target), IR_CLAMP)
+    return ir if y.ndim > 1 else float(ir)
+
+
 def _target_fingerprint(target: TargetSpec) -> str:
     """blake2b of the target and of the Monte-Carlo size and seed, in hex: a
     stored constant is used only for the target and estimate it was made for."""
@@ -179,9 +197,10 @@ def read_field_header(header: bytes, target: TargetSpec, path) -> None:
     """Cache the reward-centering constant a velocity checkpoint at path
     carries, when its header is field_header's for target. An empty header (a
     checkpoint written before fields carried the constant) or one made for
-    another target caches nothing, so ref_log_density computes it; a header
-    that is not ASCII, lacks a field or holds a value that is not a finite
-    float in float.hex() form raises ValueError naming path."""
+    another target caches nothing, so ref_log_density computes it (the
+    latter with a warning naming path and both fingerprints); a header that
+    is not ASCII, lacks a field or holds a value that is not a finite float
+    in float.hex() form raises ValueError naming path."""
     if not header:
         return
     fields = header_fields(header, path, "velocity", ("target", "ref_log_density"))
@@ -193,8 +212,12 @@ def read_field_header(header: bytes, target: TargetSpec, path) -> None:
     except ValueError:
         raise ValueError(f"{path}: velocity header field ref_log_density={hex_value!r} "
                          f"is not a finite float in float.hex() form") from None
-    if fields["target"] == _target_fingerprint(target):
+    fingerprint = _target_fingerprint(target)
+    if fields["target"] == fingerprint:
         _REF_LOG_DENSITY_CACHE.setdefault(target.key(), value)
+    else:
+        logger.warning("%s: velocity header is for target %s, not this target %s; "
+                       "its ref_log_density is ignored", path, fields["target"], fingerprint)
 
 
 def interpolate(x0: np.ndarray, eps: np.ndarray, t: float | np.ndarray,
@@ -279,12 +302,27 @@ class VelocityField:
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
-    def __call__(self, x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    def workspace(self, n: int) -> Optional[Workspace]:
+        """The net's workspace for up to n rows, None for the oracle (which
+        takes none)."""
+        return None if self.kind == "oracle" else self.net.workspace(n)
+
+    def __call__(self, x: np.ndarray, t: float | np.ndarray,
+                 work: Optional[Workspace] = None) -> np.ndarray:
+        """The velocity at states x (d,) or (n, d) and times t. With work,
+        this field's workspace for at least n rows of x (n, d), x and t are
+        written into its input rows and the result is a view of its output
+        rows, which the next call on work overwrites; the bits are the same."""
         if self.kind == "oracle":
             return oracle_velocity(x, t, self.target)
-        x = np.asarray(x, dtype=float)
-        tv = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])[..., None]
-        return self.net.forward(np.concatenate([x, tv], axis=-1))
+        if work is None:
+            x = np.asarray(x, dtype=float)
+            tv = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])[..., None]
+            return self.net.forward(np.concatenate([x, tv], axis=-1))
+        work = work.rows(len(x))
+        work.inp[:, :-1] = x
+        work.inp[:, -1] = t
+        return self.net.forward_acts(work.inp, work)[-1]
 
     def velocity_vjp(self, x: np.ndarray, t: np.ndarray,
                      g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -106,7 +106,8 @@ class DenseNet:
 
     def workspace(self, n: int) -> "Workspace":
         """Buffers for forward_acts and backward over batches of n rows, for a
-        caller that repeats them at one batch size (train_flow)."""
+        caller that repeats them at one batch size (train_flow), or of at
+        most n rows through Workspace.rows (roll_lanes)."""
         return Workspace(self.sizes, n, np.empty((n, self.sizes[0])),
                          [np.empty((n, o)) for o in self.sizes[1:]],
                          [np.empty((n, i)) for i in self.sizes[:-1]],
@@ -215,7 +216,10 @@ class Workspace:
 
     Reusing one across calls saves allocating arrays that, at batch 256 and
     width 64, sit exactly at glibc malloc's 128 KiB trim threshold, so each
-    fresh one costs page faults; the arithmetic is the same.
+    fresh one costs page faults; the arithmetic is the same. It has two
+    users: train_flow runs every step at one batch size, and roll_lanes
+    serves each step's shrinking set of running lanes from one workspace
+    made for all of them (rows).
     """
 
     sizes: list[int]
@@ -225,6 +229,17 @@ class Workspace:
     deltas: list[np.ndarray]
     squares: list[np.ndarray]
     grad: np.ndarray
+
+    def rows(self, m: int) -> "Workspace":
+        """The workspace for batches of m <= n rows: views of the first m rows
+        of every buffer (grad is shared whole); this one when m == n."""
+        if m == self.n:
+            return self
+        if not 0 <= m <= self.n:
+            raise ValueError(f"{m} rows asked of a workspace for {self.n}")
+        return Workspace(self.sizes, m, self.inp[:m], [a[:m] for a in self.acts],
+                         [a[:m] for a in self.deltas], [a[:m] for a in self.squares],
+                         self.grad)
 
 
 @dataclasses.dataclass

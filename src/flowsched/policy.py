@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nn import DenseNet, Diverged, header_fields, load_checkpoint, save_checkpoint
+from .nn import (DenseNet, Diverged, Workspace, header_fields, load_checkpoint,
+                 save_checkpoint)
 from .rng import RngStream
 from .special_math import beta_sample_lanes
 
@@ -71,12 +72,15 @@ def shape_grad_wrt_raw(raw: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(np.clip(raw, -RAW_PARAM_CLAMP, RAW_PARAM_CLAMP)), 0.0)
 
 
-def tpm_params_batch(policy: TimePolicy, feats: np.ndarray
+def tpm_params_batch(policy: TimePolicy, feats: np.ndarray,
+                     work: Optional[Workspace] = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Vectorized (raw, alpha, beta, acts) over a feature matrix (n, 2d+2);
     acts are the net's activations, for a backward pass from raw. Every
-    reader of Beta shapes comes here, so a non-finite one raises Diverged."""
-    acts = policy.net.forward_acts(feats)
+    reader of Beta shapes comes here, so a non-finite one raises Diverged.
+    With work, the net's workspace for at least n rows, acts and raw are
+    views of it that the next call on work overwrites."""
+    acts = policy.net.forward_acts(feats, None if work is None else work.rows(len(feats)))
     raw = acts[-1]
     ab = raw_to_shape(raw)
     if not np.all(np.isfinite(ab)):
@@ -86,10 +90,12 @@ def tpm_params_batch(policy: TimePolicy, feats: np.ndarray
 
 def predict_decay_batch(policy: TimePolicy, feats: np.ndarray,
                         rngs: Optional[Sequence[RngStream]],
-                        deterministic: bool = False) -> np.ndarray:
+                        deterministic: bool = False,
+                        work: Optional[Workspace] = None) -> np.ndarray:
     """Decay rate at each row of feats (n, 2d+2): the Beta mode, or a draw
-    from stream rngs[i] for row i; rl scores it later from the features."""
-    _, alpha, beta, _ = tpm_params_batch(policy, feats)
+    from stream rngs[i] for row i; rl scores it later from the features.
+    work is tpm_params_batch's."""
+    _, alpha, beta, _ = tpm_params_batch(policy, feats, work)
     if deterministic:
         return (alpha - 1.0) / (alpha + beta - 2.0)
     return beta_sample_lanes(alpha, beta, rngs)

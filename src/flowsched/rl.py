@@ -3,8 +3,9 @@ trajectories, and the training loops.
 
 The whole predicted schedule is one action: its log-probability is the sum of
 per-step Beta log-densities, so importance ratios and gradients flow through
-every kept prediction. The reward discounts a terminal quality score by the
-step count, which is what makes shorter schedules pay off.
+every kept prediction. The reward discounts a terminal quality score
+(flow.toy_reward) by the step count, which is what makes shorter schedules
+pay off.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import RLConfig, ScheduleConfig
-from .flow import TargetSpec, VelocityField, ref_log_density, row_dot
+from .flow import TargetSpec, VelocityField, row_dot, toy_reward
 from .nn import Diverged, OptimizerState, descend, write_csv
 from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
@@ -26,22 +27,6 @@ from .sampler import Lanes, roll_lanes
 from .special_math import beta_log_pdf, beta_terms, kl_from_terms, log_pdf_from_terms
 
 logger = logging.getLogger(__name__)
-
-IR_CLAMP = -10.0
-
-
-def toy_reward(y: np.ndarray, target: TargetSpec) -> float | np.ndarray:
-    """Quality score of a final sample (d,), or of each row of a batch (n, d):
-    centered log-density, clamped below.
-
-    Centering by the target's expected log-density puts typical samples near
-    0 and the mode of a standard normal at exactly +1.
-    """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("non-finite sample")
-    ir = np.maximum(target.log_density(y) - ref_log_density(target), IR_CLAMP)
-    return ir if y.ndim > 1 else float(ir)
 
 
 def discounted_reward(ir, n_steps, gamma: float):
@@ -257,7 +242,10 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
     shapes in a rollout or in the loss, a non-finite loss, gradient norm or
     parameter) logs a warning naming the outer step and ends training: the
     result is the last policy whose rollout came out finite, with the metrics
-    of the outer steps completed before it.
+    of the outer steps completed before it. The result's raw outputs are
+    checked at the last record's features, and outputs that overflow give the
+    warning of outer step cfg.outer_steps and the policy that entered the
+    last step.
     """
     if len(fields) != len(targets):
         raise ValueError("need one velocity field per target")
@@ -292,6 +280,12 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
                 raise Diverged("diverged: non-finite policy parameters")
             means = [float(np.mean(a)) for a in (record.reward, record.ir, record.n_steps)]
             metrics.append(MetricsRow(outer, *means, mean_kl, grad_norm))
+        # the result's raw outputs at the last record's features: one that
+        # overflows is refused although the clamp makes its Beta shape finite,
+        # for at other features it can be inf - inf, a NaN shape
+        outer = cfg.outer_steps
+        if not np.all(np.isfinite(policy.net.forward(record.feats))):
+            raise Diverged("diverged: the final policy's outputs overflow")
     except Diverged as exc:
         logger.warning("aborting at outer step %d: %s", outer, exc)
         policy = last_good

@@ -160,7 +160,10 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
     (gamma(alpha), then gamma(beta)). The t_min forced jump, the grid and the step budget act as
     masks, so a lane's draws and step count do not depend on the other lanes
     (the batched matmuls can move the last bits). Fixed modes walk a time
-    table and draw nothing once noise is given.
+    table and draw nothing once noise is given. One field workspace and one
+    policy workspace, made for all n lanes, serve every step's forward over
+    the lanes still running, and the running set is compacted only on a step
+    that ends a lane, so a step allocates nothing of activation size.
     """
     d = velocity_field.d
     if noise is None and streams is None:
@@ -189,8 +192,10 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
     t = np.full(n, table[0] if cfg.fixed else 1.0)
     grid = np.full(n, cfg.grid_size)
     lane_streams = None if streams is None else np.array(streams, dtype=object)
+    field_work = velocity_field.workspace(n)
+    policy_work = None if cfg.fixed else policy.net.workspace(n)
     for k in range(budget):
-        v = velocity_field(x, t)
+        v = velocity_field(x, t, field_work)  # overwritten by the next step's call
         _check_finite(v, "velocity field produced a non-finite value at t={}", t)
         if cfg.fixed:
             t_next = np.full(len(idx), table[k + 1])
@@ -200,7 +205,7 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
             feats = step_features(x, v, t)
             r = predict_decay_batch(policy, feats,
                                     None if deterministic else lane_streams[idx],
-                                    deterministic)
+                                    deterministic, policy_work)
             t_next = next_time(t, r)
             if cfg.mode == "discrete-adaptive":
                 t_next, grid = quantize_times(t_next, cfg.grid_size, grid)
@@ -218,17 +223,20 @@ def roll_lanes(velocity_field: VelocityField, cfg: ScheduleConfig,
         lanes.times[idx, k + 1] = t_next
         lanes.states[idx, k + 1] = x
         live = t_next > 0.0
-        lanes.n_steps[idx[~live]] = k + 1
-        if not live.any():
-            break
-        idx, x, t, grid = idx[live], x[live], t_next[live], grid[live]
+        if not live.all():
+            lanes.n_steps[idx[~live]] = k + 1
+            if not live.any():
+                break
+            idx, x, t_next, grid = idx[live], x[live], t_next[live], grid[live]
+        t = t_next
     return lanes
 
 
 def _check_finite(a: np.ndarray, message: str, t: np.ndarray) -> None:
-    """Raise RuntimeError naming the time of the first lane with a non-finite row."""
-    bad = ~np.all(np.isfinite(a), axis=1)
-    if bad.any():
+    """Raise RuntimeError naming the time of the first lane with a non-finite
+    row; the rows are searched only once the whole array has failed."""
+    if not np.isfinite(a).all():
+        bad = ~np.all(np.isfinite(a), axis=1)
         raise RuntimeError(message.format(float(t[bad][0])))
 
 

@@ -6,8 +6,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import flowsched.rl as rl
 from flowsched.cli import (STREAM_SAMPLE, _build_fields, _init_policy, build_parser,
                            evaluate_policy, main)
 from flowsched.config import (DESK_EVAL_ROLLOUTS, ExperimentConfig,
-                              preset_config, write_run_stamp)
+                              preset_config, version_string, write_run_stamp)
 from flowsched.flow import (VelocityField, field_header, make_velocity_net,
                             ring_mixture_target, single_gaussian_target,
                             standard_normal_target)
@@ -292,18 +294,24 @@ def test_compare_baselines_on_a_headed_field_runs_no_monte_carlo(tmp_path, monke
     assert outs[0] == outs[1]
 
 
-def test_field_header_of_another_target_is_ignored(tmp_path, monkeypatch):
+def test_field_header_of_another_target_is_ignored(tmp_path, monkeypatch, caplog):
     """A well-formed header made for another target is not read: ring-4's
-    constant is computed, although the header holds 0."""
+    constant is computed, although the header holds 0, and a warning names
+    the checkpoint and both fingerprints."""
     path = train_ring4_field(tmp_path)
     net, _ = load_checkpoint(path)
     fingerprint = field_header(ring_mixture_target(8)).split(b";")[0]
     save_checkpoint(net, path, fingerprint + b";ref_log_density=" + (0.0).hex().encode())
     seeds = _mc_seeds(monkeypatch)
     cfg = reduced_config(tmp_path / "run", targets=[RING4], field_source="learned")
-    assert main(["compare-baselines", "--config", save_config(cfg, tmp_path)]) == 0
+    with caplog.at_level("WARNING", logger="flowsched.flow"):
+        assert main(["compare-baselines", "--config", save_config(cfg, tmp_path)]) == 0
     assert flow._REF_MC_SEED in seeds
     assert flow._REF_LOG_DENSITY_CACHE[RING4.key()] == RING4_REF_LOG_DENSITY
+    ring4_fingerprint = field_header(RING4).split(b";")[0].decode().removeprefix("target=")
+    warning, = [r.getMessage() for r in caplog.records if r.name == "flowsched.flow"]
+    for name in (str(path), fingerprint.decode().removeprefix("target="), ring4_fingerprint):
+        assert name in warning
 
 
 @pytest.mark.parametrize("header, names", [
@@ -365,6 +373,27 @@ def test_diverging_train_tpm_leaves_a_policy_that_compare_baselines_loads(tmp_pa
         assert main(["train-tpm", "--config", path]) == 0
         assert "aborting at outer step 1: diverged" in caplog.text
         assert main(["compare-baselines", "--config", path]) == 0
+    assert len(read_csv(tmp_path / "run" / "metrics.csv")[1]) == 1
+
+
+def test_train_tpm_whose_last_update_overflows_keeps_the_policy_before_it(tmp_path, caplog):
+    """Desk train-tpm at lr = 1e308 for one outer step of one epoch: the
+    update's outputs overflow (the clamp keeps their shapes finite there,
+    not at every state), so the run saves the initial policy, and
+    compare-baselines on it exits 0."""
+    cfg = preset_config("desk")
+    cfg.out_dir = str(tmp_path / "run")
+    cfg.rl = dataclasses.replace(cfg.rl, lr=1e308, inner_epochs=1, outer_steps=1)
+    cfg.eval_rollouts = 100
+    path = save_config(cfg, tmp_path)
+    with caplog.at_level("WARNING"), np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train-tpm", "--config", path]) == 0
+        assert "aborting at outer step 1: diverged: the final policy's outputs overflow" \
+            in caplog.text
+        assert main(["compare-baselines", "--config", path]) == 0
+    save_policy(_init_policy(cfg, 2), tmp_path / "initial.ckpt")
+    assert (tmp_path / "run" / "policy.ckpt").read_bytes() == \
+        (tmp_path / "initial.ckpt").read_bytes()
     assert len(read_csv(tmp_path / "run" / "metrics.csv")[1]) == 1
 
 
@@ -861,7 +890,8 @@ def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 def _modules_loaded_by(code: str) -> list[str]:
     """The flowsched, subprocess and hashlib modules that code, run in a fresh
-    interpreter, leaves in sys.modules."""
+    interpreter, leaves in sys.modules. The run stamp starts git, so a run's
+    list shows whether that loaded subprocess."""
     code += ("\nprint(*sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('flowsched', 'subprocess', 'hashlib')))")
     result = _python("import sys\n" + code)
@@ -880,6 +910,51 @@ def test_importing_config_loads_only_what_the_schema_needs(tmp_path):
     assert (tmp_path / "run" / "field_0.ckpt").exists()
     unused = {f"flowsched.{m}" for m in ("rl", "policy", "sampler", "special_math", "svg")}
     assert not unused & set(loaded)
+    assert "subprocess" not in loaded
+    # compare-baselines adds what it rolls lanes with, but not the trainer
+    argv = ["compare-baselines", "--config",
+            save_config(reduced_config(tmp_path / "eval", eval_rollouts=8), tmp_path)]
+    loaded = _modules_loaded_by(f"from flowsched.cli import main\nassert main({argv!r}) == 0")
+    assert (tmp_path / "eval" / "baselines.csv").exists()
+    assert "flowsched.sampler" in loaded
+    assert not {"flowsched.rl", "flowsched.svg", "subprocess"} & set(loaded)
+
+
+def test_version_string_is_git_describe_of_the_source_tree():
+    """The stamp's text is what a subprocess run of git describe in the
+    package's root gives, or the bare version where that fails."""
+    root = Path(flowsched.__file__).resolve().parents[2]
+    try:
+        run = subprocess.run(["git", "describe", "--always", "--dirty", "--tags"], cwd=root,
+                             capture_output=True, text=True, timeout=10)
+        described = run.stdout.strip() if run.returncode == 0 else ""
+    except OSError:
+        described = ""
+    expected = f"flowsched-{flowsched.__version__}" + (f"+{described}" if described else "")
+    assert version_string() == expected
+
+
+def test_version_string_without_git_on_path_is_the_bare_version(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    monkeypatch.chdir(tmp_path)  # an empty PATH entry searches the working directory
+    assert version_string() == "flowsched-0.1.0"
+
+
+@pytest.mark.parametrize("script, stamp", [
+    ("echo ' v1-2-gabc '", "flowsched-0.1.0+v1-2-gabc"),
+    ("echo v1; exit 3", "flowsched-0.1.0"),  # a non-zero exit
+    (f"echo v1; exec {shutil.which('sleep')} 30", "flowsched-0.1.0"),  # killed at the deadline
+], ids=["exit-0", "exit-3", "deadline"])
+def test_version_string_reads_what_git_prints_before_the_deadline(script, stamp, tmp_path,
+                                                                   monkeypatch):
+    git = tmp_path / "git"
+    git.write_text(f"#!/bin/sh\n{script}\n")
+    git.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setattr("flowsched.config.GIT_TIMEOUT_S", 0.5)
+    start = time.monotonic()
+    assert version_string() == stamp
+    assert time.monotonic() - start < 5.0
 
 
 # ------------------------------------------------------------ interpreter exit

@@ -229,6 +229,30 @@ def test_velocity_field_batch_matches_single():
                        atol=1e-12)
 
 
+def test_velocity_field_with_a_workspace_equals_the_allocating_call():
+    """A learned field called with its workspace writes x and t into the
+    input rows and returns net.forward of their concatenation bit for bit, as
+    a view of the output rows; one workspace made for 500 rows serves each
+    smaller set of rows, as roll_lanes uses it. The oracle takes none."""
+    net = make_velocity_net(2, (64, 64), RngStream(6, 0))
+    field = VelocityField("learned", net=net)
+    rng = RngStream(6, 1)
+
+    def check(n, work):
+        x, t = rng.standard_normal((n, 2)), rng.uniform(size=n)
+        got = field(x, t, work)
+        assert np.array_equal(got, net.forward(np.concatenate([x, t[:, None]], axis=1)))
+        assert np.shares_memory(got, work.acts[-1])
+        assert np.array_equal(field(x, 0.25, work), field(x, 0.25))
+
+    for n in (1, 7, 256, 500):
+        check(n, field.workspace(n))
+    work = field.workspace(500)
+    for n in (500, 499, 256, 7, 1):
+        check(n, work)
+    assert VelocityField("oracle", target=standard_normal_target(2)).workspace(500) is None
+
+
 def test_velocity_vjp_matches_finite_differences():
     h = 1e-6
     g = np.array([0.7, -1.1])

@@ -150,6 +150,27 @@ def test_workspace_of_another_batch_size_raises_naming_both():
         DenseNet([3, 6, 2]).forward_acts(np.zeros((4, 3)), work)
 
 
+def test_workspace_rows_serve_every_smaller_batch_bit_for_bit():
+    """rows(m) is views of the first m rows of one workspace, so it serves
+    forward_acts and backward at every batch size up to n."""
+    net = DenseNet.init_random([3, 6, 4, 2], RngStream(21, 0))
+    rng = RngStream(21, 1)
+    work = net.workspace(9)
+    assert work.rows(9) is work
+    for m in (9, 8, 5, 1, 0):
+        part = work.rows(m)
+        assert part.n == m and part.inp.shape == (m, 3) and part.grad is work.grad
+        assert all(np.shares_memory(a, b) for a, b in zip(part.acts, work.acts) if m)
+        x, g = rng.standard_normal((m, 3)), rng.standard_normal((m, 2))
+        acts = net.forward_acts(x, part)
+        assert all(np.array_equal(a, b) for a, b in zip(acts, net.forward_acts(x)))
+        for got, want in zip(net.backward(x, g, acts, part), net.backward(x, g)):
+            assert np.array_equal(got, want)
+    for m in (10, -1):
+        with pytest.raises(ValueError, match=f"{m} rows asked of a workspace for 9"):
+            work.rows(m)
+
+
 def test_forward_identity_linear_layer():
     net = DenseNet([2, 2])
     net.weights[0][...] = np.eye(2)

@@ -14,17 +14,17 @@ from scipy import special
 from flowsched.cli import STREAM_RL_TRAIN, _init_policy, evaluate_policy, main
 from flowsched.config import ExperimentConfig, preset_config
 import flowsched.rl as rl
-from flowsched.flow import (VelocityField, make_velocity_net, ref_log_density,
+from flowsched.flow import (IR_CLAMP, VelocityField, make_velocity_net, ref_log_density,
                             ring_mixture_target, single_gaussian_target,
-                            standard_normal_target)
+                            standard_normal_target, toy_reward)
 from flowsched.nn import DenseNet, clip_global_norm
 from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy, raw_to_shape,
                               save_policy, shape_grad_wrt_raw, step_features,
                               tpm_params_batch)
-from flowsched.rl import (IR_CLAMP, MetricsRow, PpoLossResult, RLConfig, Rollouts,
+from flowsched.rl import (MetricsRow, PpoLossResult, RLConfig, Rollouts,
                           discounted_reward, ppo_loss, rloo_advantages, roll_groups,
-                          rollout_group, step_log_pdf, toy_reward,
-                          train_naive_two_step, train_tpm, write_metrics_csv)
+                          rollout_group, step_log_pdf, train_naive_two_step, train_tpm,
+                          write_metrics_csv)
 from flowsched.rng import RngStream
 from flowsched.sampler import Lanes, ScheduleConfig, roll_lanes
 from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf, digamma,

@@ -290,10 +290,14 @@ def test_fixed_modes_with_given_noise_draw_nothing(mode, tmp_path):
 
 def test_non_finite_velocity_in_one_lane_names_its_time():
     class NanForFarLanes:
-        """The oracle, except non-finite below t = 0.3 for states beyond |x0| = 10."""
+        """The oracle, except non-finite below t = 0.3 for states beyond |x0| = 10;
+        like the oracle, it takes no workspace."""
         d = 2
 
-        def __call__(self, x, t):
+        def workspace(self, n):
+            return None
+
+        def __call__(self, x, t, work=None):
             v = oracle_field()(x, t)
             v[(np.abs(x[:, 0]) > 10.0) & (t < 0.3)] = np.nan
             return v
