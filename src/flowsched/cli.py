@@ -91,10 +91,14 @@ def _field_paths(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [out / f"field_{i}.ckpt" for i in range(len(cfg.targets))]
 
 
-def _build_fields(cfg: ExperimentConfig, out: Path) -> list[VelocityField]:
+def _build_fields(cfg: ExperimentConfig,
+                  out: Path) -> tuple[list[VelocityField], list[TargetSpec]]:
+    """The velocity field of each configured target, and the target to score
+    it with: a learned field's target holds the reward-centering constant
+    its checkpoint header carries (flow.read_field_header)."""
     if cfg.field_source == "oracle":
-        return [VelocityField("oracle", target=t) for t in cfg.targets]
-    fields = []
+        return [VelocityField("oracle", target=t) for t in cfg.targets], cfg.targets
+    fields, targets = [], []
     for path, target in zip(_field_paths(cfg, out), cfg.targets):
         if not path.exists():
             raise FileNotFoundError(
@@ -105,8 +109,8 @@ def _build_fields(cfg: ExperimentConfig, out: Path) -> list[VelocityField]:
         except ValueError as exc:  # such as a policy checkpoint listed here
             raise ValueError(f"checkpoint {path}: {exc}") from None
         fields.append(_of_dimension(velocity_field, path, target.d))
-        read_field_header(header, target, path)
-    return fields
+        targets.append(read_field_header(header, target, path))
+    return fields, targets
 
 
 def _of_dimension(loaded, path: Path, d: int):
@@ -199,10 +203,10 @@ def cmd_train_tpm(cfg: ExperimentConfig, args) -> None:
     from .rl import train_tpm, write_metrics_csv
 
     out = write_run_stamp(cfg, cfg.out_dir)
-    fields = _build_fields(cfg, out)
+    fields, targets = _build_fields(cfg, out)
     # train_tpm saves the policy it returns over the checkpoint
     _, metrics = train_tpm(
-        _init_policy(cfg, cfg.targets[0].d), fields, cfg.targets, cfg.rl,
+        _init_policy(cfg, cfg.targets[0].d), fields, targets, cfg.rl,
         cfg.schedule, RngStream(cfg.seed, STREAM_RL_TRAIN),
         checkpoint_path=out / "policy.ckpt",
     )
@@ -219,7 +223,7 @@ def cmd_sample(cfg: ExperimentConfig, args) -> None:
     if args.n_trajectories < 1:
         raise ValueError(f"--n-trajectories must be at least 1, got {args.n_trajectories}")
     out = write_run_stamp(cfg, cfg.out_dir)
-    fields = _build_fields(cfg, out)
+    fields, _ = _build_fields(cfg, out)
     # a fixed schedule draws nothing from a policy, so none is loaded
     policy = None if cfg.schedule.fixed else _load_or_init_policy(cfg, out)
     _remove_stale(out, "trajectory_*.csv")
@@ -246,16 +250,16 @@ def cmd_sweep_gamma(cfg: ExperimentConfig, args) -> None:
         # a repeated value would retrain its policy and overwrite its checkpoint
         raise ValueError(f"--gammas values must be distinct, got {args.gammas}")
     out = write_run_stamp(cfg, cfg.out_dir)
-    fields = _build_fields(cfg, out)
+    fields, targets = _build_fields(cfg, out)
     rows = []
     for gamma in args.gammas:
         rl = dataclasses.replace(cfg.rl, gamma=gamma)
         # identical streams per gamma: only the discount differs
         policy, _ = train_tpm(_init_policy(cfg, cfg.targets[0].d), fields,
-                              cfg.targets, rl, cfg.schedule,
+                              targets, rl, cfg.schedule,
                               RngStream(cfg.seed, STREAM_RL_TRAIN))
         save_policy(policy, out / f"policy_gamma_{gamma!r}.ckpt")
-        summary = evaluate_policy(policy, fields[0], cfg.targets[0], cfg.schedule,
+        summary = evaluate_policy(policy, fields[0], targets[0], cfg.schedule,
                                   gamma, RngStream(cfg.seed, STREAM_EVAL),
                                   cfg.eval_rollouts, args.deterministic_inference)
         rows.append((gamma, summary))
@@ -271,9 +275,9 @@ def cmd_compare_baselines(cfg: ExperimentConfig, args) -> None:
     from .sampler import roll_lanes
 
     out = write_run_stamp(cfg, cfg.out_dir)
-    fields = _build_fields(cfg, out)
+    fields, targets = _build_fields(cfg, out)
     policy = _load_or_init_policy(cfg, out)
-    target, velocity_field = cfg.targets[0], fields[0]
+    target, velocity_field = targets[0], fields[0]
     n = cfg.eval_rollouts
     noise_rng = RngStream(cfg.seed, STREAM_BASELINE_NOISE)
     noise = np.array([noise_rng.child(j).standard_normal(target.d) for j in range(n)])

@@ -7,8 +7,8 @@ field is u = eps - x0 and Euler steps with negative time increments denoise.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -16,15 +16,20 @@ import numpy as np
 from .nn import DenseNet, OptimizerState, Workspace, descend, header_fields
 from .rng import RngStream
 
-logger = logging.getLogger(__name__)
-
 LOG_2PI = float(np.log(2.0 * np.pi))
 IR_CLAMP = -10.0
+_REF_MC_SAMPLES = 100_000
+_REF_MC_SEED = 961748941
+_REF_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Isotropic Gaussian mixture. complexity = number of components."""
+    """Isotropic Gaussian mixture. complexity = number of components.
+
+    The reward-centering constant ref_log_density is computed on first read
+    and kept in the instance, so it lives as long as the target does; a
+    target read_field_header returns holds the constant of its checkpoint."""
 
     means: np.ndarray   # (K, d)
     sigmas: np.ndarray  # (K,)
@@ -94,6 +99,38 @@ class TargetSpec:
         z = rng.standard_normal((n, self.d))
         return self.means[idx] + self.sigmas[idx][:, None] * z
 
+    @cached_property
+    def ref_log_density(self) -> float:
+        """Expected log-density under the target, the reward centering constant.
+
+        Single-component targets have the closed form
+        -(d/2)(ln(2*pi*sigma^2) + 1). Mixtures use the mean log-density of
+        _REF_MC_SAMPLES draws from a fixed stream keyed by the target. The
+        draws are sample's, in its stream order (every component index, then
+        the normals row by row), but made in row blocks: only the indices, in
+        the smallest integer type, and the log-densities are held whole.
+        Every row's value, and so the mean, is unchanged by blocking.
+        """
+        if self.complexity == 1:
+            s2 = float(self.sigmas[0]) ** 2
+            return float(-0.5 * self.d * (LOG_2PI + np.log(s2) + 1.0))
+        import hashlib  # here, not at the top: only mixture targets need it
+
+        digest = hashlib.blake2b(self.key(), digest_size=8).digest()
+        rng = RngStream(_REF_MC_SEED, int.from_bytes(digest, "little"))
+        idx = np.empty(_REF_MC_SAMPLES, np.min_scalar_type(self.complexity - 1))
+        log_d = np.empty(_REF_MC_SAMPLES)
+        starts = range(0, _REF_MC_SAMPLES, _REF_BLOCK_ROWS)
+        for i in starts:
+            comp = idx[i:i + _REF_BLOCK_ROWS]
+            comp[:] = rng.choice(self.complexity, p=self.weights, size=comp.size)
+        for i in starts:
+            comp = idx[i:i + _REF_BLOCK_ROWS]
+            z = rng.standard_normal((comp.size, self.d))
+            log_d[i:i + comp.size] = self.log_density(
+                self.means[comp] + self.sigmas[comp][:, None] * z)
+        return float(np.mean(log_d))
+
 
 def standard_normal_target(d: int = 2) -> TargetSpec:
     return TargetSpec(np.zeros((1, d)), np.ones(1), np.ones(1))
@@ -117,52 +154,6 @@ def ring_mixture_target(n_components: int, radius: float = 2.0,
                       np.full(n_components, 1.0 / n_components))
 
 
-_REF_LOG_DENSITY_CACHE: dict[bytes, float] = {}
-_REF_MC_SAMPLES = 100_000
-_REF_MC_SEED = 961748941
-_REF_BLOCK_ROWS = 1024
-
-
-def ref_log_density(target: TargetSpec) -> float:
-    """Expected log-density under the target, the reward centering constant.
-
-    Single-component targets have the closed form -(d/2)(ln(2*pi*sigma^2) + 1).
-    Mixtures use the mean log-density of _REF_MC_SAMPLES draws from a fixed
-    stream keyed by the target, computed once per target and cached, so the
-    constant is frozen for a whole run. The draws are TargetSpec.sample's, in
-    its stream order (every component index, then the normals row by row), but
-    made in row blocks: only the indices, in the smallest integer type, and
-    the log-densities are held whole. Every row's value, and so the mean, is
-    unchanged by blocking. A velocity checkpoint carries the constant of the
-    target it was trained on (field_header), and read_field_header puts it in
-    the cache, so a run that loads a field computes nothing here.
-    """
-    key = target.key()
-    if key not in _REF_LOG_DENSITY_CACHE:
-        if target.complexity == 1:
-            s2 = float(target.sigmas[0]) ** 2
-            val = -0.5 * target.d * (LOG_2PI + np.log(s2) + 1.0)
-        else:
-            import hashlib  # here, not at the top: only mixture targets need it
-
-            digest = hashlib.blake2b(key, digest_size=8).digest()
-            rng = RngStream(_REF_MC_SEED, int.from_bytes(digest, "little"))
-            idx = np.empty(_REF_MC_SAMPLES, np.min_scalar_type(target.complexity - 1))
-            log_d = np.empty(_REF_MC_SAMPLES)
-            starts = range(0, _REF_MC_SAMPLES, _REF_BLOCK_ROWS)
-            for i in starts:
-                comp = idx[i:i + _REF_BLOCK_ROWS]
-                comp[:] = rng.choice(target.complexity, p=target.weights, size=comp.size)
-            for i in starts:
-                comp = idx[i:i + _REF_BLOCK_ROWS]
-                z = rng.standard_normal((comp.size, target.d))
-                log_d[i:i + comp.size] = target.log_density(
-                    target.means[comp] + target.sigmas[comp][:, None] * z)
-            val = np.mean(log_d)
-        _REF_LOG_DENSITY_CACHE[key] = float(val)
-    return _REF_LOG_DENSITY_CACHE[key]
-
-
 def toy_reward(y: np.ndarray, target: TargetSpec) -> float | np.ndarray:
     """Quality score of a final sample (d,), or of each row of a batch (n, d):
     centered log-density, clamped below.
@@ -173,7 +164,7 @@ def toy_reward(y: np.ndarray, target: TargetSpec) -> float | np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite sample")
-    ir = np.maximum(target.log_density(y) - ref_log_density(target), IR_CLAMP)
+    ir = np.maximum(target.log_density(y) - target.ref_log_density, IR_CLAMP)
     return ir if y.ndim > 1 else float(ir)
 
 
@@ -190,19 +181,20 @@ def field_header(target: TargetSpec) -> bytes:
     """The header of a velocity checkpoint trained on target, ASCII
     `target=<fingerprint>;ref_log_density=<float.hex()>`."""
     return (f"target={_target_fingerprint(target)};"
-            f"ref_log_density={ref_log_density(target).hex()}").encode("ascii")
+            f"ref_log_density={target.ref_log_density.hex()}").encode("ascii")
 
 
-def read_field_header(header: bytes, target: TargetSpec, path) -> None:
-    """Cache the reward-centering constant a velocity checkpoint at path
-    carries, when its header is field_header's for target. An empty header (a
-    checkpoint written before fields carried the constant) or one made for
-    another target caches nothing, so ref_log_density computes it (the
-    latter with a warning naming path and both fingerprints); a header that
-    is not ASCII, lacks a field or holds a value that is not a finite float
-    in float.hex() form raises ValueError naming path."""
+def read_field_header(header: bytes, target: TargetSpec, path) -> TargetSpec:
+    """The target to score the velocity checkpoint at path with, given its
+    header and the target it is configured for. An empty header (a
+    checkpoint written before fields carried the constant) gives target
+    itself; field_header's header for target gives a copy of target that
+    holds the stored constant, so nothing is drawn for it. A header made for
+    another target raises ValueError naming path and both fingerprints, as
+    does one that is not ASCII, lacks a field or holds a value that is not a
+    finite float in float.hex() form."""
     if not header:
-        return
+        return target
     fields = header_fields(header, path, "velocity", ("target", "ref_log_density"))
     hex_value = fields["ref_log_density"]
     try:
@@ -213,11 +205,12 @@ def read_field_header(header: bytes, target: TargetSpec, path) -> None:
         raise ValueError(f"{path}: velocity header field ref_log_density={hex_value!r} "
                          f"is not a finite float in float.hex() form") from None
     fingerprint = _target_fingerprint(target)
-    if fields["target"] == fingerprint:
-        _REF_LOG_DENSITY_CACHE.setdefault(target.key(), value)
-    else:
-        logger.warning("%s: velocity header is for target %s, not this target %s; "
-                       "its ref_log_density is ignored", path, fields["target"], fingerprint)
+    if fields["target"] != fingerprint:
+        raise ValueError(f"{path}: velocity header is for target {fields['target']}, "
+                         f"not this target {fingerprint}")
+    headed = replace(target)
+    headed.__dict__["ref_log_density"] = value  # where cached_property keeps its value
+    return headed
 
 
 def interpolate(x0: np.ndarray, eps: np.ndarray, t: float | np.ndarray,

@@ -77,14 +77,16 @@ def tpm_params_batch(policy: TimePolicy, feats: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Vectorized (raw, alpha, beta, acts) over a feature matrix (n, 2d+2);
     acts are the net's activations, for a backward pass from raw. Every
-    reader of Beta shapes comes here, so a non-finite one raises Diverged.
+    reader of Beta shapes comes here, so a non-finite raw output raises
+    Diverged, although the clamp would map ±inf to a finite shape (a net
+    whose outputs overflow at some states gives inf - inf at others).
     With work, the net's workspace for at least n rows, acts and raw are
     views of it that the next call on work overwrites."""
     acts = policy.net.forward_acts(feats, None if work is None else work.rows(len(feats)))
     raw = acts[-1]
+    if not np.all(np.isfinite(raw)):
+        raise Diverged("diverged: the policy gave non-finite raw outputs")
     ab = raw_to_shape(raw)
-    if not np.all(np.isfinite(ab)):
-        raise Diverged("diverged: the policy gave non-finite Beta shapes")
     return raw, ab[:, 0], ab[:, 1], acts
 
 

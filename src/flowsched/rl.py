@@ -238,12 +238,12 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
     is frozen at entry. When checkpoint_path is given, the policy that
     entered each outer step is saved there once that step's rollout comes out
     finite, and the result is saved there at the end, so a run killed before
-    it ends leaves a policy whose rollout came out finite. Divergence (nn.Diverged: non-finite Beta
-    shapes in a rollout or in the loss, a non-finite loss, gradient norm or
-    parameter) logs a warning naming the outer step and ends training: the
-    result is the last policy whose rollout came out finite, with the metrics
-    of the outer steps completed before it. The result's raw outputs are
-    checked at the last record's features, and outputs that overflow give the
+    it ends leaves a policy whose rollout came out finite. Divergence
+    (nn.Diverged: non-finite raw policy outputs in a rollout or in the loss,
+    a non-finite loss, gradient norm or parameter) logs a warning naming the
+    outer step and ends training: the result is the last policy whose rollout
+    came out finite, with the metrics of the outer steps completed before it. The result's raw outputs are
+    checked at the last record's features, and a non-finite one gives the
     warning of outer step cfg.outer_steps and the policy that entered the
     last step.
     """
@@ -280,12 +280,8 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
                 raise Diverged("diverged: non-finite policy parameters")
             means = [float(np.mean(a)) for a in (record.reward, record.ir, record.n_steps)]
             metrics.append(MetricsRow(outer, *means, mean_kl, grad_norm))
-        # the result's raw outputs at the last record's features: one that
-        # overflows is refused although the clamp makes its Beta shape finite,
-        # for at other features it can be inf - inf, a NaN shape
-        outer = cfg.outer_steps
-        if not np.all(np.isfinite(policy.net.forward(record.feats))):
-            raise Diverged("diverged: the final policy's outputs overflow")
+        outer = cfg.outer_steps  # the result's raw outputs at the last record's features
+        tpm_params_batch(policy, record.feats)
     except Diverged as exc:
         logger.warning("aborting at outer step %d: %s", outer, exc)
         policy = last_good

@@ -181,9 +181,3 @@ def beta_sample(params: BetaParams, rng) -> float:
     """One draw r ~ Beta(alpha, beta) from rng: beta_sample_lanes on one lane."""
     return float(beta_sample_lanes([params.alpha], [params.beta], [rng])[0])
 
-
-def beta_kl(p, q):
-    """KL(p || q) in nats between two Betas, each a BetaParams or anything
-    with alpha and beta (floats or arrays, elementwise)."""
-    return _unwrap(kl_from_terms(*((d.alpha, d.beta, *beta_terms(d.alpha, d.beta))
-                                   for d in (p, q))))

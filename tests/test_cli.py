@@ -261,21 +261,19 @@ def test_train_flow_writes_the_reference_constant_in_the_header(tmp_path):
 
 
 def _mc_seeds(monkeypatch) -> list:
-    """Empty the reward-centering cache and record the seed of every stream
-    flow makes from now on."""
+    """The seed of every stream flow makes from now on."""
     seeds = []
 
     def recording_stream(seed, stream=0):
         seeds.append(seed)
         return RngStream(seed, stream)
 
-    monkeypatch.setattr(flow, "_REF_LOG_DENSITY_CACHE", {})
     monkeypatch.setattr(flow, "RngStream", recording_stream)
     return seeds
 
 
 def test_compare_baselines_on_a_headed_field_runs_no_monte_carlo(tmp_path, monkeypatch):
-    """A field whose header matches its target seeds the constant, so
+    """A field whose header matches its target brings the constant, so
     compare-baselines draws nothing from the Monte-Carlo stream, and writes
     the bytes it writes from the same field re-saved with an empty header."""
     path = train_ring4_field(tmp_path)
@@ -289,29 +287,75 @@ def test_compare_baselines_on_a_headed_field_runs_no_monte_carlo(tmp_path, monke
                              field_checkpoints=[str(field)])
         assert main(["compare-baselines", "--config", save_config(cfg, tmp_path)]) == 0
         assert (flow._REF_MC_SEED in seeds) == mc_draws
-        assert flow._REF_LOG_DENSITY_CACHE[RING4.key()] == RING4_REF_LOG_DENSITY
         outs.append((out / "baselines.csv").read_bytes())
     assert outs[0] == outs[1]
 
 
-def test_field_header_of_another_target_is_ignored(tmp_path, monkeypatch, caplog):
-    """A well-formed header made for another target is not read: ring-4's
-    constant is computed, although the header holds 0, and a warning names
-    the checkpoint and both fingerprints."""
+def test_headed_target_holds_the_stored_constant(tmp_path, monkeypatch):
+    """_build_fields scores a headed field with a copy of its target that
+    holds the header's constant, and draws nothing for it; the configured
+    target is left as it was."""
+    path = train_ring4_field(tmp_path)
+    cfg = reduced_config(tmp_path / "run", targets=[ring_mixture_target(4)],
+                         field_source="learned")
+    seeds = _mc_seeds(monkeypatch)
+    (velocity_field,), (target,) = _build_fields(cfg, tmp_path / "run")
+    assert target is not cfg.targets[0] and target.key() == RING4.key()
+    assert "ref_log_density" not in vars(cfg.targets[0])
+    assert target.ref_log_density == RING4_REF_LOG_DENSITY
+    assert seeds == []
+
+
+def test_stored_constant_does_not_outlive_its_run(tmp_path):
+    """compare-baselines in one process on a ring-4 field whose header holds
+    a wrong constant for its target, then on the same net with an empty
+    header: the second run writes what a fresh process writes from that net.
+    The field is trained in a fresh process too, so this one computes the
+    target's constant only when a run needs it."""
+    target = ring_mixture_target(4, radius=2.5)  # a target no other test scores
+
+    def run_fresh(*argv):
+        run = _python("import sys; from flowsched.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", *argv)
+        assert run.returncode == 0, run.stderr
+
+    def config(name, **overrides):
+        (tmp_path / name).mkdir()
+        return save_config(reduced_config(tmp_path / name, targets=[target],
+                                          field_source="learned", **overrides),
+                           tmp_path / name)
+
+    run_fresh("train-flow", "--config", config("flow"))
+    net, header = load_checkpoint(tmp_path / "flow" / "field_0.ckpt")
+    wrong, bare = tmp_path / "wrong.ckpt", tmp_path / "bare.ckpt"
+    save_checkpoint(net, wrong, header.split(b";")[0] + b";ref_log_density=" + (0.0).hex().encode())
+    save_checkpoint(net, bare)
+    for name, field in (("wrong", wrong), ("bare", bare)):
+        assert main(["compare-baselines", "--config",
+                     config(name, field_checkpoints=[str(field)])]) == 0
+    run_fresh("compare-baselines", "--config", config("fresh", field_checkpoints=[str(bare)]))
+    baselines = {name: (tmp_path / name / "baselines.csv").read_bytes()
+                 for name in ("wrong", "bare", "fresh")}
+    assert baselines["bare"] == baselines["fresh"]
+    assert baselines["wrong"] != baselines["bare"]  # a stored constant is trusted
+
+
+def test_field_header_of_another_target_is_refused(tmp_path, caplog):
+    """A well-formed header made for another target is refused: the run
+    exits 2 with an error naming the checkpoint and both fingerprints, and
+    writes no baselines."""
     path = train_ring4_field(tmp_path)
     net, _ = load_checkpoint(path)
     fingerprint = field_header(ring_mixture_target(8)).split(b";")[0]
     save_checkpoint(net, path, fingerprint + b";ref_log_density=" + (0.0).hex().encode())
-    seeds = _mc_seeds(monkeypatch)
     cfg = reduced_config(tmp_path / "run", targets=[RING4], field_source="learned")
-    with caplog.at_level("WARNING", logger="flowsched.flow"):
-        assert main(["compare-baselines", "--config", save_config(cfg, tmp_path)]) == 0
-    assert flow._REF_MC_SEED in seeds
-    assert flow._REF_LOG_DENSITY_CACHE[RING4.key()] == RING4_REF_LOG_DENSITY
+    with caplog.at_level("ERROR", logger="flowsched.cli"):
+        assert main(["compare-baselines", "--config", save_config(cfg, tmp_path)]) == 2
+    assert not (tmp_path / "run" / "baselines.csv").exists()
     ring4_fingerprint = field_header(RING4).split(b";")[0].decode().removeprefix("target=")
-    warning, = [r.getMessage() for r in caplog.records if r.name == "flowsched.flow"]
+    error, = [r.getMessage() for r in caplog.records if r.name == "flowsched.cli"]
     for name in (str(path), fingerprint.decode().removeprefix("target="), ring4_fingerprint):
-        assert name in warning
+        assert name in error
 
 
 @pytest.mark.parametrize("header, names", [
@@ -388,7 +432,7 @@ def test_train_tpm_whose_last_update_overflows_keeps_the_policy_before_it(tmp_pa
     path = save_config(cfg, tmp_path)
     with caplog.at_level("WARNING"), np.errstate(over="ignore", invalid="ignore"):
         assert main(["train-tpm", "--config", path]) == 0
-        assert "aborting at outer step 1: diverged: the final policy's outputs overflow" \
+        assert "aborting at outer step 1: diverged: the policy gave non-finite raw outputs" \
             in caplog.text
         assert main(["compare-baselines", "--config", path]) == 0
     save_policy(_init_policy(cfg, 2), tmp_path / "initial.ckpt")
@@ -472,7 +516,7 @@ def test_fixed_sample_loads_no_policy_and_writes_the_same_bytes(tmp_path, caplog
     # the files sample wrote when it scored fixed lanes with an untrained policy
     policy = _init_policy(cfg, 2)
     rng = RngStream(cfg.seed, STREAM_SAMPLE)
-    lanes = roll_lanes(_build_fields(cfg, out)[0], cfg.schedule,
+    lanes = roll_lanes(_build_fields(cfg, out)[0][0], cfg.schedule,
                        [rng.child(j) for j in range(3)], policy=policy)
     log_probs = step_log_pdf(policy, *lanes.kept()[:2])
     assert log_probs.shape == (0,)

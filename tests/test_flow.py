@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flowsched.flow import (TargetSpec, VelocityField, fm_loss,
                             interpolate, make_velocity_net, oracle_velocity,
-                            ref_log_density, ring_mixture_target,
+                            ring_mixture_target,
                             single_gaussian_target, standard_normal_target,
                             train_flow)
 import flowsched.flow as flow
@@ -81,10 +81,9 @@ def test_log_density_equals_broadcast_formula_bit_for_bit():
             assert target.log_density(pts[0]) == broadcast_log_density(target, pts[0])[0]
 
 
-def test_ref_log_density_of_rings_is_unchanged(monkeypatch):
-    monkeypatch.setattr(flow, "_REF_LOG_DENSITY_CACHE", {})
-    assert ref_log_density(ring_mixture_target(4)) == -2.124602693433635
-    assert ref_log_density(ring_mixture_target(8)) == -2.7387383062649473
+def test_ref_log_density_of_rings_is_unchanged():
+    assert ring_mixture_target(4).ref_log_density == -2.124602693433635
+    assert ring_mixture_target(8).ref_log_density == -2.7387383062649473
 
 
 def test_target_sample_moments():
@@ -108,16 +107,17 @@ def test_ring_mixture_layout():
 def test_ref_log_density_single_component_closed_form():
     target = single_gaussian_target([3.0, 3.0], 2.0)
     expected = -0.5 * 2 * (np.log(2 * np.pi * 4.0) + 1.0)
-    assert ref_log_density(target) == pytest.approx(expected, abs=1e-12)
+    assert target.ref_log_density == pytest.approx(expected, abs=1e-12)
     # standard normal: E[log p] = -ln(2 pi) - 1
-    assert ref_log_density(standard_normal_target(2)) == pytest.approx(
+    assert standard_normal_target(2).ref_log_density == pytest.approx(
         -np.log(2 * np.pi) - 1.0, abs=1e-12)
 
 
 def test_ref_log_density_mixture_frozen_and_sane():
     target = ring_mixture_target(4)
-    first = ref_log_density(target)
-    assert first == ref_log_density(target)  # cached constant
+    first = target.ref_log_density
+    assert first == target.ref_log_density  # kept in the instance
+    assert first == ring_mixture_target(4).ref_log_density  # and the same for every instance
     # independent Monte-Carlo estimate agrees at its own noise scale
     pts = target.sample(200000, RngStream(2, 0))
     vals = target.log_density(pts)
@@ -409,13 +409,12 @@ def unblocked_ref_log_density(target):
     return float(np.mean(target.log_density(pts)))
 
 
-def test_ref_log_density_blocks_equal_one_unblocked_pass(monkeypatch):
+def test_ref_log_density_blocks_equal_one_unblocked_pass():
     """Drawing and scoring the points in row blocks keeps every bit."""
-    monkeypatch.setattr(flow, "_REF_LOG_DENSITY_CACHE", {})
     mixture_3d = TargetSpec([[0.0, 0.0, 0.0], [1.5, -1.0, 0.5], [-2.0, 1.0, 1.0]],
                             [0.4, 0.7, 1.1], [0.5, 0.3, 0.2])
     for target in (*map(ring_mixture_target, range(2, 17)), mixture_3d):
-        assert ref_log_density(target) == unblocked_ref_log_density(target)
+        assert target.ref_log_density == unblocked_ref_log_density(target)
 
 
 def per_layer_train_flow(field, target, steps, rng, batch_size, lr):

@@ -14,7 +14,7 @@ from scipy import special
 from flowsched.cli import STREAM_RL_TRAIN, _init_policy, evaluate_policy, main
 from flowsched.config import ExperimentConfig, preset_config
 import flowsched.rl as rl
-from flowsched.flow import (IR_CLAMP, VelocityField, make_velocity_net, ref_log_density,
+from flowsched.flow import (IR_CLAMP, VelocityField, make_velocity_net,
                             ring_mixture_target, single_gaussian_target,
                             standard_normal_target, toy_reward)
 from flowsched.nn import DenseNet, clip_global_norm
@@ -27,7 +27,7 @@ from flowsched.rl import (MetricsRow, PpoLossResult, RLConfig, Rollouts,
                           write_metrics_csv)
 from flowsched.rng import RngStream
 from flowsched.sampler import Lanes, ScheduleConfig, roll_lanes
-from flowsched.special_math import (BetaParams, beta_kl, beta_log_pdf, digamma,
+from flowsched.special_math import (beta_log_pdf, beta_terms, digamma, kl_from_terms,
                                     log_gamma)
 
 from beta_reference import log_pdf_grad_wrt_raw
@@ -352,9 +352,8 @@ def test_ppo_loss_kl_term_matches_scalar_oracle():
         feats, _ = lane_steps(group, i)
         _, a_q, b_q, _ = tpm_params_batch(policy, feats)
         _, a_p, b_p, _ = tpm_params_batch(ref, feats)
-        per_step = [beta_kl(BetaParams(float(a_p[m]), float(b_p[m])),
-                            BetaParams(float(a_q[m]), float(b_q[m])))
-                    for m in range(feats.shape[0])]
+        per_step = kl_from_terms((a_p, b_p, *beta_terms(a_p, b_p)),
+                                 (a_q, b_q, *beta_terms(a_q, b_q)))
         kls.append(np.mean(per_step))
     assert abs(res.mean_kl - np.mean(kls)) <= 1e-10
     assert abs(res.loss - np.mean(kls)) <= 1e-10
@@ -648,8 +647,9 @@ def test_train_tpm_evaluates_reference_once_per_outer_step(monkeypatch):
                            RngStream(81, 1))
     assert len(metrics) == cfg.outer_steps
     assert calls["other"] == cfg.outer_steps
-    # one forward scores the record's old log-probs, then one per inner epoch
-    assert calls["live"] == cfg.outer_steps * (cfg.inner_epochs + 1)
+    # one forward scores the record's old log-probs, then one per inner epoch,
+    # and one checks the result's outputs at the end
+    assert calls["live"] == cfg.outer_steps * (cfg.inner_epochs + 1) + 1
 
 
 def test_train_tpm_reference_keeps_its_theta_while_the_actor_moves(monkeypatch):
@@ -750,7 +750,7 @@ def test_train_tpm_rejects_mismatched_fields_and_targets():
 def diverging_desk_run(tmp_path, caplog, **rl_overrides):
     """(initial policy, returned policy, metrics) of desk train_tpm on the
     standard-normal oracle at lr = 1e308, which drives the policy to
-    non-finite Beta shapes; the overflows are expected there."""
+    non-finite raw outputs; the overflows are expected there."""
     cfg = preset_config("desk")
     rl_cfg = dataclasses.replace(cfg.rl, lr=1e308, outer_steps=3, **rl_overrides)
     initial = _init_policy(cfg, 2)
@@ -766,7 +766,7 @@ def test_train_tpm_diverging_update_returns_the_initial_policy(tmp_path, caplog)
     initial, policy, metrics = diverging_desk_run(tmp_path, caplog)
     assert np.array_equal(policy.net.theta, initial.net.theta)
     assert metrics == []
-    assert "aborting at outer step 0: diverged: the policy gave non-finite Beta shapes" \
+    assert "aborting at outer step 0: diverged: the policy gave non-finite raw outputs" \
         in caplog.text
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from flowsched.flow import (VelocityField, make_velocity_net,
                             standard_normal_target)
-from flowsched.nn import DenseNet
+from flowsched.nn import DenseNet, Diverged
 from flowsched.policy import (TimePolicy, feature_length, init_policy,
                               tpm_params_batch)
 from flowsched.rl import step_log_pdf
@@ -224,6 +224,16 @@ def test_sampler_aborts_on_non_finite_state():
     policy = init_policy(2, 0.7, RngStream(12, 1))
     with pytest.raises(RuntimeError, match="non-finite"):
         sample_adaptive(policy, bad_field, ScheduleConfig(), RngStream(12, 2))
+
+
+def test_policy_whose_outputs_overflow_diverges():
+    """A raw output of +inf is refused although the clamp would map it to a
+    finite Beta shape: a net that overflows at some states gives inf - inf,
+    a NaN shape, at others."""
+    policy = init_policy(2, 0.7, RngStream(13, 0), hidden=(8,))
+    policy.net.biases[-1][0] = np.inf
+    with pytest.raises(Diverged, match="diverged: the policy gave non-finite raw outputs"):
+        roll(policy, ScheduleConfig(), RngStream(13, 1), 4)
 
 
 # ------------------------------------------------------------ lane batches
