@@ -14,9 +14,16 @@ import atexit
 import dataclasses
 import gc
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+
+# One BLAS thread unless the environment names a count, set before numpy
+# loads: the package's matrices are small, where a second thread only
+# contends with the first and doubles a run's CPU time.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 
@@ -217,7 +224,7 @@ def cmd_train_tpm(cfg: ExperimentConfig, args) -> None:
 
 
 def cmd_sample(cfg: ExperimentConfig, args) -> None:
-    from .rl import step_log_pdf
+    from .policy import step_log_pdf
     from .sampler import roll_lanes, trajectory_to_csv
 
     if args.n_trajectories < 1:

@@ -23,13 +23,15 @@ _REF_MC_SEED = 961748941
 _REF_BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpec:
     """Isotropic Gaussian mixture. complexity = number of components.
 
     The reward-centering constant ref_log_density is computed on first read
     and kept in the instance, so it lives as long as the target does; a
-    target read_field_header returns holds the constant of its checkpoint."""
+    target read_field_header returns holds the constant of its checkpoint.
+    Targets compare and hash by identity, as the array fields have no
+    equality that gives one bool."""
 
     means: np.ndarray   # (K, d)
     sigmas: np.ndarray  # (K,)

@@ -96,7 +96,7 @@ class DenseNet:
 
     def parameters(self) -> list[np.ndarray]:
         """Views [W0, b0, W1, b1, ...] of theta; the same array objects until
-        theta is rebound, so callers may key caches on their identity."""
+        theta is rebound."""
         return list(self._params)
 
     def copy(self) -> "DenseNet":

@@ -17,7 +17,7 @@ import numpy as np
 from .nn import (DenseNet, Diverged, Workspace, header_fields, load_checkpoint,
                  save_checkpoint)
 from .rng import RngStream
-from .special_math import beta_sample_lanes
+from .special_math import beta_log_pdf, beta_sample_lanes
 
 RAW_PARAM_CLAMP = 30.0
 FEATURE_LAYOUT = "state,velocity,t,t_squared"
@@ -88,6 +88,13 @@ def tpm_params_batch(policy: TimePolicy, feats: np.ndarray,
         raise Diverged("diverged: the policy gave non-finite raw outputs")
     ab = raw_to_shape(raw)
     return raw, ab[:, 0], ab[:, 1], acts
+
+
+def step_log_pdf(policy: TimePolicy, feats: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Log-density under policy of each rate at its feature row, in one
+    forward over the stack (as Lanes.kept returns it)."""
+    _, alpha, beta, _ = tpm_params_batch(policy, feats)
+    return beta_log_pdf(rates, alpha, beta)
 
 
 def predict_decay_batch(policy: TimePolicy, feats: np.ndarray,

@@ -11,7 +11,7 @@ pay off.
 from __future__ import annotations
 
 import logging
-from dataclasses import astuple, dataclass, field as dataclass_field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,7 +24,7 @@ from .policy import (TimePolicy, save_policy, shape_grad_wrt_raw, step_features,
                      tpm_params_batch)
 from .rng import RngStream
 from .sampler import Lanes, roll_lanes
-from .special_math import beta_log_pdf, beta_terms, kl_from_terms, log_pdf_from_terms
+from .special_math import beta_terms, kl_from_terms, log_pdf_from_terms
 
 logger = logging.getLogger(__name__)
 
@@ -62,13 +62,6 @@ def _policy_terms(policy: TimePolicy, feats: np.ndarray) -> tuple:
     return (acts, alpha, beta, *beta_terms(alpha, beta))
 
 
-def step_log_pdf(policy: TimePolicy, feats: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Log-density under policy of each rate at its feature row, in one
-    forward over the stack (as Lanes.kept returns it)."""
-    _, alpha, beta, _ = tpm_params_batch(policy, feats)
-    return beta_log_pdf(rates, alpha, beta)
-
-
 @dataclass
 class Rollouts:
     """One outer step's rollouts as arrays, read by every inner epoch.
@@ -76,7 +69,7 @@ class Rollouts:
     The per-lane arrays are (n_groups, k): row g is group g, whose k lanes
     share one initial noise draw. The kept predictions of all lanes are
     stacked lane by lane (feats, rates), lane holding the flat lane index of
-    each. The reference policy's terms there are cached (ref_terms)."""
+    each; terms are the rolling policy's _policy_terms there."""
 
     n_steps: np.ndarray       # Euler steps N
     ir: np.ndarray            # terminal quality score
@@ -87,36 +80,23 @@ class Rollouts:
     feats: np.ndarray
     rates: np.ndarray
     lane: np.ndarray
-    # the reference policy's parameter arrays and its terms at feats
-    _ref: tuple = dataclass_field(default=((), ()), init=False, repr=False)
+    terms: tuple
 
     @classmethod
     def from_lanes(cls, policy: TimePolicy, lanes: Lanes, ir: np.ndarray, k: int,
                    gamma: float) -> "Rollouts":
         """The record of adaptive lanes rolled in groups of k consecutive lanes,
-        with terminal scores ir. Old log-probs are scored in one forward over
-        the stack ppo_loss reads, so the first inner epoch's ratios are exactly
-        1 (a forward over another batch can differ in the last bits)."""
+        with terminal scores ir. Old log-probs are scored from the kept terms,
+        which train_tpm hands to the first inner epoch, so its ratios are
+        exactly 1 by construction, not by two forwards giving the same bits."""
         feats, rates, lane = lanes.kept()
-        old_lp = np.bincount(lane, weights=step_log_pdf(policy, feats, rates),
-                             minlength=len(lanes.n_kept))
+        terms = _policy_terms(policy, feats)
+        step_lp = log_pdf_from_terms(np.log(rates), np.log1p(-rates), terms[1:])
+        old_lp = np.bincount(lane, weights=step_lp, minlength=len(lanes.n_kept))
         reward = discounted_reward(ir, lanes.n_steps, gamma).reshape(-1, k)
         return cls(lanes.n_steps.reshape(-1, k), np.reshape(ir, (-1, k)), reward,
                    rloo_advantages(reward), old_lp.reshape(-1, k),
-                   np.maximum(lanes.n_kept, 1).reshape(-1, k), feats, rates, lane)
-
-    def ref_terms(self, ref_policy: TimePolicy) -> tuple:
-        """(alpha, beta, ln B, psi(alpha), psi(beta), psi(alpha + beta)) of
-        ref_policy at feats, recomputed only when ref_policy's parameter
-        arrays are not the ones they came from; so a frozen reference (as in
-        train_tpm) is evaluated once per record. Editing a reference's arrays
-        in place is not detected."""
-        params, terms = self._ref
-        current = ref_policy.net.parameters()
-        if len(current) != len(params) or any(a is not b for a, b in zip(current, params)):
-            terms = _policy_terms(ref_policy, self.feats)[1:]
-            self._ref = current, terms
-        return terms
+                   np.maximum(lanes.n_kept, 1).reshape(-1, k), feats, rates, lane, terms)
 
 
 @dataclass
@@ -129,6 +109,13 @@ class PpoLossResult:
 
 def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, rollouts: Rollouts,
              cfg: RLConfig) -> PpoLossResult:
+    """_ppo_loss with both policies' terms computed afresh at the record's features."""
+    return _ppo_loss(policy, _policy_terms(policy, rollouts.feats),
+                     _policy_terms(ref_policy, rollouts.feats)[1:], rollouts, cfg)
+
+
+def _ppo_loss(policy: TimePolicy, terms: tuple, ref_terms: tuple, rollouts: Rollouts,
+              cfg: RLConfig) -> PpoLossResult:
     """PPO loss over a whole record, each trajectory one action, with exact gradients.
 
     loss = mean over groups of the mean over the group's kept trajectories of
@@ -136,15 +123,14 @@ def ppo_loss(policy: TimePolicy, ref_policy: TimePolicy, rollouts: Rollouts,
     1/(n_groups * n_kept_g) and a group with none kept counts as 0;
     surrogate_i = ratio_i * adv_i (pessimistically clipped when cfg.clip > 0),
     KL_i = mean over the trajectory's steps of KL(ref || policy) at the
-    visited features. One forward and one backward cover the whole record;
-    gradients flow only through the current policy. The record keeps
-    ref_policy's terms (Rollouts.ref_terms), so do not edit it in place.
+    visited features. terms are policy's _policy_terms at the record's
+    features and ref_terms the reference's without the activations; one
+    backward covers the whole record, and gradients flow only through policy.
     """
     r, advs = rollouts, rollouts.advantage
     n_groups = len(advs)
     log_r, log_1mr = np.log(r.rates), np.log1p(-r.rates)
-    acts, *terms = _policy_terms(policy, r.feats)
-    ref_terms = r.ref_terms(ref_policy)
+    acts, *terms = terms
     psi_a, psi_b, psi_ab = terms[3:]
     ref_psi_a, ref_psi_b, ref_psi_ab = ref_terms[3:]
 
@@ -271,8 +257,11 @@ def train_tpm(policy: TimePolicy, fields: Sequence[VelocityField],
             if checkpoint_path is not None:
                 save_policy(last_good, checkpoint_path)
 
+            ref_terms = _policy_terms(ref_policy, record.feats)[1:]
             for epoch in range(cfg.inner_epochs):
-                res = ppo_loss(policy, ref_policy, record, cfg)
+                # epoch 0 reads the terms the record was scored with: a ratio of exactly 1
+                terms = record.terms if epoch == 0 else _policy_terms(policy, record.feats)
+                res = _ppo_loss(policy, terms, ref_terms, record, cfg)
                 grad_norm = descend(policy.net, state, res.loss, res.grad, cfg.max_grad_norm)
                 if epoch == 0:
                     mean_kl = res.mean_kl

@@ -15,9 +15,10 @@ predictions unless the discrete grid terminated exactly at 0.
 A batch of trajectories is one Lanes record of padded arrays: training,
 evaluation, the acceptance checks (Lanes.validate) and the CSV export
 (trajectory_to_csv) all read it. Each kept rate is recorded with its features;
-Lanes.kept stacks them lane by lane, and rl scores that stack afterwards with
-its one array log-density (step_log_pdf). Trajectory, a list view of one lane,
-is only what the one-lane wrappers sample_adaptive and sample_fixed return.
+Lanes.kept stacks them lane by lane, and rl (Rollouts.from_lanes) or the
+sample command (policy.step_log_pdf) scores that stack afterwards in one
+policy forward. Trajectory, a list view of one lane, is only what the
+one-lane wrappers sample_adaptive and sample_fixed return.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def trajectory_to_csv(lanes: Lanes, i: int, log_probs: Sequence[float],
                       path: str | Path) -> None:
     """Lane i of lanes, one row per visited time; r/log_prob blank where no
     prediction exists (step 0 and a forced final jump). log_probs holds one
-    score per kept prediction of the lane (rl.step_log_pdf)."""
+    score per kept prediction of the lane (policy.step_log_pdf)."""
     n, p = int(lanes.n_steps[i]), int(lanes.n_kept[i])
     if len(log_probs) != p:
         raise ValueError(f"{len(log_probs)} log-probs for {p} predictions")

@@ -27,8 +27,8 @@ from flowsched.flow import (VelocityField, field_header, make_velocity_net,
                             standard_normal_target)
 from flowsched.nn import load_checkpoint, save_checkpoint
 from flowsched.policy import (init_policy, load_policy, save_policy, step_features,
-                              tpm_params_batch)
-from flowsched.rl import RLConfig, step_log_pdf
+                              step_log_pdf, tpm_params_batch)
+from flowsched.rl import RLConfig
 from flowsched.rng import RngStream
 from flowsched.sampler import ScheduleConfig, roll_lanes, trajectory_to_csv
 
@@ -962,6 +962,28 @@ def test_importing_config_loads_only_what_the_schema_needs(tmp_path):
     assert (tmp_path / "eval" / "baselines.csv").exists()
     assert "flowsched.sampler" in loaded
     assert not {"flowsched.rl", "flowsched.svg", "subprocess"} & set(loaded)
+    # sample scores its trajectories with policy.step_log_pdf, not the trainer
+    argv = ["sample", "--config", save_config(reduced_config(tmp_path / "eval"), tmp_path),
+            "--n-trajectories", "2"]
+    loaded = _modules_loaded_by(f"from flowsched.cli import main\nassert main({argv!r}) == 0")
+    assert (tmp_path / "eval" / "trajectory_1.csv").exists()
+    assert "flowsched.policy" in loaded and "flowsched.rl" not in loaded
+
+
+def test_cli_pins_one_blas_thread_unless_the_environment_names_a_count():
+    """Importing the command line sets each BLAS thread count to 1 before
+    numpy loads (the package itself loads no numpy), and leaves a count the
+    environment already names."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = ("import sys, flowsched\nassert 'numpy' not in sys.modules\n"
+            f"import os, flowsched.cli\nprint(*(os.environ[n] for n in {names!r}))")
+    src = str(Path(flowsched.__file__).resolve().parents[1])
+    bare = {k: v for k, v in os.environ.items() if k not in names}
+    for extra, want in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 1 1")):
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env={**bare, **extra, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == want.split()
 
 
 def test_version_string_is_git_describe_of_the_source_tree():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowsched.flow import (TargetSpec, VelocityField, fm_loss,
+from flowsched.flow import (TargetSpec, VelocityField, field_header, fm_loss,
                             interpolate, make_velocity_net, oracle_velocity,
-                            ring_mixture_target,
+                            read_field_header, ring_mixture_target,
                             single_gaussian_target, standard_normal_target,
                             train_flow)
 import flowsched.flow as flow
@@ -123,6 +123,21 @@ def test_ref_log_density_mixture_frozen_and_sane():
     vals = target.log_density(pts)
     stderr = vals.std() / np.sqrt(len(vals))
     assert abs(first - vals.mean()) <= 5 * stderr + 0.01
+
+
+def test_targets_compare_and_hash_by_identity():
+    """==, in and hash work on targets and go by identity, so two targets of
+    equal parameters differ; read_field_header's copy is a target of its own
+    that holds the stored constant, and the configured target draws none."""
+    target, twin = ring_mixture_target(4), ring_mixture_target(4)
+    assert target == target and target != twin and twin.key() == target.key()
+    assert target in [twin, target] and twin not in [target]
+    assert hash(target) == object.__hash__(target) and len({target, twin, target}) == 2
+    headed = read_field_header(field_header(target), twin, "field_0.ckpt")
+    assert headed != twin and headed.key() == twin.key()
+    assert vars(headed)["ref_log_density"] == vars(target)["ref_log_density"]
+    assert "ref_log_density" not in vars(twin)
+    assert headed.ref_log_density == target.ref_log_density == twin.ref_log_density
 
 
 def test_interpolate_endpoints_and_midpoint():

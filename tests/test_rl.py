@@ -20,10 +20,10 @@ from flowsched.flow import (IR_CLAMP, VelocityField, make_velocity_net,
 from flowsched.nn import DenseNet, clip_global_norm
 from flowsched.policy import (RAW_PARAM_CLAMP, TimePolicy, init_policy, raw_to_shape,
                               save_policy, shape_grad_wrt_raw, step_features,
-                              tpm_params_batch)
-from flowsched.rl import (MetricsRow, PpoLossResult, RLConfig, Rollouts,
-                          discounted_reward, ppo_loss, rloo_advantages, roll_groups,
-                          rollout_group, step_log_pdf, train_naive_two_step, train_tpm,
+                              step_log_pdf, tpm_params_batch)
+from flowsched.rl import (MetricsRow, PpoLossResult, RLConfig, Rollouts, _policy_terms,
+                          _ppo_loss, discounted_reward, ppo_loss, rloo_advantages,
+                          roll_groups, rollout_group, train_naive_two_step, train_tpm,
                           write_metrics_csv)
 from flowsched.rng import RngStream
 from flowsched.sampler import Lanes, ScheduleConfig, roll_lanes
@@ -402,10 +402,12 @@ def test_ppo_loss_drops_non_finite_ratios(caplog):
     assert np.all(np.isfinite(res.grad))
 
 
-def assert_first_epoch_ratios_are_one(policy, record):
+def assert_first_epoch_ratios_are_one(policy, record, terms=None):
     """With no KL, no clipping and a one-hot advantage the loss is
     -ratio_i / (n_groups * k), every operation exact when n_groups * k is a
-    power of two; so -n_groups * k * loss is lane i's ratio."""
+    power of two; so -n_groups * k * loss is lane i's ratio. The loss reads
+    terms when given (as train_tpm's first epoch reads the record's), and
+    otherwise scores policy afresh (ppo_loss)."""
     record = dataclasses.replace(record, advantage=np.zeros_like(record.advantage))
     n_lanes = record.advantage.size
     assert n_lanes & (n_lanes - 1) == 0
@@ -413,7 +415,9 @@ def assert_first_epoch_ratios_are_one(policy, record):
     ratios = []
     for i in range(n_lanes):
         record.advantage.flat[:] = np.arange(n_lanes) == i
-        ratios.append(-n_lanes * ppo_loss(policy, policy, record, cfg).loss)
+        res = (ppo_loss(policy, policy, record, cfg) if terms is None
+               else _ppo_loss(policy, terms, terms[1:], record, cfg))
+        ratios.append(-n_lanes * res.loss)
     assert ratios == [1.0] * n_lanes
 
 
@@ -434,13 +438,13 @@ def test_train_tpm_first_epoch_ratio_is_exactly_one_over_two_pairs(monkeypatch):
     policy = small_policy(56, jitter=0.05)
     seen = []
 
-    def checked(pol, ref, record, cfg):
+    def checked(pol, terms, ref_terms, record, cfg):
         if not any(record is r for r in seen):
             seen.append(record)
-            assert_first_epoch_ratios_are_one(pol, record)
-        return ppo_loss(pol, ref, record, cfg)
+            assert_first_epoch_ratios_are_one(pol, record, terms)
+        return _ppo_loss(pol, terms, ref_terms, record, cfg)
 
-    monkeypatch.setattr(rl, "ppo_loss", checked)
+    monkeypatch.setattr(rl, "_ppo_loss", checked)
     cfg = RLConfig(group_size=4, batch_size=32, inner_epochs=2, lr=3e-3,
                    outer_steps=2)
     train_tpm(policy, [oracle_field(), VelocityField("oracle", target=SHIFTED)],
@@ -469,14 +473,16 @@ def test_batched_groups_match_single_group_rollouts():
 
 
 def one_group(record: Rollouts, g: int) -> Rollouts:
-    """Group g of record as a record of its own, with the same old log-probs
-    and advantages."""
+    """Group g of record as a record of its own, with the same old log-probs,
+    advantages and terms."""
     k = record.advantage.shape[1]
     steps = record.lane // k == g
+    acts, *terms = record.terms
     return Rollouts(*(a[g:g + 1].copy() for a in (
         record.n_steps, record.ir, record.reward, record.advantage,
         record.old_log_prob, record.n_pred)),
-        record.feats[steps], record.rates[steps], record.lane[steps] - g * k)
+        record.feats[steps], record.rates[steps], record.lane[steps] - g * k,
+        ([a[steps] for a in acts], *(t[steps] for t in terms)))
 
 
 def test_record_loss_is_the_mean_of_its_one_group_losses():
@@ -567,7 +573,7 @@ def perturbed(policy: TimePolicy, seed: int, scale: float = 0.5) -> TimePolicy:
 
 
 def assert_matches_separate_calls(policy, ref, group, cfg):
-    # twice: the second call runs on the terms the first one cached
+    # twice: a second call on the same record gives the same bits
     for _ in range(2):
         res = ppo_loss(policy, ref, group, cfg)
         loss, grad, mean_kl, n_dropped = separate_call_ppo_loss(policy, ref, group, cfg)
@@ -630,6 +636,23 @@ def test_ppo_loss_recomputes_reference_terms_for_new_reference():
     assert_matches_separate_calls(policy, other, group, cfg)
 
 
+def test_ppo_loss_sees_a_reference_edited_in_place():
+    """ppo_loss scores the reference afresh on every call, so after an edit
+    of its parameters in place it gives what a copy of the edited reference
+    gives, and the KL to it is no longer 0."""
+    ref = small_policy(85, jitter=0.3)
+    policy = ref.copy()
+    record = make_record(ref, [RngStream(85, 2).child(g) for g in range(4)])
+    cfg = RLConfig(kl_weight=0.2, clip=0.2)
+    assert ppo_loss(policy, ref, record, cfg).mean_kl == 0.0
+    ref.net.theta[:] += 0.05
+    edited, fresh = ppo_loss(policy, ref, record, cfg), ppo_loss(policy, ref.copy(), record, cfg)
+    assert (edited.loss, edited.mean_kl, edited.n_dropped) == (
+        fresh.loss, fresh.mean_kl, fresh.n_dropped)
+    assert np.array_equal(edited.grad, fresh.grad)
+    assert fresh.mean_kl > 0.0
+
+
 def test_train_tpm_evaluates_reference_once_per_outer_step(monkeypatch):
     import flowsched.rl as rl
 
@@ -647,33 +670,63 @@ def test_train_tpm_evaluates_reference_once_per_outer_step(monkeypatch):
                            RngStream(81, 1))
     assert len(metrics) == cfg.outer_steps
     assert calls["other"] == cfg.outer_steps
-    # one forward scores the record's old log-probs, then one per inner epoch,
-    # and one checks the result's outputs at the end
-    assert calls["live"] == cfg.outer_steps * (cfg.inner_epochs + 1) + 1
+    # one forward scores the record's old log-probs and serves the first inner
+    # epoch, then one per later epoch, and one checks the result's outputs
+    assert calls["live"] == cfg.outer_steps * cfg.inner_epochs + 1
+
+
+def as_bytes(arrays) -> list[tuple]:
+    """(shape, bytes) of each array, for a bit-for-bit comparison."""
+    return [(a.shape, a.tobytes()) for a in arrays]
 
 
 def test_train_tpm_reference_keeps_its_theta_while_the_actor_moves(monkeypatch):
     """AdamW updates the actor's theta in place, so the frozen reference must
-    own its vector: the one that Rollouts.ref_terms' identity cache keys on
-    keeps every bit over the run, while the actor's moves."""
+    own its vector: the reference terms every inner epoch reads are those of
+    the policy that entered the run, bit for bit, while the actor moves."""
     cfg = RLConfig(gamma=0.95, kl_weight=0.2, clip=0.2, group_size=4,
                    batch_size=8, inner_epochs=2, lr=3e-3, outer_steps=3)
     policy = init_policy(2, 0.7, RngStream(84, 0), hidden=(8,))
-    start = policy.net.theta.tobytes()
-    seen, ppo = [], rl.ppo_loss
+    start, entered = policy.net.theta.tobytes(), policy.copy()
+    seen = []
 
-    def recording(actor, ref, record, rl_cfg):
-        seen.append((ref.net.theta, ref.net.theta.tobytes(), actor.net.theta.tobytes()))
-        return ppo(actor, ref, record, rl_cfg)
+    def recording(actor, terms, ref_terms, record, rl_cfg):
+        want = _policy_terms(entered, record.feats)[1:]
+        seen.append((as_bytes(ref_terms) == as_bytes(want), actor.net.theta.tobytes()))
+        return _ppo_loss(actor, terms, ref_terms, record, rl_cfg)
 
-    monkeypatch.setattr(rl, "ppo_loss", recording)
+    monkeypatch.setattr(rl, "_ppo_loss", recording)
     trained, metrics = train_tpm(policy, [oracle_field()], [STD2], cfg, ScheduleConfig(),
                                  RngStream(84, 1))
     assert len(metrics) == cfg.outer_steps
     assert len(seen) == cfg.outer_steps * cfg.inner_epochs
-    assert all(theta is seen[0][0] and ref_bytes == start for theta, ref_bytes, _ in seen)
-    assert seen[0][2] == start and seen[-1][2] != start
+    assert all(ref_kept for ref_kept, _ in seen)
+    assert seen[0][1] == start and seen[-1][1] != start
     assert trained.net.theta.tobytes() != start
+
+
+def test_train_tpm_first_epoch_reads_the_record_terms_a_fresh_forward_gives(monkeypatch):
+    """Each outer step's first inner epoch is given the terms its record was
+    scored with, which equal a fresh _policy_terms at the record's features in
+    all seven elements, activations included; a later epoch gets a fresh
+    forward of the moved policy."""
+    cfg = RLConfig(gamma=0.95, kl_weight=0.2, clip=0.2, group_size=4,
+                   batch_size=16, inner_epochs=3, lr=3e-3, outer_steps=3)
+    policy = init_policy(2, 0.7, RngStream(86, 0), hidden=(8, 8))
+    seen = []
+
+    def recording(actor, terms, ref_terms, record, rl_cfg):
+        fresh = _policy_terms(actor, record.feats)
+        assert len(terms) == 7 and len(terms[0]) == len(policy.net.sizes)
+        seen.append((terms is record.terms,
+                     as_bytes([*terms[0], *terms[1:]]) == as_bytes([*fresh[0], *fresh[1:]])))
+        return _ppo_loss(actor, terms, ref_terms, record, rl_cfg)
+
+    monkeypatch.setattr(rl, "_ppo_loss", recording)
+    _, metrics = train_tpm(policy, [oracle_field()], [STD2], cfg, ScheduleConfig(),
+                           RngStream(86, 1))
+    assert len(metrics) == cfg.outer_steps
+    assert seen == ([(True, True)] + [(False, True)] * (cfg.inner_epochs - 1)) * cfg.outer_steps
 
 
 def test_training_and_evaluation_never_build_trajectories(monkeypatch, tmp_path):

@@ -7,8 +7,7 @@ from flowsched.flow import (VelocityField, make_velocity_net,
                             standard_normal_target)
 from flowsched.nn import DenseNet, Diverged
 from flowsched.policy import (TimePolicy, feature_length, init_policy,
-                              tpm_params_batch)
-from flowsched.rl import step_log_pdf
+                              step_log_pdf, tpm_params_batch)
 from flowsched.rng import RngStream
 from flowsched.sampler import (GridExhausted, Lanes, ScheduleConfig, quantize_times,
                                roll_lanes, sample_adaptive, sample_fixed, timeshift,
