@@ -9,7 +9,13 @@ change was better (BENCHMARK.json's "better"); per workload each side's
 median host-loop time of every pair (`loop_s`, result.json's
 detail.raw_median), printed beside the pair's wall_s, so a pair lost to a
 slower host shows as such; with the environment stamp of the runs, the
-commits and the seeds. After the workloads it runs the Tier-1
+commits and the seeds. With `--probes NAME[,NAME]`, after the workloads it
+runs `benchmark/probes.run_probes` for the named probes in one fresh
+process per side and seed, alternating as the workloads do, each pinned to
+one CPU with one BLAS thread as `benchmark/run.py --trace 1` runs them, and
+records each probe's per-run medians under `probes` the way it records a
+metric (BENCHMARK.json's "better" for the probe's name); a probe absent on a
+side is listed with its reason instead. Then it runs the Tier-1
 suite once on each side, the parent first as in the first pair, and records
 its wall time and its passed/xfailed/failed counts, and runs each side's
 `scripts/src_lines.py` to record its (lines, code lines) totals of `src/`
@@ -18,7 +24,8 @@ hand. Each run's directory under .bench_runs/ is deleted once its result.json
 is read; the directory of a failed run is kept and its path printed.
 
     python3 scripts/bench_pairs.py --parent HEAD --seeds 501-510 \\
-        --workload train-flow-ring4 --seconds 30 --out BENCH.json
+        --workload train-flow-ring4 --seconds 30 --out BENCH.json \\
+        --probes nn.backward.us.field_b256,flow.fm_loss.us.b256
 """
 
 import argparse
@@ -38,6 +45,23 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 TIER1_COUNTS = ("passed", "xfailed", "failed")
+# argv: seed, comma-separated probe names, work directory; prints one JSON line
+PROBE_CHILD = """\
+import json, os, sys
+from pathlib import Path
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path[:0] = ["benchmark", "src"]
+import hostspeed
+from probes import PROBES, run_probes
+hostspeed.pin_one_cpu()
+names = sys.argv[2].split(",")
+unknown = [n for n in names if n not in PROBES]
+if unknown:
+    sys.exit(f"no such probe: {', '.join(unknown)}")
+results, absent = run_probes(int(sys.argv[1]), Path(sys.argv[3]), {n: PROBES[n] for n in names})
+print(json.dumps({"results": results, "absent": absent}))
+"""
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -73,6 +97,41 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     else:
         print(f"{workload} seed {seed} in {root}: incorrect run kept in {run_dir}", flush=True)
     return res
+
+
+def run_probes(root: Path, seed: int, names: list[str], work_dir: Path) -> dict:
+    """The named probes of the checkout at root, run in one fresh process:
+    {"results": {probe: {median, p99, n, unit}}, "absent": {probe: reason}}."""
+    proc = subprocess.run([sys.executable, "-c", PROBE_CHILD, str(seed), ",".join(names),
+                           str(work_dir)], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"probes {','.join(names)} in {root} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def pair_probes(roots: dict[str, Path], seeds: list[int], names: list[str],
+                better: dict[str, str], work_dir: Path) -> dict:
+    """Per probe, summarize() of its per-run medians over the seeds, with its
+    unit; a probe that any run reports absent gets its reasons instead."""
+    runs = {side: [] for side in SIDES}
+    for i, seed in enumerate(seeds):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            runs[side].append(run_probes(roots[side], seed, names, work_dir))
+            shown = {n: round(r["median"], 2) for n, r in runs[side][-1]["results"].items()}
+            print(f"probes seed {seed} {side}: {shown}", flush=True)
+    out = {}
+    for name in names:
+        absent = {side: [r["absent"][name] for r in runs[side] if name in r["absent"]]
+                  for side in SIDES}
+        if any(absent.values()):
+            out[name] = {"absent": absent}
+            continue
+        values = {side: [r["results"][name]["median"] for r in runs[side]] for side in SIDES}
+        name_better = better.get(name, "lower")
+        out[name] = {"unit": runs["change"][0]["results"][name]["unit"], "better": name_better,
+                     **summarize(values, name_better)}
+    return out
 
 
 def run_tier1(root: Path) -> dict:
@@ -130,6 +189,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--work-dir", help="where to unpack the parent (default: a temporary directory)")
+    ap.add_argument("--probes", type=lambda text: text.split(","), default=[],
+                    help="benchmark/probes.py probes to pair after the workloads, "
+                         "e.g. nn.backward.us.field_b256,flow.fm_loss.us.b256")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -167,6 +229,10 @@ def main(argv=None) -> int:
                                    **summarize(values[name], m["better"])}
                             for name, m in metrics.items()},
             }
+        probes = None
+        if args.probes:
+            better = {m["name"]: m["better"] for m in spec["per_layer"]}
+            probes = pair_probes(roots, args.seeds, args.probes, better, Path(tmp))
         tier1 = {}
         for side in SIDES:
             tier1[side] = run_tier1(roots[side])
@@ -180,6 +246,9 @@ def main(argv=None) -> int:
                    "uncommitted": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "order": "alternating: even seed index runs the parent first",
         "seeds": args.seeds, "env": env, "workloads": results,
+        "probes": probes and {
+            "command": "benchmark/probes.run_probes(S, dir, {names}), one process per side and S",
+            **probes},
         "tier1": {"command": "python3 " + " ".join(TIER1) + " (PYTHONPATH=src)", **tier1},
         "src_lines": {"command": "python3 scripts/src_lines.py (lines, code lines)", **lines},
     }, indent=2) + "\n")

@@ -223,7 +223,7 @@ def interpolate(x0: np.ndarray, eps: np.ndarray, t: float | np.ndarray,
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch {x0.shape} vs {eps.shape}")
     tv = np.asarray(t, dtype=float)
-    if np.any(tv < 0.0) or np.any(tv > 1.0):
+    if tv.size and (tv.min() < 0.0 or tv.max() > 1.0):  # NaN compares false: it passes
         raise ValueError("t must lie in [0, 1]")
     if tv.ndim == 1 and x0.ndim == 2:
         tv = tv[:, None]
@@ -334,7 +334,7 @@ class VelocityField:
             return u, c * g, row_dot(g, dc * centered + c * self.target.means[0])
         inp = np.concatenate([x, t[:, None]], axis=1)
         acts = self.net.forward_acts(inp)
-        _, input_grad = self.net.backward(inp, g, acts)
+        _, input_grad = self.net.backward(inp, g, acts, wrt_input=True)
         return acts[-1], input_grad[:, :-1], input_grad[:, -1]
 
 
@@ -366,7 +366,7 @@ def fm_loss(field: VelocityField, x0: np.ndarray, eps: np.ndarray,
     acts = field.net.forward_acts(work.inp, work)
     resid = acts[-1]  # backward reads no output rows, so they hold the residual
     resid -= eps - x0
-    loss = float(np.mean(np.sum(resid * resid, axis=1)))
+    loss = float((resid * resid).sum(axis=1).sum() / n)  # np.mean's add-reduce, then divide
     resid *= 2.0
     resid /= n
     grad, _ = field.net.backward(work.inp, resid, acts, work)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import math
 import os
 import struct
 from pathlib import Path
@@ -108,11 +109,12 @@ class DenseNet:
         """Buffers for forward_acts and backward over batches of n rows, for a
         caller that repeats them at one batch size (train_flow), or of at
         most n rows through Workspace.rows (roll_lanes)."""
+        grad = np.empty(self.n_params)
         return Workspace(self.sizes, n, np.empty((n, self.sizes[0])),
                          [np.empty((n, o)) for o in self.sizes[1:]],
                          [np.empty((n, i)) for i in self.sizes[:-1]],
                          [np.empty((n, h)) for h in self.sizes[1:-1]],
-                         np.empty(self.n_params))
+                         grad, self.unflatten(grad))
 
     def forward_acts(self, x: np.ndarray,
                      work: Optional["Workspace"] = None) -> list[np.ndarray]:
@@ -141,18 +143,20 @@ class DenseNet:
 
     def backward(self, x: np.ndarray, output_grad: np.ndarray,
                  acts: Optional[list[np.ndarray]] = None,
-                 work: Optional["Workspace"] = None):
+                 work: Optional["Workspace"] = None, *, wrt_input: bool = False):
         """Exact reverse-mode gradients of forward.
 
         Returns (grad, input_grad) where grad is laid out like theta (views
         by unflatten). Batched inputs sum parameter gradients over the batch.
-        acts, when given, must be forward_acts(x) at the current theta; the
-        forward pass is then not repeated. Only acts[:-1] is read, so a loss
-        may build output_grad in place in the output rows acts[-1]. grad, the
-        products delta @ W and the tanh-gradient terms are written into work
-        as forward_acts writes its activations, so with a workspace grad is
-        work.grad and input_grad a view of work.deltas[0], both overwritten
-        by the next call.
+        input_grad, the gradient with respect to x, is computed only with
+        wrt_input (it costs one more product, delta @ W0); otherwise it is
+        None. acts, when given, must be forward_acts(x) at the current theta;
+        the forward pass is then not repeated. Only acts[:-1] is read, so a
+        loss may build output_grad in place in the output rows acts[-1].
+        grad, the products delta @ W and the tanh-gradient terms are written
+        into work as forward_acts writes its activations, so with a workspace
+        grad is work.grad (filled through work.grad_views) and input_grad a
+        view of work.deltas[0], both overwritten by the next call.
         """
         if acts is None:
             acts = self.forward_acts(x, work)
@@ -168,19 +172,24 @@ class DenseNet:
             raise ValueError(
                 f"output_grad shape {output_grad.shape} does not match output size {self.sizes[-1]}"
             )
-        grad = np.empty(self.n_params) if work is None else work.grad
-        views = self.unflatten(grad)
+        if work is None:
+            grad = np.empty(self.n_params)
+            views = self.unflatten(grad)
+        else:
+            grad, views = work.grad, work.grad_views
         delta = out_g
         for k in range(len(self._weights) - 1, -1, -1):
             np.matmul(delta.T, acts[k], out=views[2 * k])
-            np.sum(delta, axis=0, out=views[2 * k + 1])
-            delta = np.matmul(delta, self._weights[k], out=deltas[k])
+            np.add.reduce(delta, axis=0, out=views[2 * k + 1])  # np.sum's call, unwrapped
             if k > 0:
+                delta = np.matmul(delta, self._weights[k], out=deltas[k])
                 tanh_grad = np.square(acts[k], out=squares[k - 1])
                 np.subtract(1.0, tanh_grad, out=tanh_grad)
                 delta *= tanh_grad
-        input_grad = delta if np.ndim(x) > 1 else delta[0]
-        return grad, input_grad
+        if not wrt_input:
+            return grad, None
+        input_grad = np.matmul(delta, self._weights[0], out=deltas[0])
+        return grad, input_grad if np.ndim(x) > 1 else input_grad[0]
 
     def _fresh(self) -> list[None]:
         """One out=None per layer: numpy makes each buffer fresh."""
@@ -209,10 +218,14 @@ class Workspace:
 
     inp         (n, sizes[0])      input rows a caller may fill and pass as x;
     acts[k]     (n, sizes[k + 1])  the output of layer k;
-    deltas[k]   (n, sizes[k])      backward's product delta @ W_k;
+    deltas[k]   (n, sizes[k])      backward's product delta @ W_k (deltas[0],
+                                   the input gradient, only with wrt_input);
     squares[k]  (n, sizes[k + 1])  acts[k] ** 2 of hidden layer k, the
                                    tanh-gradient term;
-    grad        (n_params,)        backward's parameter gradient.
+    grad        (n_params,)        backward's parameter gradient;
+    grad_views  [W0, b0, W1, ...]  its layer views (unflatten), made once
+                                   here and shared by rows(m), so backward
+                                   never rebuilds them.
 
     Reusing one across calls saves allocating arrays that, at batch 256 and
     width 64, sit exactly at glibc malloc's 128 KiB trim threshold, so each
@@ -229,17 +242,19 @@ class Workspace:
     deltas: list[np.ndarray]
     squares: list[np.ndarray]
     grad: np.ndarray
+    grad_views: list[np.ndarray]
 
     def rows(self, m: int) -> "Workspace":
         """The workspace for batches of m <= n rows: views of the first m rows
-        of every buffer (grad is shared whole); this one when m == n."""
+        of every buffer (grad and its views are shared whole); this one
+        when m == n."""
         if m == self.n:
             return self
         if not 0 <= m <= self.n:
             raise ValueError(f"{m} rows asked of a workspace for {self.n}")
         return Workspace(self.sizes, m, self.inp[:m], [a[:m] for a in self.acts],
                          [a[:m] for a in self.deltas], [a[:m] for a in self.squares],
-                         self.grad)
+                         self.grad, self.grad_views)
 
 
 @dataclasses.dataclass
@@ -281,7 +296,7 @@ def adamw_step(params: list[np.ndarray], grads: list[np.ndarray],
     for p, g in zip(params, grads):
         if np.shape(g) != p.shape:
             raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("non-finite gradient passed to adamw_step")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
@@ -322,10 +337,10 @@ def descend(net: DenseNet, state: OptimizerState, loss: float, grad: np.ndarray,
     gradient is not read here: adamw_step refuses a non-finite one with
     ValueError, again before writing anything.
     """
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise Diverged(f"diverged: loss {loss} at optimizer step {state.step}")
     norm = None if max_norm is None else clip_global_norm(net.unflatten(grad), max_norm)
-    if norm is not None and not np.isfinite(norm):
+    if norm is not None and not math.isfinite(norm):
         raise Diverged(f"diverged: gradient norm {norm} at optimizer step {state.step}")
     adamw_step([net.theta], [grad], state)
     return norm

@@ -146,8 +146,12 @@ def test_interpolate_endpoints_and_midpoint():
     assert np.array_equal(interpolate(x0, eps, 0.0), x0)
     assert np.array_equal(interpolate(x0, eps, 1.0), eps)
     assert np.array_equal(interpolate(x0, eps, 0.5), [1.0, 1.0])
-    with pytest.raises(ValueError):
-        interpolate(x0, eps, 1.5)
+    for t in (-0.1, 1.5, np.array([0.2, -1e-12]), np.array([1.0 + 1e-12])):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            interpolate(x0, eps, t)
+    assert np.array_equal(interpolate(np.stack([x0, x0]), np.stack([eps, eps]),
+                                      np.array([0.0, 1.0])), [x0, eps])
+    assert interpolate(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)).shape == (0, 2)
     with pytest.raises(ValueError):
         interpolate(x0, np.zeros(3), 0.5)
 
@@ -398,6 +402,27 @@ def test_train_flow_deterministic():
         return losses
 
     assert np.array_equal(run(), run())
+
+
+def test_train_flow_builds_gradient_views_once(monkeypatch):
+    """The workspace makes the gradient's layer views once; no step of
+    backward rebuilds them with unflatten."""
+    field = VelocityField("learned", net=make_velocity_net(2, (16,), RngStream(10, 0)))
+    calls = []
+    workspace, unflatten = DenseNet.workspace, DenseNet.unflatten
+
+    def counted_workspace(net, n):
+        calls.append("workspace")
+        return workspace(net, n)
+
+    def counted_unflatten(net, flat):
+        calls.append("unflatten")
+        return unflatten(net, flat)
+
+    monkeypatch.setattr(DenseNet, "workspace", counted_workspace)
+    monkeypatch.setattr(DenseNet, "unflatten", counted_unflatten)
+    train_flow(field, standard_normal_target(2), 20, RngStream(10, 1), batch_size=8)
+    assert calls == ["workspace", "unflatten"]
 
 
 def test_train_flow_divergence_aborts():

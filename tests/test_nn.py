@@ -104,10 +104,16 @@ def test_backward_with_forward_acts_equals_recompute():
                  (rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))):
         acts = net.forward_acts(x)
         assert np.array_equal(net.forward(x), acts[-1] if x.ndim > 1 else acts[-1][0])
-        got_grad, got_in = net.backward(x, g, acts=acts)
-        want_grad, want_in = net.backward(x, g)
-        assert np.array_equal(got_grad, want_grad)
-        assert np.array_equal(got_in, want_in)
+        want_grad, want_in = net.backward(x, g, wrt_input=True)
+        assert want_in.shape == x.shape
+        for given_acts in ({"acts": acts}, {}):
+            got_grad, got_in = net.backward(x, g, **given_acts, wrt_input=True)
+            assert np.array_equal(got_grad, want_grad)
+            assert np.array_equal(got_in, want_in)
+            # without wrt_input: the same grad bits and no input gradient
+            got_grad, got_in = net.backward(x, g, **given_acts)
+            assert np.array_equal(got_grad, want_grad)
+            assert got_in is None
 
 
 @pytest.mark.parametrize("sizes", [[3, 7, 5, 2], [3, 6, 4, 5, 2]])
@@ -121,10 +127,11 @@ def test_workspace_calls_equal_fresh_calls_bit_for_bit(sizes):
             x = rng.standard_normal((*rows, sizes[0]))
             g = rng.standard_normal((*rows, sizes[-1]))
             want_acts = net.forward_acts(x)
-            want_grad, want_in = net.backward(x, g)
+            want_grad, want_in = net.backward(x, g, wrt_input=True)
             acts = net.forward_acts(x, work)
             assert all(np.array_equal(a, b) for a, b in zip(acts, want_acts))
-            for got_grad, got_in in (net.backward(x, g, acts, work), net.backward(x, g, work=work)):
+            for got_grad, got_in in (net.backward(x, g, acts, work, wrt_input=True),
+                                     net.backward(x, g, work=work, wrt_input=True)):
                 assert np.array_equal(got_grad, want_grad)
                 assert np.array_equal(got_in, want_in)
                 assert got_in.shape == want_in.shape
@@ -132,6 +139,12 @@ def test_workspace_calls_equal_fresh_calls_bit_for_bit(sizes):
             assert all(a is b for a, b in zip(acts[1:], work.acts))
             assert got_grad is work.grad
             assert np.shares_memory(got_in, work.deltas[0])
+            # without wrt_input: the same grad bits, and delta @ W0 is never written
+            work.deltas[0][...] = np.nan
+            for got_grad, got_in in (net.backward(x, g, acts, work), net.backward(x, g, work=work)):
+                assert got_grad is work.grad and np.array_equal(got_grad, want_grad)
+                assert got_in is None
+                assert np.isnan(work.deltas[0]).all()
             # backward reads no output rows, so a loss may overwrite them
             acts[-1][...] = np.nan
             assert np.array_equal(net.backward(x, g, acts, work)[0], want_grad)
@@ -160,12 +173,18 @@ def test_workspace_rows_serve_every_smaller_batch_bit_for_bit():
     for m in (9, 8, 5, 1, 0):
         part = work.rows(m)
         assert part.n == m and part.inp.shape == (m, 3) and part.grad is work.grad
+        assert part.grad_views is work.grad_views
         assert all(np.shares_memory(a, b) for a, b in zip(part.acts, work.acts) if m)
         x, g = rng.standard_normal((m, 3)), rng.standard_normal((m, 2))
         acts = net.forward_acts(x, part)
         assert all(np.array_equal(a, b) for a, b in zip(acts, net.forward_acts(x)))
-        for got, want in zip(net.backward(x, g, acts, part), net.backward(x, g)):
+        for got, want in zip(net.backward(x, g, acts, part, wrt_input=True),
+                             net.backward(x, g, wrt_input=True)):
             assert np.array_equal(got, want)
+    # the gradient's layer views: unflatten's layout, made once over work.grad
+    work.grad[:] = np.arange(work.grad.size)
+    assert all(v.base is work.grad and np.array_equal(v, u)
+               for v, u in zip(work.grad_views, net.unflatten(work.grad)))
     for m in (10, -1):
         with pytest.raises(ValueError, match=f"{m} rows asked of a workspace for 9"):
             work.rows(m)
@@ -221,7 +240,7 @@ def test_backward_random_nets_match_finite_differences():
         rng = RngStream(5, k)
         x = rng.standard_normal(sizes[0])
         out_g = rng.standard_normal(sizes[-1])
-        analytic, input_grad = net.backward(x, out_g)
+        analytic, input_grad = net.backward(x, out_g, wrt_input=True)
         numeric = finite_difference_grads(net, x, out_g)
         assert_grads_close(net.unflatten(analytic), numeric)
         # input gradient against finite differences too
@@ -237,7 +256,7 @@ def test_backward_random_nets_match_finite_differences():
 
 def test_backward_zero_output_grad():
     net = DenseNet.init_random([3, 6, 2], RngStream(6, 0))
-    grads, input_grad = net.backward(np.array([1.0, 2.0, 3.0]), np.zeros(2))
+    grads, input_grad = net.backward(np.array([1.0, 2.0, 3.0]), np.zeros(2), wrt_input=True)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
     assert np.array_equal(input_grad, np.zeros(3))
 
@@ -259,8 +278,8 @@ def test_backward_batch_sums_per_item_gradients():
     net = DenseNet.init_random([2, 5, 2], RngStream(7, 0))
     xs = RngStream(8, 0).standard_normal((4, 2))
     gs = RngStream(8, 1).standard_normal((4, 2))
-    batch_grads, batch_in = net.backward(xs, gs)
-    single = [net.backward(xs[i], gs[i]) for i in range(4)]
+    batch_grads, batch_in = net.backward(xs, gs, wrt_input=True)
+    single = [net.backward(xs[i], gs[i], wrt_input=True) for i in range(4)]
     for j, bg in enumerate(batch_grads):
         assert np.allclose(bg, sum(s[0][j] for s in single), atol=1e-12)
     assert np.allclose(batch_in, np.stack([s[1] for s in single]), atol=1e-12)
